@@ -69,9 +69,6 @@ class RunConfig:
     steps: int = 16
     outer_tol: float = 1e-12
     max_outer: int = 100
-    cg_tol: float = 1e-12
-    stationarity_tol: float = 1e-10
-    cg_iter_factor: int = 10
     out: str = "out"
     seed: int = 0
     checks: tuple = ("all",)
@@ -83,9 +80,9 @@ class RunConfig:
     jobs: int = 1
 
 
-_INT_KEYS = {"m", "resolution", "q", "steps", "max_outer", "cg_iter_factor",
-             "seed", "spatial_steps", "eigen_index", "jobs"}
-_FLOAT_KEYS = {"h", "total_time", "outer_tol", "cg_tol", "stationarity_tol"}
+_INT_KEYS = {"m", "resolution", "q", "steps", "max_outer", "seed",
+             "spatial_steps", "eigen_index", "jobs"}
+_FLOAT_KEYS = {"h", "total_time", "outer_tol"}
 _STR_KEYS = {"mode", "preset", "out", "inject"}
 
 
@@ -184,13 +181,10 @@ def validate(config: RunConfig):
         raise ConfigError("total_time", "must be positive")
     if config.steps < 1:
         raise ConfigError("steps", "must be at least 1")
-    for key in ("outer_tol", "cg_tol", "stationarity_tol"):
-        if getattr(config, key) <= 0:
-            raise ConfigError(key, "must be positive")
+    if config.outer_tol <= 0:
+        raise ConfigError("outer_tol", "must be positive")
     if config.max_outer < 1:
         raise ConfigError("max_outer", "must be at least 1")
-    if config.cg_iter_factor < 1:
-        raise ConfigError("cg_iter_factor", "must be at least 1")
     if config.seed < 0:
         raise ConfigError("seed", "must be nonnegative")
     if config.checks not in (("all",), ("none",)):
@@ -230,13 +224,7 @@ def make_schedule(config: RunConfig):
 
 
 def make_opts(config: RunConfig) -> SolverOptions:
-    return SolverOptions(
-        outer_tol=config.outer_tol,
-        max_outer=config.max_outer,
-        cg_tol=config.cg_tol,
-        stationarity_tol=config.stationarity_tol,
-        cg_iter_factor=config.cg_iter_factor,
-    )
+    return SolverOptions(outer_tol=config.outer_tol, max_outer=config.max_outer)
 
 
 def make_initial(config: RunConfig, domain) -> QGridFunction:

@@ -2,11 +2,12 @@
 
 Each step minimizes  dirichlet_energy(g) + l2_distance_sq(g, f_prev) / tau
 over grid functions that agree with f_prev on the boundary.  The solver
-alternates between recomputing optimal branch pairings and a conjugate
-gradient solve of the resulting convex quadratic; for n = 1 the canonical
-(sorted) storage makes every pairing the identity and a single sweep is
-exact.  Two step size schedules are provided: a geometric one where step k
-uses tau = h / 2^k, and a uniform one with tau = T / N.
+alternates between recomputing optimal branch pairings and a direct sparse
+(LU) solve of the resulting convex quadratic, and stops when the pairings
+no longer change; for n = 1 the canonical (sorted) storage makes every
+pairing the identity and a single sweep is exact.  Two step size schedules
+are provided: a geometric one where step k uses tau = h / 2^k, and a
+uniform one with tau = T / N.
 
 The interpolated trajectory of the geometric schedule holds each state on
 a plateau and crosses to the next state on a short terminal ramp through
@@ -16,18 +17,14 @@ the sorted embedding; the uniform schedule interpolates linearly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import splu
 
-from .grid import (
-    GridDomain,
-    QGridFunction,
-    _canonical_rows,
-    dirichlet_energy,
-    l2_distance_sq,
-)
-from .qspace import ascending_projection, optimal_matching, make_qpoint
+from .grid import GridDomain, QGridFunction, dirichlet_energy, l2_distance_sq
+from .qspace import make_qpoint, optimal_matching
 
 __all__ = [
     "StepSchedule",
@@ -83,11 +80,8 @@ def uniform_schedule(total_time: float, steps: int) -> StepSchedule:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    outer_tol: float = 1e-12        # relative objective decrease to stop
+    outer_tol: float = 1e-12  # relative objective decrease to stop
     max_outer: int = 100
-    cg_tol: float = 1e-12           # relative residual target
-    stationarity_tol: float = 1e-10  # absolute first-order target, delta^-m scale
-    cg_iter_factor: int = 10        # iteration cap = factor * unknowns
 
 
 @dataclass(frozen=True)
@@ -140,180 +134,117 @@ class FlowTrajectory:
         return tuple(out)
 
 
-def _cg(apply_a, b, x0, rel_tol, abs_tol_inf, max_iter):
-    """Conjugate gradients on an SPD operator.
+class _FactorCache:
+    """The frozen-pairing system of one (domain, tau, edge pairings), with
+    its LU factor; a new key replaces it, so one run holds one factor."""
 
-    Runs until both the relative l2 and the absolute max-norm residual
-    targets hold, the iteration cap is reached, or the residual stops
-    improving (floating point floor).  Every exit is confirmed against a
-    freshly recomputed residual; when the recursive residual has drifted
-    from the truth the iteration restarts, a bounded number of times, so
-    the reported residual is never the recursive fiction.  The returned
-    iterate never has a larger quadratic objective than x0.
-    """
-    x = np.array(x0, dtype=float)
-    rel_target = rel_tol * float(np.linalg.norm(b))
-    it = 0
-    true_inf = math.inf
-    for _attempt in range(3):
-        r = b - apply_a(x)
-        rs = float(r @ r)
-        d = r.copy()
-        best = math.inf
-        stall = 0
-        on_targets = False
-        while True:
-            rnorm = math.sqrt(rs)
-            rinf = float(np.max(np.abs(r), initial=0.0))
-            if rnorm <= rel_target and rinf <= abs_tol_inf:
-                on_targets = True
-                break
-            if it >= max_iter:
-                break
-            if rnorm < 0.99 * best:
-                best = rnorm
-                stall = 0
-            else:
-                stall += 1
-                if stall >= 30:
-                    break
-            ad = apply_a(d)
-            dad = float(d @ ad)
-            if dad <= 0.0:  # operator floor, cannot make progress
-                break
-            alpha = rs / dad
-            x += alpha * d
-            it += 1
-            r -= alpha * ad
-            rs_new = float(r @ r)
-            beta = rs_new / rs if rs > 0 else 0.0
-            rs = rs_new
-            d = r + beta * d
-        true_r = b - apply_a(x)
-        true_norm = float(np.linalg.norm(true_r))
-        true_inf = float(np.max(np.abs(true_r), initial=0.0))
-        if not on_targets:
-            break  # stopped on a cap or a floor; nothing left to try
-        if true_norm <= rel_target and true_inf <= abs_tol_inf:
-            break
-    return x, it, true_inf
+    def __init__(self):
+        self.domain = None
+        self.key = None
+        self.system = None
+
+    def get(self, domain: GridDomain, key, build):
+        if self.domain is not domain or self.key != key:
+            matrix, couple = build()
+            self.system = (matrix, couple, splu(matrix))
+            self.domain, self.key = domain, key
+        return self.system
 
 
-def _edge_split(domain: GridDomain):
-    """Interior-interior edge pairs (in interior numbering) and, for edges
-    with one fixed endpoint, the interior side with its boundary node."""
-    int_of = -np.ones(domain.num_nodes, dtype=np.int64)
-    int_of[domain.interior] = np.arange(len(domain.interior))
-    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
-    a_in = int_of[ea] >= 0
-    b_in = int_of[eb] >= 0
-    both = a_in & b_in
-    ii_a = int_of[ea[both]]
-    ii_b = int_of[eb[both]]
-    only_a = a_in & ~b_in
-    only_b = b_in & ~a_in
-    bd_int = np.concatenate([int_of[ea[only_a]], int_of[eb[only_b]]])
-    bd_node = np.concatenate([eb[only_a], ea[only_b]])
-    return int_of, ii_a, ii_b, bd_int, bd_node
-
-
-def _solve_identity(vals, prev_vals, domain, tau, opts, ctx):
-    """Frozen-pairing solve when every pairing is the identity: the system
-    decouples into one scalar screened Poisson problem per branch and
-    coordinate, anchored at the previous snapshot.  Solving per branch
-    keeps exact sign symmetry."""
-    int_of, ii_a, ii_b, bd_int, bd_node = ctx
-    interior = domain.interior
-    ni = len(interior)
-    w_e = domain.delta ** (domain.m - 2)
-    w_p = domain.delta**domain.m / tau
-    bd_deg = np.bincount(bd_int, minlength=ni).astype(float)
-    abs_target = opts.stationarity_tol * domain.delta**domain.m
-    max_iter = max(opts.cg_iter_factor * ni, 50)
-
-    def apply_a(x):
-        diff = x[ii_a] - x[ii_b]
-        lap = np.bincount(ii_a, weights=diff, minlength=ni).astype(float)
-        lap -= np.bincount(ii_b, weights=diff, minlength=ni)
-        lap += bd_deg * x
-        return w_e * lap + w_p * x
-
-    worst_inf = 0.0
-    for bidx in range(vals.shape[1]):
-        for c in range(vals.shape[2]):
-            p = prev_vals[interior, bidx, c]
-            bvals = prev_vals[bd_node, bidx, c]
-            rhs = w_p * p + w_e * np.bincount(bd_int, weights=bvals, minlength=ni)
-            x, _, rinf = _cg(apply_a, rhs, vals[interior, bidx, c],
-                             opts.cg_tol, abs_target, max_iter)
-            vals[interior, bidx, c] = x
-            worst_inf = max(worst_inf, rinf)
-    return worst_inf
-
-
-def _solve_matched(vals, prev_vals, domain, tau, opts, ctx, edge_sigma, node_nu):
-    """Frozen-pairing solve with explicit pairings, one wired system per
-    coordinate over all interior branch values."""
-    int_of, *_ = ctx
-    interior = domain.interior
-    ni = len(interior)
+def _pairings(vals, prev_vals, domain: GridDomain):
+    """Optimal branch pairings across each edge, shape (edges, q), and from
+    each interior node to f_prev, shape (interior, q).  For n = 1 sorted
+    storage makes the identity optimal and no matching is computed."""
     qq = vals.shape[1]
-    nun = ni * qq
+    if vals.shape[2] == 1:
+        ident = np.arange(qq)
+        return (np.zeros((domain.num_edges, qq), dtype=np.int64) + ident,
+                np.zeros((len(domain.interior), qq), dtype=np.int64) + ident)
+
+    def sigma(a, b):
+        return optimal_matching(make_qpoint(a), make_qpoint(b)).sigma
+
+    edge_sigma = [sigma(vals[a], vals[b]) for a, b in domain.edges]
+    node_nu = [sigma(vals[x], prev_vals[x]) for x in domain.interior]
+    return (np.array(edge_sigma, dtype=np.int64).reshape(-1, qq),
+            np.array(node_nu, dtype=np.int64).reshape(-1, qq))
+
+
+def _frozen_system(domain: GridDomain, tau: float, sigma):
+    """Normal equations of the frozen-pairing quadratic.
+
+    The unknowns are node lanes, lane i of node x at index x * w + i with
+    w = sigma.shape[1]; edge e joins lane i of its first node with lane
+    sigma[e, i] of its second.  Returns the SPD matrix over the interior
+    lanes and the coupling that carries fixed boundary lanes into the
+    right-hand side.
+    """
+    width = sigma.shape[1]
+    lanes = np.arange(width)
+    size = domain.num_nodes * width
+    ua = (domain.edges[:, :1] * width + lanes).ravel()
+    ub = (domain.edges[:, 1:] * width + sigma).ravel()
+    adj = csr_matrix((np.ones(ua.size), (ua, ub)), shape=(size, size))
+    inner = (domain.interior[:, None] * width + lanes).ravel()
+    rows = (adj + adj.T)[inner]
     w_e = domain.delta ** (domain.m - 2)
     w_p = domain.delta**domain.m / tau
-    abs_target = opts.stationarity_tol * domain.delta**domain.m
-    max_iter = max(opts.cg_iter_factor * nun, 50)
-    branch = np.arange(qq)
+    degree = np.asarray(rows.sum(axis=1)).ravel()
+    matrix = diags(w_e * degree + w_p) - w_e * rows[:, inner]
+    fixed = diags(np.repeat(domain.is_boundary, width).astype(float))
+    return matrix.tocsc(), (w_e * rows @ fixed).tocsr()
 
-    rows_a, rows_b = [], []
-    diag_extra = np.zeros(nun)
-    pulled = np.zeros((nun, vals.shape[2]))
-    for e, (a, b) in enumerate(domain.edges):
-        sig = edge_sigma[e]
-        a_in = int_of[a] >= 0
-        b_in = int_of[b] >= 0
-        if a_in and b_in:
-            rows_a.append(int_of[a] * qq + branch)
-            rows_b.append(int_of[b] * qq + sig)
-        elif a_in:
-            rows = int_of[a] * qq + branch
-            diag_extra[rows] += 1.0
-            pulled[rows] += vals[b][sig]
-        elif b_in:
-            rows = int_of[b] * qq + sig
-            diag_extra[rows] += 1.0
-            pulled[rows] += vals[a][branch]
-    ra = np.concatenate(rows_a) if rows_a else np.zeros(0, dtype=np.int64)
-    rb = np.concatenate(rows_b) if rows_b else np.zeros(0, dtype=np.int64)
 
-    matched_prev = np.empty((ni, qq, vals.shape[2]))
-    for j, x in enumerate(interior):
-        matched_prev[j] = prev_vals[x][node_nu[j]]
+def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
+                  edge_sigma, node_nu, cache: _FactorCache):
+    """Minimizer of the step objective with every branch pairing frozen.
 
-    def apply_a(x):
-        diff = x[ra] - x[rb]
-        lap = np.bincount(ra, weights=diff, minlength=nun).astype(float)
-        lap -= np.bincount(rb, weights=diff, minlength=nun)
-        lap += diag_extra * x
-        return w_e * lap + w_p * x
+    Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at b;
+    interior node interior[j] compares its branch i with branch
+    node_nu[j, i] of f_prev.  The objective is then a convex quadratic in
+    the interior branch values, solved directly by sparse LU.  The matrix
+    depends on tau and the edge pairings only.  When every edge pairing is
+    the identity it is q copies of one scalar block: that block is
+    factored, and each (branch, coordinate) column is solved with it
+    separately, which keeps +/- symmetric data exactly symmetric.  Returns
+    the new node values and the largest residual of the linear system.
+    """
+    qq, nn = prev_vals.shape[1:]
+    if (edge_sigma == np.arange(qq)).all():
+        sigma, key = np.zeros((domain.num_edges, 1), dtype=np.int64), (tau, None)
+        columns = [np.s_[:, i, c] for i in range(qq) for c in range(nn)]
+    else:
+        sigma, key = edge_sigma, (tau, edge_sigma.tobytes())
+        columns = [np.s_[:, :, c] for c in range(nn)]
+    matrix, couple, lu = cache.get(
+        domain, key, lambda: _frozen_system(domain, tau, sigma))
 
-    worst_inf = 0.0
-    for c in range(vals.shape[2]):
-        rhs = w_p * matched_prev[:, :, c].ravel() + w_e * pulled[:, c]
-        x0 = vals[interior, :, c].ravel()
-        x, _, rinf = _cg(apply_a, rhs, x0, opts.cg_tol, abs_target, max_iter)
-        vals[interior, :, c] = x.reshape(ni, qq)
-        worst_inf = max(worst_inf, rinf)
-    return worst_inf
+    w_p = domain.delta**domain.m / tau
+    matched = prev_vals[domain.interior[:, None], node_nu]
+    x = np.empty_like(matched)
+    residual = 0.0
+    for col in columns:
+        b = w_p * matched[col].ravel() + couple @ prev_vals[col].ravel()
+        sol = lu.solve(b)
+        residual = max(residual, float(np.max(np.abs(matrix @ sol - b))))
+        x[col] = sol.reshape(x[col].shape)
+    vals = prev_vals.copy()
+    vals[domain.interior] = x
+    return vals, residual
 
 
 def minimize_step(f_prev: QGridFunction, tau: float,
-                  opts: SolverOptions | None = None, step_index: int = 0):
+                  opts: SolverOptions | None = None, step_index: int = 0,
+                  *, _factor: _FactorCache | None = None):
     """One implicit step from f_prev.
 
-    Returns (f_next, report) with the boundary of f_prev preserved and
-    objective value never above the starting one, so the Dirichlet energy
-    cannot increase across the step.
+    Alternates frozen-pairing solves with pairing updates until the
+    pairings of the new iterate are the ones it was solved with (the first
+    sweep for n = 1), the objective stops decreasing by outer_tol, or it
+    reaches the floating point floor.  Returns (f_next, report) with the
+    boundary of f_prev preserved and objective value never above the
+    starting one, so the Dirichlet energy cannot increase across the step.
+    `_factor` lets a chain of steps share one factorization.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -326,60 +257,37 @@ def minimize_step(f_prev: QGridFunction, tau: float,
         report = StepReport(step_index, tau, 0.0, 0.0, 0.0, 0, True, (0.0,), 0.0)
         return f_prev, report
 
-    ctx = _edge_split(domain)
-    vals = f_prev.values.copy()
+    cache = _factor if _factor is not None else _FactorCache()
     prev_vals = f_prev.values
-    identity_only = f_prev.n == 1
-
-    def objective(g):
-        return dirichlet_energy(g) + l2_distance_sq(g, f_prev) / tau
-
+    pairings = _pairings(prev_vals, prev_vals, domain)
     trace = [energy_before]  # objective at f_prev: penalty vanishes
+    energy_after, penalty = energy_before, 0.0
     converged = False
     outer = 0
     stationarity = 0.0
     current = f_prev
     while outer < opts.max_outer:
         outer += 1
-        if identity_only:
-            stationarity = _solve_identity(vals, prev_vals, domain, tau, opts, ctx)
-        else:
-            edge_sigma = [
-                np.asarray(
-                    optimal_matching(
-                        make_qpoint(vals[a]), make_qpoint(vals[b])
-                    ).sigma,
-                    dtype=np.int64,
-                )
-                for a, b in domain.edges
-            ]
-            node_nu = [
-                np.asarray(
-                    optimal_matching(
-                        make_qpoint(vals[x]), make_qpoint(prev_vals[x])
-                    ).sigma,
-                    dtype=np.int64,
-                )
-                for x in domain.interior
-            ]
-            stationarity = _solve_matched(
-                vals, prev_vals, domain, tau, opts, ctx, edge_sigma, node_nu
-            )
-        vals = _canonical_rows(vals)
-        candidate = QGridFunction(domain, vals.copy())
-        value = objective(candidate)
+        vals, stationarity = _solve_frozen(prev_vals, domain, tau, *pairings, cache)
+        candidate = QGridFunction(domain, vals)
+        energy = dirichlet_energy(candidate)
+        dist = l2_distance_sq(candidate, f_prev)
+        value = energy + dist / tau
         if value >= trace[-1]:
             # floating point floor reached; keep the last accepted iterate
             converged = True
             break
-        current = candidate
+        current, energy_after, penalty = candidate, energy, dist
         trace.append(value)
         if trace[-2] - value <= opts.outer_tol * max(1.0, abs(trace[-2])):
             converged = True
             break
+        solved_with = pairings
+        pairings = _pairings(candidate.values, prev_vals, domain)
+        if all(np.array_equal(p, s) for p, s in zip(pairings, solved_with)):
+            converged = True
+            break
 
-    energy_after = dirichlet_energy(current)
-    penalty = l2_distance_sq(current, f_prev)
     report = StepReport(
         step_index,
         tau,
@@ -399,11 +307,13 @@ def run_flow(f0: QGridFunction, schedule: StepSchedule,
     """Run the full chain of implicit steps.  A step that fails to converge
     truncates the trajectory; its best iterate is kept and flagged."""
     opts = opts or SolverOptions()
+    factor = _FactorCache()
     snapshots = [f0]
     reports = []
     current = f0
     for k in range(1, schedule.steps + 1):
-        current, report = minimize_step(current, schedule.tau(k), opts, step_index=k)
+        current, report = minimize_step(current, schedule.tau(k), opts,
+                                        step_index=k, _factor=factor)
         snapshots.append(current)
         reports.append(report)
         if not report.converged:
@@ -412,8 +322,9 @@ def run_flow(f0: QGridFunction, schedule: StepSchedule,
 
 
 def _blend_sorted(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:
-    """Convex combination through the sorted embedding, then the retraction
-    onto the ascending cone (a no-op on ascending rows, applied anyway).
+    """Convex combination through the sorted embedding.  Both rows are
+    ascending and both weights lie in [0, 1]; rounding is monotone, so the
+    blend is ascending too and needs no projection onto the cone.
     Boundary rows are pinned rather than blended: both endpoints share them
     bitwise and (1-a)*v + a*v can drift by an ulp."""
     emb_prev = prev.values[:, :, 0]
@@ -421,8 +332,7 @@ def _blend_sorted(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFun
     blend = (1.0 - a) * emb_prev + a * emb_next
     bnd = prev.domain.is_boundary
     blend[bnd] = emb_prev[bnd]
-    proj = np.stack([ascending_projection(row) for row in blend])
-    return QGridFunction(prev.domain, proj[:, :, None])
+    return QGridFunction(prev.domain, blend[:, :, None])
 
 
 def evaluate_at_time(traj: FlowTrajectory, t: float) -> QGridFunction:

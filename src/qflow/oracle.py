@@ -1,9 +1,9 @@
 """Independent reference solutions for checking the flow solver.
 
-Nothing here shares linear algebra with the iterative path in `morseflow`:
-the heat chain below uses a direct banded factorization, the step oracle
-enumerates every branch pairing and solves each frozen quadratic densely,
-and the eigenmode solutions are closed form.
+Nothing here shares linear algebra with the direct sparse (SuperLU) path
+in `morseflow`: the heat chain below uses a LAPACK banded factorization, the
+step oracle enumerates every branch pairing and solves each frozen quadratic
+densely, and the eigenmode solutions are closed form.
 """
 
 from __future__ import annotations

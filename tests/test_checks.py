@@ -1,5 +1,7 @@
 """Check battery: positive runs and deliberate negative controls."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from qflow.checks import (
 from qflow.grid import InitialSpec, QGridFunction, build_domain, make_grid_function, sample_initial
 from qflow.morseflow import (
     FlowTrajectory,
-    SolverOptions,
     geometric_schedule,
     run_flow,
     uniform_schedule,
@@ -119,7 +120,9 @@ def test_positivity_check_rejects_negative_branches():
 def test_eta_residual_skips_unconverged_steps():
     d = build_domain(1, 21)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
-    traj = run_flow(f0, uniform_schedule(0.25, 4), SolverOptions(max_outer=1))
+    run = run_flow(f0, uniform_schedule(0.25, 4))
+    reports = run.reports[:-1] + (replace(run.reports[-1], converged=False),)
+    traj = FlowTrajectory(run.schedule, run.snapshots, reports)
     assert not traj.converged
     res = check_eta_residual(traj)
     assert "skipped" in res.detail

@@ -52,7 +52,7 @@ def test_parse_small_config():
     assert cfg.steps == 6
     assert cfg.seed == 7
     # untouched keys keep their defaults
-    assert cfg.stationarity_tol == RunConfig().stationarity_tol
+    assert cfg.outer_tol == RunConfig().outer_tol
 
 
 def test_serialize_parse_round_trip():
@@ -67,7 +67,7 @@ def test_serialize_parse_round_trip():
             coeffs=(0.5, 0.0, -0.25),
             checks=("holder", "symmetry"),
             sweep_steps=(4, 8, 16),
-            stationarity_tol=2e-10,
+            outer_tol=2e-10,
         ),
         dataclasses.replace(
             RunConfig(),
@@ -105,7 +105,7 @@ def test_parse_rejects_malformed_input():
         ({"h": 0.0}, "h"),
         ({"total_time": -1.0}, "total_time"),
         ({"steps": 0}, "steps"),
-        ({"cg_tol": 0.0}, "cg_tol"),
+        ({"outer_tol": 0.0}, "outer_tol"),
         ({"max_outer": 0}, "max_outer"),
         ({"seed": -1}, "seed"),
         ({"checks": ("bogus",)}, "checks"),

@@ -1,6 +1,7 @@
 """Implicit stepping, trajectories, interpolation, a priori bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ def test_symmetric_step_keeps_the_mean_at_zero():
     g, report = minimize_step(f, 0.01)
     assert report.converged
     assert np.max(np.abs(branch_mean_field(g))) == 0.0
+    # and exactly zero along a long chain on the disk, with a shared factor
+    disk = build_domain(2, 21)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), disk, 2)
+    traj = run_flow(f0, uniform_schedule(0.5, 200))
+    assert traj.converged
+    assert max(np.max(np.abs(branch_mean_field(f))) for f in traj.snapshots) == 0.0
+
+
+def test_single_valued_step_takes_one_sweep():
+    """For n = 1 the sorted identity pairing is optimal, so the first
+    frozen-pairing solve is already the pairing fixed point."""
+    rng = np.random.default_rng(39)
+    d = build_domain(1, 31)
+    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(31, 3, 1)))
+    _, report = minimize_step(f, 0.05)
+    assert report.converged
+    assert report.outer_iterations == 1
+    assert len(report.objective_trace) == 2
 
 
 def test_single_valued_step_matches_direct_chain():
@@ -193,14 +212,34 @@ def test_flow_energies_are_monotone_and_consistent():
 
 
 def test_flow_truncates_when_a_step_cannot_confirm():
-    # one outer pass can always be taken, but never confirmed as converged
-    d = build_domain(1, 21)
-    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    # planar data whose first sweep changes the pairings: one outer pass can
+    # be taken, but not confirmed as the pairing fixed point
+    rng = np.random.default_rng(6)
+    d = build_domain(1, 11)
+    f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
+    assert run_flow(f0, uniform_schedule(0.25, 4)).reports[0].outer_iterations > 1
     opts = SolverOptions(max_outer=1)
-    traj = run_flow(f0, uniform_schedule(0.25, 8), opts)
+    traj = run_flow(f0, uniform_schedule(0.25, 4), opts)
     assert not traj.converged
     assert traj.completed_steps == 1
     assert not traj.reports[0].converged
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flow_matches_stepping_by_hand(n):
+    """run_flow shares one factorization across steps; the chain must be
+    bit-identical to independent minimize_step calls."""
+    rng = np.random.default_rng(67)
+    d = build_domain(1, 15)
+    f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(15, 2, n)))
+    sched = uniform_schedule(0.25, 6)
+    traj = run_flow(f0, sched)
+    assert traj.converged
+    current = f0
+    for k in range(1, sched.steps + 1):
+        current, report = minimize_step(current, sched.tau(k), step_index=k)
+        assert np.array_equal(current.values, traj.snapshots[k].values)
+        assert report == traj.reports[k - 1]
 
 
 def test_geometric_effective_time_is_the_exact_partial_sum():
@@ -283,7 +322,10 @@ def test_interpolated_states_keep_sorted_rows_and_boundary():
 def test_interpolation_covers_only_the_completed_horizon():
     d = build_domain(1, 21)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
-    traj = run_flow(f0, uniform_schedule(0.25, 8), SolverOptions(max_outer=1))
+    sched = uniform_schedule(0.25, 8)
+    f1, _ = minimize_step(f0, sched.tau(1))
+    unconverged = replace(fake_report(1, sched.tau(1)), converged=False)
+    traj = FlowTrajectory(sched, (f0, f1), (unconverged,))
     assert traj.completed_steps == 1
     evaluate_at_time(traj, 0.25 / 8)  # end of the completed step is fine
     with pytest.raises(ValueError):
