@@ -3,8 +3,8 @@
 Each check returns a CheckResult whose margin is the clearance to the
 failing boundary: nonnegative margins pass.  Value-level checks sample
 random inputs from a caller-supplied generator; trajectory-level checks
-recompute every quantity from the snapshots rather than trusting the
-solver's own reports.
+read the per-step quantities FlowTrajectory computes from its snapshots,
+never the solver's own reports.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .qspace import (
 from .grid import (
     QGridFunction,
     branch_mean_field,
-    branch_mean_residual,
     build_domain,
     dirichlet_energy,
     l2_distance_sq,
@@ -227,12 +226,8 @@ def check_translation_identity(rng, domain, q: int, pairs: int = 50) -> CheckRes
     )
 
 
-def _energies(traj: FlowTrajectory):
-    return [dirichlet_energy(f) for f in traj.snapshots]
-
-
 def check_energy_monotonicity(traj: FlowTrajectory) -> CheckResult:
-    energies = _energies(traj)
+    energies = traj.energies
     margin = math.inf
     worst_k = 0
     for k in range(1, len(energies)):
@@ -251,12 +246,9 @@ def check_energy_monotonicity(traj: FlowTrajectory) -> CheckResult:
 
 
 def check_step_estimate(traj: FlowTrajectory) -> CheckResult:
-    energies = _energies(traj)
     raw = math.inf
     worst_k = 0
-    for k, report in enumerate(traj.reports, start=1):
-        penalty = l2_distance_sq(traj.snapshots[k - 1], traj.snapshots[k])
-        slack = report.tau * (energies[k - 1] - energies[k]) - penalty
+    for k, slack in enumerate(traj.estimate_margins, start=1):
         if slack < raw:
             raw = slack
             worst_k = k
@@ -274,18 +266,14 @@ def check_step_estimate(traj: FlowTrajectory) -> CheckResult:
 def check_eta_residual(traj: FlowTrajectory) -> CheckResult:
     """Branch-mean step equation residual at every converged step, against
     the threshold 1e-8 * (1 + max |branch mean|)."""
-    if traj.snapshots[0].n != 1:
-        return CheckResult("eta_residual", False, -math.inf,
-                           "defined for n = 1 only")
     margin = math.inf
     worst = ""
     skipped = 0
-    for k, report in enumerate(traj.reports, start=1):
+    for k, (report, res) in enumerate(zip(traj.reports, traj.eta_residuals),
+                                      start=1):
         if not report.converged:
             skipped += 1
             continue
-        res = branch_mean_residual(traj.snapshots[k - 1], traj.snapshots[k],
-                                   report.tau)
         eta_max = float(np.max(np.abs(branch_mean_field(traj.snapshots[k]))))
         clearance = 1e-8 * (1.0 + eta_max) - res
         if clearance < margin:
@@ -329,13 +317,6 @@ def check_positivity(traj: FlowTrajectory) -> CheckResult:
     )
 
 
-def _max_norms(traj: FlowTrajectory):
-    return [
-        float(np.sqrt((f.values**2).sum(axis=(1, 2)).max()))
-        for f in traj.snapshots
-    ]
-
-
 def check_max_principle(trajs) -> CheckResult:
     """Max node norm non-increasing (within 1e-12) along every uniform run."""
     margin = math.inf
@@ -344,7 +325,7 @@ def check_max_principle(trajs) -> CheckResult:
         if traj.schedule.mode != "uniform":
             continue
         counted += 1
-        norms = _max_norms(traj)
+        norms = traj.max_norms
         for k in range(1, len(norms)):
             margin = min(margin, norms[k - 1] + 1e-12 - norms[k])
     if counted == 0:
@@ -368,10 +349,7 @@ def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResu
         if not np.array_equal(f.values[bnd], ref):
             dev = max(dev, float(np.max(np.abs(f.values[bnd] - ref))))
     if traj.snapshots[0].n == 1 and traj.completed_steps > 0:
-        horizon = traj.schedule.total \
-            if traj.completed_steps == traj.schedule.steps \
-            else traj.completed_steps * traj.schedule.h
-        for t in rng.uniform(0.0, horizon, size=times):
+        for t in rng.uniform(0.0, traj.horizon, size=times):
             g = evaluate_at_time(traj, float(t))
             if not np.array_equal(g.values[bnd], ref):
                 dev = max(dev, float(np.max(np.abs(g.values[bnd] - ref))))
@@ -385,13 +363,10 @@ def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResu
 
 
 def check_holder(traj: FlowTrajectory, rng, pairs: int = 100) -> CheckResult:
-    horizon = traj.schedule.total \
-        if traj.completed_steps == traj.schedule.steps \
-        else traj.completed_steps * traj.schedule.h
     raw = math.inf
     used = 0
     for _ in range(pairs):
-        t, s = np.sort(rng.uniform(0.0, horizon, size=2))
+        t, s = np.sort(rng.uniform(0.0, traj.horizon, size=2))
         if s - t < 1e-12:
             continue
         used += 1

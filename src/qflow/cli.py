@@ -11,6 +11,7 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,11 +26,8 @@ from . import __version__, checks
 from .grid import (
     InitialSpec,
     QGridFunction,
-    branch_mean_residual,
     build_domain,
-    dirichlet_energy,
     domain_manifest,
-    l2_distance_sq,
     sample_initial,
     write_snapshot_csv,
 )
@@ -67,7 +65,6 @@ class RunConfig:
     h: float = 0.25              # geometric base step
     total_time: float = 0.25     # uniform horizon T
     steps: int = 16
-    outer_tol: float = 1e-12
     max_outer: int = 100
     out: str = "out"
     seed: int = 0
@@ -82,7 +79,7 @@ class RunConfig:
 
 _INT_KEYS = {"m", "resolution", "q", "steps", "max_outer", "seed",
              "spatial_steps", "eigen_index", "jobs"}
-_FLOAT_KEYS = {"h", "total_time", "outer_tol"}
+_FLOAT_KEYS = {"h", "total_time"}
 _STR_KEYS = {"mode", "preset", "out", "inject"}
 
 
@@ -181,8 +178,6 @@ def validate(config: RunConfig):
         raise ConfigError("total_time", "must be positive")
     if config.steps < 1:
         raise ConfigError("steps", "must be at least 1")
-    if config.outer_tol <= 0:
-        raise ConfigError("outer_tol", "must be positive")
     if config.max_outer < 1:
         raise ConfigError("max_outer", "must be at least 1")
     if config.seed < 0:
@@ -224,7 +219,7 @@ def make_schedule(config: RunConfig):
 
 
 def make_opts(config: RunConfig) -> SolverOptions:
-    return SolverOptions(outer_tol=config.outer_tol, max_outer=config.max_outer)
+    return SolverOptions(max_outer=config.max_outer)
 
 
 def make_initial(config: RunConfig, domain) -> QGridFunction:
@@ -329,23 +324,19 @@ def _config_payload(config: RunConfig) -> dict:
 
 
 def _write_energy_csv(path, traj: FlowTrajectory):
-    """Per-step table recomputed from the snapshots themselves, so the file
-    reflects what is on disk rather than the solver's internal log."""
-    energies = [dirichlet_energy(f) for f in traj.snapshots]
-    n_is_1 = traj.snapshots[0].n == 1
+    """Per-step table of the trajectory's quantities, which it computes
+    from the snapshots themselves, so the file reflects what is on disk
+    rather than the solver's internal log."""
+    e = traj.energies
     with open(path, "w") as fh:
         fh.write("k,tau,energy_before,energy_after,penalty,estimate_margin,"
                  "eta_residual,max_norm,outer_iterations\n")
         for k, report in enumerate(traj.reports, start=1):
-            prev, curr = traj.snapshots[k - 1], traj.snapshots[k]
-            penalty = l2_distance_sq(prev, curr)
-            margin = report.tau * (energies[k - 1] - energies[k]) - penalty
-            res = branch_mean_residual(prev, curr, report.tau) \
-                if n_is_1 else float("nan")
-            max_norm = float(np.sqrt((curr.values**2).sum(axis=(1, 2)).max()))
-            row = [str(k), _FMT(report.tau), _FMT(energies[k - 1]),
-                   _FMT(energies[k]), _FMT(penalty), _FMT(margin), _FMT(res),
-                   _FMT(max_norm), str(report.outer_iterations)]
+            row = [str(k), _FMT(report.tau), _FMT(e[k - 1]), _FMT(e[k]),
+                   _FMT(traj.penalties[k - 1]),
+                   _FMT(traj.estimate_margins[k - 1]),
+                   _FMT(traj.eta_residuals[k - 1]), _FMT(traj.max_norms[k]),
+                   str(report.outer_iterations)]
             fh.write(",".join(row) + "\n")
 
 
@@ -394,7 +385,7 @@ def cmd_run(config: RunConfig) -> int:
         "completed_steps": traj.completed_steps,
         "converged": complete,
         "effective_time": traj.effective_time,
-        "energies": [dirichlet_energy(f) for f in traj.snapshots],
+        "energies": traj.energies,
         "injected": config.inject or None,
         "wall_time_seconds": wall,
         "checks": _check_payload(results),
@@ -541,21 +532,15 @@ def _print_ladder(rows, label):
               f"{row['l2']:.4e}  {row['linf']:.4e}  {order}")
 
 
-class _FlowCell:
-    """Picklable sweep worker (ProcessPoolExecutor needs a top-level
-    callable; a bound config comes along as state)."""
-
-    def __init__(self, config: RunConfig):
-        self.config = config
-
-    def __call__(self, cell):
-        resolution, steps = cell
-        try:
-            return _heat_errors(self.config, resolution, steps)
-        except Exception as err:  # mark the cell, keep the table
-            print(f"sweep cell resolution={resolution} N={steps} failed: {err}",
-                  file=sys.stderr)
-            return float("nan"), float("nan")
+def _flow_errors(config: RunConfig, cell):
+    """Sweep cell worker; a failed cell is marked NaN and the table kept."""
+    resolution, steps = cell
+    try:
+        return _heat_errors(config, resolution, steps)
+    except Exception as err:
+        print(f"sweep cell resolution={resolution} N={steps} failed: {err}",
+              file=sys.stderr)
+        return float("nan"), float("nan")
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -566,7 +551,8 @@ def cmd_sweep(config: RunConfig) -> int:
         raise ConfigError("eigen_index", "the flow sweep tracks the ground "
                                          "mode; use the oracle command for "
                                          "higher modes")
-    rows = _ladder_rows(config, _FlowCell(config), config.jobs)
+    rows = _ladder_rows(config, functools.partial(_flow_errors, config),
+                        config.jobs)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_ladder_csv(out_dir / "sweep.csv", rows)
@@ -590,18 +576,11 @@ def _chain_errors(config: RunConfig, cell):
     return l2, linf
 
 
-class _ChainCell:
-    def __init__(self, config: RunConfig):
-        self.config = config
-
-    def __call__(self, cell):
-        return _chain_errors(self.config, cell)
-
-
 def cmd_oracle(config: RunConfig) -> int:
     if config.m != 1:
         raise ConfigError("m", "the reference chain is built for m=1")
-    rows = _ladder_rows(config, _ChainCell(config), config.jobs)
+    rows = _ladder_rows(config, functools.partial(_chain_errors, config),
+                        config.jobs)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_ladder_csv(out_dir / "oracle.csv", rows)

@@ -165,9 +165,6 @@ class QGridFunction:
     def n(self) -> int:
         return self.values.shape[2]
 
-    def value_at(self, node: int):
-        return make_qpoint(self.values[node])
-
 
 def make_grid_function(domain: GridDomain, values) -> QGridFunction:
     return QGridFunction(domain, np.asarray(values, dtype=float))
@@ -278,19 +275,18 @@ def branch_mean_residual(f_prev: QGridFunction, f_curr: QGridFunction, tau: floa
     """Max-norm residual of the implicit step equation for the branch mean.
 
     At interior nodes the mean of a converged step satisfies
-    (mean_k - mean_{k-1}) / tau = discrete Laplacian of mean_k; the return
-    value is the largest interior violation.  Equals the hat-function weak
-    form divided by the node weight delta^m.
+    (mean_k - mean_{k-1}) / tau = discrete Laplacian of mean_k in each of
+    its n coordinates, whatever the branch pairings; the return value is
+    the largest interior violation over all coordinates.  Equals the
+    hat-function weak form divided by the node weight delta^m.
     """
     _check_same(f_prev, f_curr)
-    if f_prev.n != 1:
-        raise ValueError("branch mean residual is defined for n = 1")
     if tau <= 0:
         raise ValueError("tau must be positive")
     d = f_prev.domain
-    mp = branch_mean_field(f_prev)[:, 0]
-    mc = branch_mean_field(f_curr)[:, 0]
-    lap = _neighbor_sums(d, mc) / d.delta**2
+    mp = branch_mean_field(f_prev)
+    mc = branch_mean_field(f_curr)
+    lap = np.column_stack([_neighbor_sums(d, c) for c in mc.T]) / d.delta**2
     res = (mc - mp)[d.interior] / tau + lap[d.interior]
     return float(np.max(np.abs(res), initial=0.0))
 

@@ -16,6 +16,7 @@ the sorted embedding; the uniform schedule interpolates linearly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,13 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import splu
 
-from .grid import GridDomain, QGridFunction, dirichlet_energy, l2_distance_sq
+from .grid import (
+    GridDomain,
+    QGridFunction,
+    branch_mean_residual,
+    dirichlet_energy,
+    l2_distance_sq,
+)
 from .qspace import make_qpoint, optimal_matching
 
 __all__ = [
@@ -80,8 +87,11 @@ def uniform_schedule(total_time: float, steps: int) -> StepSchedule:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    outer_tol: float = 1e-12  # relative objective decrease to stop
     max_outer: int = 100
+
+
+# relative objective decrease below which the pairing iteration stops
+_OUTER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,10 @@ class StepReport:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
+    """Snapshots of a run with the per-step quantities the paper's bounds
+    are stated in.  Each quantity is computed from the snapshots, not taken
+    from the solver's reports, once per trajectory on first use."""
+
     schedule: StepSchedule
     snapshots: tuple
     reports: tuple
@@ -113,9 +127,44 @@ class FlowTrajectory:
     def completed_steps(self) -> int:
         return len(self.snapshots) - 1
 
-    @property
-    def energies(self) -> list:
-        return [dirichlet_energy(f) for f in self.snapshots]
+    @functools.cached_property
+    def energies(self) -> tuple:
+        """Dirichlet energy of every snapshot."""
+        return tuple(dirichlet_energy(f) for f in self.snapshots)
+
+    @functools.cached_property
+    def penalties(self) -> tuple:
+        """Movement penalty of step k, at index k - 1."""
+        snaps = self.snapshots
+        return tuple(l2_distance_sq(a, b) for a, b in zip(snaps, snaps[1:]))
+
+    @functools.cached_property
+    def estimate_margins(self) -> tuple:
+        """Slack in the step estimate penalty <= tau * (energy drop)."""
+        e = self.energies
+        return tuple(self.schedule.tau(k) * (e[k - 1] - e[k]) - p
+                     for k, p in enumerate(self.penalties, start=1))
+
+    @functools.cached_property
+    def eta_residuals(self) -> tuple:
+        """Residual of the branch-mean step equation of every step."""
+        snaps, tau = self.snapshots, self.schedule.tau
+        return tuple(branch_mean_residual(snaps[k - 1], snaps[k], tau(k))
+                     for k in range(1, len(snaps)))
+
+    @functools.cached_property
+    def max_norms(self) -> tuple:
+        """Largest node norm of every snapshot."""
+        return tuple(float(np.sqrt((f.values**2).sum(axis=(1, 2)).max()))
+                     for f in self.snapshots)
+
+    @functools.cached_property
+    def horizon(self) -> float:
+        """Wall time covered by the completed steps."""
+        sched = self.schedule
+        if self.completed_steps == sched.steps:
+            return sched.total
+        return self.completed_steps * sched.h
 
     @property
     def effective_time(self) -> float:
@@ -134,14 +183,18 @@ class FlowTrajectory:
         return tuple(out)
 
 
-class _FactorCache:
-    """The frozen-pairing system of one (domain, tau, edge pairings), with
-    its LU factor; a new key replaces it, so one run holds one factor."""
+class _ChainState:
+    """Chain state of a run: the frozen-pairing system of one (domain, tau,
+    edge pairings) with its LU factor, which a new key replaces, so one run
+    holds one factor; and the last accepted state with its energy, which
+    the next step takes as its energy_before."""
 
     def __init__(self):
         self.domain = None
         self.key = None
         self.system = None
+        self.state = None
+        self.energy = None
 
     def get(self, domain: GridDomain, key, build):
         if self.domain is not domain or self.key != key:
@@ -196,7 +249,7 @@ def _frozen_system(domain: GridDomain, tau: float, sigma):
 
 
 def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
-                  edge_sigma, node_nu, cache: _FactorCache):
+                  edge_sigma, node_nu, cache: _ChainState):
     """Minimizer of the step objective with every branch pairing frozen.
 
     Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at b;
@@ -235,29 +288,34 @@ def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
 
 def minimize_step(f_prev: QGridFunction, tau: float,
                   opts: SolverOptions | None = None, step_index: int = 0,
-                  *, _factor: _FactorCache | None = None):
+                  *, _factor: _ChainState | None = None):
     """One implicit step from f_prev.
 
     Alternates frozen-pairing solves with pairing updates until the
     pairings of the new iterate are the ones it was solved with (the first
-    sweep for n = 1), the objective stops decreasing by outer_tol, or it
+    sweep for n = 1), the objective stops decreasing by _OUTER_TOL, or it
     reaches the floating point floor.  Returns (f_next, report) with the
     boundary of f_prev preserved and objective value never above the
     starting one, so the Dirichlet energy cannot increase across the step.
-    `_factor` lets a chain of steps share one factorization.
+    `_factor` lets a chain of steps share one factorization and hand each
+    step the energy of its starting state.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     opts = opts or SolverOptions()
     domain = f_prev.domain
-    energy_before = dirichlet_energy(f_prev)
+    cache = _factor if _factor is not None else _ChainState()
+    if cache.state is f_prev:
+        energy_before = cache.energy
+    else:
+        energy_before = dirichlet_energy(f_prev)
 
     if energy_before == 0.0:
         # constant data is a fixed point of every step
         report = StepReport(step_index, tau, 0.0, 0.0, 0.0, 0, True, (0.0,), 0.0)
+        cache.state, cache.energy = f_prev, 0.0
         return f_prev, report
 
-    cache = _factor if _factor is not None else _FactorCache()
     prev_vals = f_prev.values
     pairings = _pairings(prev_vals, prev_vals, domain)
     trace = [energy_before]  # objective at f_prev: penalty vanishes
@@ -279,7 +337,7 @@ def minimize_step(f_prev: QGridFunction, tau: float,
             break
         current, energy_after, penalty = candidate, energy, dist
         trace.append(value)
-        if trace[-2] - value <= opts.outer_tol * max(1.0, abs(trace[-2])):
+        if trace[-2] - value <= _OUTER_TOL * max(1.0, abs(trace[-2])):
             converged = True
             break
         solved_with = pairings
@@ -288,6 +346,7 @@ def minimize_step(f_prev: QGridFunction, tau: float,
             converged = True
             break
 
+    cache.state, cache.energy = current, energy_after
     report = StepReport(
         step_index,
         tau,
@@ -307,13 +366,13 @@ def run_flow(f0: QGridFunction, schedule: StepSchedule,
     """Run the full chain of implicit steps.  A step that fails to converge
     truncates the trajectory; its best iterate is kept and flagged."""
     opts = opts or SolverOptions()
-    factor = _FactorCache()
+    chain = _ChainState()
     snapshots = [f0]
     reports = []
     current = f0
     for k in range(1, schedule.steps + 1):
         current, report = minimize_step(current, schedule.tau(k), opts,
-                                        step_index=k, _factor=factor)
+                                        step_index=k, _factor=chain)
         snapshots.append(current)
         reports.append(report)
         if not report.converged:
@@ -344,7 +403,7 @@ def evaluate_at_time(traj: FlowTrajectory, t: float) -> QGridFunction:
     """
     sched = traj.schedule
     completed = traj.completed_steps
-    horizon = sched.total if completed == sched.steps else completed * sched.h
+    horizon = traj.horizon
     slack = 1e-12 * max(1.0, abs(horizon))
     if t < -slack or t > horizon + slack:
         raise ValueError(f"time {t} outside [0, {horizon}]")
@@ -391,7 +450,5 @@ def holder_margin(traj: FlowTrajectory, t: float, s: float) -> float:
     ft = evaluate_at_time(traj, t)
     fs = evaluate_at_time(traj, s)
     dist = math.sqrt(l2_distance_sq(ft, fs))
-    bound = math.sqrt((s - t) + traj.schedule.h) * math.sqrt(
-        dirichlet_energy(traj.snapshots[0])
-    )
+    bound = math.sqrt((s - t) + traj.schedule.h) * math.sqrt(traj.energies[0])
     return bound - dist

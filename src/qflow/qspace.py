@@ -27,8 +27,6 @@ __all__ = [
     "ascending_projection",
     "qpoint_norm",
     "approx_equal",
-    "qpoint_to_flat",
-    "qpoint_from_flat",
 ]
 
 
@@ -217,18 +215,3 @@ def approx_equal(a: QPoint, b: QPoint, tol: float = 1e-12) -> bool:
         return False
     return bool(np.max(np.abs(a.points - b.points), initial=0.0) <= tol)
 
-
-def qpoint_to_flat(a: QPoint) -> list:
-    """Flat numeric form: [n, q, coordinates in canonical row order]."""
-    return [float(a.n), float(a.q)] + [float(v) for v in a.points.ravel()]
-
-
-def qpoint_from_flat(seq) -> QPoint:
-    vals = [float(v) for v in seq]
-    if len(vals) < 2:
-        raise ValueError("flat form needs at least the n and q header")
-    n, q = int(vals[0]), int(vals[1])
-    coords = vals[2:]
-    if n < 1 or q < 1 or len(coords) != q * n:
-        raise ValueError("flat form header does not match coordinate count")
-    return QPoint(np.asarray(coords, dtype=float).reshape(q, n))

@@ -127,9 +127,26 @@ def test_eta_residual_skips_unconverged_steps():
     res = check_eta_residual(traj)
     assert "skipped" in res.detail
 
-    vec = make_grid_function(d, np.zeros((21, 1, 2)))
-    flat = FlowTrajectory(uniform_schedule(0.1, 1), (vec, vec), ())
-    assert not check_eta_residual(flat).passed
+
+def test_eta_residual_holds_for_vector_values():
+    """The branch-mean step equation holds coordinatewise for any frozen
+    pairing, so converged n = 2 steps pass; moving one interior mean in
+    its second coordinate must fail."""
+    rng = np.random.default_rng(67)
+    d = build_domain(1, 15)
+    f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(15, 2, 2)))
+    traj = run_flow(f0, uniform_schedule(0.25, 6))
+    assert traj.converged
+    res = check_eta_residual(traj)
+    assert res.passed and res.margin >= 0.0, res.detail
+
+    f = traj.snapshots[3]
+    vals = f.values.copy()
+    vals[d.interior[4], :, 1] += 1e-3
+    snaps = list(traj.snapshots)
+    snaps[3] = QGridFunction(d, vals)
+    bad = FlowTrajectory(traj.schedule, tuple(snaps), traj.reports)
+    assert not check_eta_residual(bad).passed
 
 
 def test_max_principle_check_needs_a_uniform_run(healthy):

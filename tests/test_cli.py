@@ -8,16 +8,23 @@ import sys
 import numpy as np
 import pytest
 
+from qflow import checks, cli, grid, morseflow
 from qflow.checks import CHECK_NAMES
 from qflow.cli import (
     ConfigError,
     RunConfig,
+    _write_energy_csv,
     load_config,
     main,
+    make_initial,
+    make_opts,
+    make_schedule,
     parse_config,
     serialize_config,
     validate,
 )
+from qflow.grid import build_domain, dirichlet_energy
+from qflow.morseflow import run_flow
 
 SMALL = """
 # smoke configuration
@@ -52,7 +59,7 @@ def test_parse_small_config():
     assert cfg.steps == 6
     assert cfg.seed == 7
     # untouched keys keep their defaults
-    assert cfg.outer_tol == RunConfig().outer_tol
+    assert cfg.max_outer == RunConfig().max_outer
 
 
 def test_serialize_parse_round_trip():
@@ -67,7 +74,7 @@ def test_serialize_parse_round_trip():
             coeffs=(0.5, 0.0, -0.25),
             checks=("holder", "symmetry"),
             sweep_steps=(4, 8, 16),
-            outer_tol=2e-10,
+            max_outer=7,
         ),
         dataclasses.replace(
             RunConfig(),
@@ -105,7 +112,8 @@ def test_parse_rejects_malformed_input():
         ({"h": 0.0}, "h"),
         ({"total_time": -1.0}, "total_time"),
         ({"steps": 0}, "steps"),
-        ({"outer_tol": 0.0}, "outer_tol"),
+        ({"preset": "branches", "q": 1, "branch_coeffs": ((),)},
+         "branch_coeffs"),
         ({"max_outer": 0}, "max_outer"),
         ({"seed": -1}, "seed"),
         ({"checks": ("bogus",)}, "checks"),
@@ -235,6 +243,59 @@ def test_runs_are_reproducible_byte_for_byte(tmp_path):
     for snap in sorted((out_a / "snapshots").glob("*.csv")):
         twin = out_b / "snapshots" / snap.name
         assert snap.read_bytes() == twin.read_bytes()
+
+
+def small_trajectory(tmp_path):
+    """The trajectory of the SMALL config, built through the library."""
+    config = load_config(write_config(tmp_path, SMALL))
+    domain = build_domain(config.m, config.resolution)
+    return run_flow(make_initial(config, domain), make_schedule(config),
+                    make_opts(config))
+
+
+def test_energy_csv_columns_are_the_trajectory_quantities(tmp_path):
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    traj = small_trajectory(tmp_path)
+    lines = (out / "energy.csv").read_text().splitlines()
+    cols = list(zip(*(line.split(",") for line in lines[1:])))
+    floats = [tuple(float(v) for v in col) for col in cols[1:8]]
+    tau, before, after, penalty, margin, eta, max_norm = floats
+    assert cols[0] == tuple(str(k) for k in range(1, 7))
+    assert tau == tuple(r.tau for r in traj.reports)
+    assert before == traj.energies[:-1]
+    assert after == traj.energies[1:]
+    assert penalty == traj.penalties
+    assert margin == traj.estimate_margins
+    assert eta == traj.eta_residuals
+    assert max_norm == traj.max_norms[1:]
+    assert cols[8] == tuple(str(r.outer_iterations) for r in traj.reports)
+    payload = json.loads((out / "run.json").read_text())
+    assert tuple(payload["energies"]) == traj.energies
+
+
+def test_artifacts_and_checks_share_one_energy_per_snapshot(tmp_path,
+                                                            monkeypatch):
+    """energy.csv and the checks that read energies together evaluate the
+    Dirichlet energy of each snapshot exactly once."""
+    traj = small_trajectory(tmp_path)
+    seen = []
+
+    def counted(f):
+        seen.append(id(f))
+        return dirichlet_energy(f)
+
+    for module in (grid, morseflow, checks, cli):
+        if hasattr(module, "dirichlet_energy"):
+            monkeypatch.setattr(module, "dirichlet_energy", counted)
+    rng = np.random.default_rng(3)
+    _write_energy_csv(tmp_path / "energy.csv", traj)
+    for res in (checks.check_energy_monotonicity(traj),
+                checks.check_step_estimate(traj),
+                checks.check_holder(traj, rng)):
+        assert res.passed, res.detail
+    assert sorted(seen) == sorted(id(f) for f in traj.snapshots)
 
 
 # --- verify ----------------------------------------------------------------

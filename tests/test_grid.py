@@ -202,7 +202,24 @@ def test_residual_rejects_bad_arguments():
     with pytest.raises(ValueError):
         branch_mean_residual(f, f, tau=0.0)
     with pytest.raises(ValueError):
-        branch_mean_residual(g, g, tau=0.1)
+        branch_mean_residual(f, g, tau=0.1)
+
+
+def test_vector_residual_is_the_largest_coordinate_residual():
+    """For n > 1 the residual is taken coordinate by coordinate; each
+    coordinate of the branch mean gives the scalar residual exactly."""
+    rng = np.random.default_rng(29)
+    d = build_domain(2, 9)
+    prev = rng.normal(size=(d.num_nodes, 2, 3))
+    curr = rng.normal(size=(d.num_nodes, 2, 3))
+    got = branch_mean_residual(make_grid_function(d, prev),
+                               make_grid_function(d, curr), tau=0.2)
+    per_coordinate = [
+        branch_mean_residual(make_grid_function(d, prev[:, :, c:c + 1]),
+                             make_grid_function(d, curr[:, :, c:c + 1]), tau=0.2)
+        for c in range(3)
+    ]
+    assert got == max(per_coordinate)
 
 
 # --- initial data ----------------------------------------------------------

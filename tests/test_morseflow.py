@@ -16,6 +16,7 @@ from qflow.grid import (
     make_grid_function,
     sample_initial,
 )
+from qflow import morseflow
 from qflow.morseflow import (
     FlowTrajectory,
     SolverOptions,
@@ -223,6 +224,25 @@ def test_flow_truncates_when_a_step_cannot_confirm():
     assert not traj.converged
     assert traj.completed_steps == 1
     assert not traj.reports[0].converged
+
+
+def test_flow_computes_each_start_energy_once(monkeypatch):
+    """Each step starts from the energy its predecessor accepted, so a
+    one-sweep (n = 1) chain evaluates the energy once per state."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return dirichlet_energy(f)
+
+    monkeypatch.setattr(morseflow, "dirichlet_energy", counted)
+    d = build_domain(1, 21)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    traj = run_flow(f0, uniform_schedule(0.25, 8))
+    assert traj.converged
+    assert len(calls) == 8 + 1
+    assert [r.energy_before for r in traj.reports[1:]] == \
+        [r.energy_after for r in traj.reports[:-1]]
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -13,9 +13,7 @@ from qflow.qspace import (
     make_qpoint,
     matching_distance,
     optimal_matching,
-    qpoint_from_flat,
     qpoint_norm,
-    qpoint_to_flat,
     sorted_embedding,
     translate,
 )
@@ -178,15 +176,6 @@ def test_translate_shifts_mean_and_preserves_distance():
         ) <= 1e-12
 
 
-def test_flat_round_trip():
-    rng = np.random.default_rng(707)
-    for _ in range(50):
-        q = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 4))
-        a = random_qpoint(rng, q, n)
-        assert qpoint_from_flat(qpoint_to_flat(a)) == a
-
-
 # --- argument validation ---------------------------------------------------
 
 def test_incompatible_operands_raise():
@@ -213,7 +202,3 @@ def test_bad_inputs_raise():
         translate(make_qpoint([1.0]), [1.0, 2.0])
     with pytest.raises(ValueError):
         ascending_projection([1.0, np.inf])
-    with pytest.raises(ValueError):
-        qpoint_from_flat([1.0])
-    with pytest.raises(ValueError):
-        qpoint_from_flat([2.0, 2.0, 1.0, 2.0, 3.0])  # header says 4 coords
