@@ -33,7 +33,6 @@ from .grid import (
 )
 from .morseflow import (
     FlowTrajectory,
-    SolverOptions,
     evaluate_at_time,
     holder_margin,
     minimize_step,
@@ -382,10 +381,8 @@ def check_holder(traj: FlowTrajectory, rng, pairs: int = 100) -> CheckResult:
     )
 
 
-def check_brute_force(rng, instances: int = 20,
-                      opts: SolverOptions | None = None) -> CheckResult:
+def check_brute_force(rng, instances: int = 20) -> CheckResult:
     """Solver objective vs exhaustive global minimum on tiny instances."""
-    opts = opts or SolverOptions()
     worst = 0.0
     one_sided = math.inf
     for i in range(instances):
@@ -394,7 +391,7 @@ def check_brute_force(rng, instances: int = 20,
             domain, rng.normal(size=(domain.num_nodes, 2, 1))
         )
         tau = float(10.0 ** rng.uniform(-1.0, 0.0))
-        f_loc, _ = minimize_step(f_prev, tau, opts)
+        f_loc, _ = minimize_step(f_prev, tau)
         loc = dirichlet_energy(f_loc) + l2_distance_sq(f_loc, f_prev) / tau
         _, glob = brute_force_step(f_prev, tau)
         worst = max(worst, abs(loc - glob))

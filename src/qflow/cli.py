@@ -33,7 +33,6 @@ from .grid import (
 )
 from .morseflow import (
     FlowTrajectory,
-    SolverOptions,
     geometric_schedule,
     run_flow,
     uniform_schedule,
@@ -65,7 +64,6 @@ class RunConfig:
     h: float = 0.25              # geometric base step
     total_time: float = 0.25     # uniform horizon T
     steps: int = 16
-    max_outer: int = 100
     out: str = "out"
     seed: int = 0
     checks: tuple = ("all",)
@@ -77,21 +75,11 @@ class RunConfig:
     jobs: int = 1
 
 
-_INT_KEYS = {"m", "resolution", "q", "steps", "max_outer", "seed",
-             "spatial_steps", "eigen_index", "jobs"}
-_FLOAT_KEYS = {"h", "total_time"}
-_STR_KEYS = {"mode", "preset", "out", "inject"}
-
-
 def _parse_value(key: str, raw: str):
+    """Tuple keys have their own syntax; a scalar key takes the type of
+    its RunConfig default."""
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
         if key == "coeffs":
             return tuple(float(p) for p in raw.split(",") if p.strip())
         if key == "branch_coeffs":
@@ -104,6 +92,9 @@ def _parse_value(key: str, raw: str):
             return tuple(p.strip() for p in raw.split(",") if p.strip())
         if key in ("sweep_resolutions", "sweep_steps"):
             return tuple(int(p) for p in raw.split(",") if p.strip())
+        default = getattr(RunConfig, key, None)
+        if isinstance(default, (int, float, str)):
+            return type(default)(raw)
     except ValueError:
         raise ConfigError(key, f"cannot parse value {raw!r}") from None
     raise ConfigError(key, "unknown configuration key")
@@ -178,8 +169,6 @@ def validate(config: RunConfig):
         raise ConfigError("total_time", "must be positive")
     if config.steps < 1:
         raise ConfigError("steps", "must be at least 1")
-    if config.max_outer < 1:
-        raise ConfigError("max_outer", "must be at least 1")
     if config.seed < 0:
         raise ConfigError("seed", "must be nonnegative")
     if config.checks not in (("all",), ("none",)):
@@ -216,10 +205,6 @@ def make_schedule(config: RunConfig):
     if config.mode == "geometric":
         return geometric_schedule(config.h, config.steps)
     return uniform_schedule(config.total_time, config.steps)
-
-
-def make_opts(config: RunConfig) -> SolverOptions:
-    return SolverOptions(max_outer=config.max_outer)
 
 
 def make_initial(config: RunConfig, domain) -> QGridFunction:
@@ -294,7 +279,7 @@ def _evaluate(name: str, ctx: dict) -> checks.CheckResult:
     if name == "holder":
         return checks.check_holder(ctx["traj"], rng)
     if name == "brute_force":
-        return checks.check_brute_force(rng, opts=ctx["opts"])
+        return checks.check_brute_force(rng)
     if name == "oracle_equivalence":
         return checks.check_oracle_equivalence(ctx.get("traj_q1") or ctx["traj"])
     raise ValueError(f"unknown check {name!r}")
@@ -351,7 +336,7 @@ def cmd_run(config: RunConfig) -> int:
     t0 = time.perf_counter()
     domain = build_domain(config.m, config.resolution)
     f0 = make_initial(config, domain)
-    traj = run_flow(f0, make_schedule(config), make_opts(config))
+    traj = run_flow(f0, make_schedule(config))
     traj = _apply_injection(traj, config)
     wall = time.perf_counter() - t0
 
@@ -364,7 +349,6 @@ def cmd_run(config: RunConfig) -> int:
         "config": config,
         "rng": np.random.default_rng(config.seed),
         "domain": domain,
-        "opts": make_opts(config),
         "traj": traj,
     }
     results = [_evaluate(n, ctx) for n in _selected(config, _run_check_names(config))]
@@ -408,27 +392,25 @@ def cmd_run(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     domain = build_domain(config.m, config.resolution)
-    opts = make_opts(config)
     schedule = make_schedule(config)
 
-    traj = _apply_injection(run_flow(make_initial(config, domain), schedule, opts),
+    traj = _apply_injection(run_flow(make_initial(config, domain), schedule),
                             config)
     if config.preset.startswith("symmetric"):
         traj_sym = traj
     else:
         sym_cfg = replace(config, preset="symmetric-cos", coeffs=(),
                           branch_coeffs=(), q=2)
-        traj_sym = run_flow(make_initial(sym_cfg, domain), schedule, opts)
+        traj_sym = run_flow(make_initial(sym_cfg, domain), schedule)
     q1_cfg = replace(config, mode="uniform", q=1, preset="branches",
                      coeffs=(), branch_coeffs=((1.0, 0.0, -1.0),))
     traj_q1 = run_flow(make_initial(q1_cfg, domain),
-                       uniform_schedule(config.total_time, config.steps), opts)
+                       uniform_schedule(config.total_time, config.steps))
 
     ctx = {
         "config": config,
         "rng": np.random.default_rng(config.seed),
         "domain": domain,
-        "opts": opts,
         "traj": traj,
         "traj_sym": traj_sym,
         "traj_q1": traj_q1,
@@ -467,7 +449,7 @@ def _heat_errors(config: RunConfig, resolution: int, steps: int):
                   mode="uniform", preset="symmetric-cos", q=2,
                   coeffs=(), branch_coeffs=())
     traj = run_flow(make_initial(cfg, domain),
-                    uniform_schedule(config.total_time, steps), make_opts(config))
+                    uniform_schedule(config.total_time, steps))
     upper = traj.snapshots[-1].values[:, -1, 0]
     exact = exact_eigen_solution(EigenMode(config.eigen_index),
                                  config.total_time, domain)

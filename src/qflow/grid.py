@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .qspace import make_qpoint, optimal_matching
+from .qspace import _canonical, match_rows
 
 __all__ = [
     "GridDomain",
@@ -128,16 +128,6 @@ def domain_manifest(domain: GridDomain) -> dict:
     }
 
 
-def _canonical_rows(values: np.ndarray) -> np.ndarray:
-    if values.shape[2] == 1:
-        return np.sort(values, axis=1)
-    out = values.copy()
-    for i in range(out.shape[0]):
-        order = np.lexsort(out[i].T[::-1])
-        out[i] = out[i][order]
-    return out
-
-
 @dataclass(frozen=True)
 class QGridFunction:
     """Node values of shape (num_nodes, q, n), canonical per node."""
@@ -153,9 +143,7 @@ class QGridFunction:
             raise ValueError("values must have q, n >= 1")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        vals = np.ascontiguousarray(_canonical_rows(vals))
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _canonical(vals))
 
     @property
     def q(self) -> int:
@@ -223,13 +211,12 @@ def _check_same(f: QGridFunction, g: QGridFunction):
 
 
 def _paired_costs(f: QGridFunction, a_vals: np.ndarray, b_vals: np.ndarray) -> float:
-    """Sum of squared matching distances over paired value arrays."""
+    """Sum of squared matching distances over paired value arrays; the
+    row costs are added left to right."""
     if f.n == 1 or f.q == 1:
         return float(((a_vals - b_vals) ** 2).sum())
-    total = 0.0
-    for va, vb in zip(a_vals, b_vals):
-        total += optimal_matching(make_qpoint(va), make_qpoint(vb)).cost
-    return total
+    cost = match_rows(a_vals, b_vals)[1]
+    return float(np.add.accumulate(cost)[-1])
 
 
 def dirichlet_energy(f: QGridFunction) -> float:

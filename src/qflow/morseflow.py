@@ -31,11 +31,10 @@ from .grid import (
     dirichlet_energy,
     l2_distance_sq,
 )
-from .qspace import make_qpoint, optimal_matching
+from .qspace import match_rows
 
 __all__ = [
     "StepSchedule",
-    "SolverOptions",
     "StepReport",
     "FlowTrajectory",
     "geometric_schedule",
@@ -60,10 +59,10 @@ class StepSchedule:
     def __post_init__(self):
         if self.mode not in ("geometric", "uniform"):
             raise ValueError("mode must be 'geometric' or 'uniform'")
-        if self.h <= 0 or self.total <= 0:
-            raise ValueError("step sizes must be positive")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
+        if self.h <= 0 or self.total <= 0:
+            raise ValueError("step sizes must be positive")
 
     def tau(self, k: int) -> float:
         """Step size of step k, 1 <= k <= steps."""
@@ -82,16 +81,15 @@ def geometric_schedule(h: float, steps: int) -> StepSchedule:
 def uniform_schedule(total_time: float, steps: int) -> StepSchedule:
     """Constant steps tau = total_time / steps."""
     steps = int(steps)
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     return StepSchedule("uniform", float(total_time) / steps, steps, float(total_time))
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_outer: int = 100
 
 
 # relative objective decrease below which the pairing iteration stops
 _OUTER_TOL = 1e-12
+# pairing sweeps a step may take before it is flagged as not converged
+_MAX_OUTER = 100
 
 
 @dataclass(frozen=True)
@@ -213,14 +211,10 @@ def _pairings(vals, prev_vals, domain: GridDomain):
         ident = np.arange(qq)
         return (np.zeros((domain.num_edges, qq), dtype=np.int64) + ident,
                 np.zeros((len(domain.interior), qq), dtype=np.int64) + ident)
-
-    def sigma(a, b):
-        return optimal_matching(make_qpoint(a), make_qpoint(b)).sigma
-
-    edge_sigma = [sigma(vals[a], vals[b]) for a, b in domain.edges]
-    node_nu = [sigma(vals[x], prev_vals[x]) for x in domain.interior]
-    return (np.array(edge_sigma, dtype=np.int64).reshape(-1, qq),
-            np.array(node_nu, dtype=np.int64).reshape(-1, qq))
+    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
+    inner = domain.interior
+    return (match_rows(vals[ea], vals[eb])[0],
+            match_rows(vals[inner], prev_vals[inner])[0])
 
 
 def _frozen_system(domain: GridDomain, tau: float, sigma):
@@ -286,15 +280,15 @@ def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
     return vals, residual
 
 
-def minimize_step(f_prev: QGridFunction, tau: float,
-                  opts: SolverOptions | None = None, step_index: int = 0,
+def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
                   *, _factor: _ChainState | None = None):
     """One implicit step from f_prev.
 
     Alternates frozen-pairing solves with pairing updates until the
     pairings of the new iterate are the ones it was solved with (the first
     sweep for n = 1), the objective stops decreasing by _OUTER_TOL, or it
-    reaches the floating point floor.  Returns (f_next, report) with the
+    reaches the floating point floor; a step still moving after _MAX_OUTER
+    sweeps is flagged as not converged.  Returns (f_next, report) with the
     boundary of f_prev preserved and objective value never above the
     starting one, so the Dirichlet energy cannot increase across the step.
     `_factor` lets a chain of steps share one factorization and hand each
@@ -302,7 +296,6 @@ def minimize_step(f_prev: QGridFunction, tau: float,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    opts = opts or SolverOptions()
     domain = f_prev.domain
     cache = _factor if _factor is not None else _ChainState()
     if cache.state is f_prev:
@@ -324,7 +317,7 @@ def minimize_step(f_prev: QGridFunction, tau: float,
     outer = 0
     stationarity = 0.0
     current = f_prev
-    while outer < opts.max_outer:
+    while outer < _MAX_OUTER:
         outer += 1
         vals, stationarity = _solve_frozen(prev_vals, domain, tau, *pairings, cache)
         candidate = QGridFunction(domain, vals)
@@ -361,17 +354,15 @@ def minimize_step(f_prev: QGridFunction, tau: float,
     return current, report
 
 
-def run_flow(f0: QGridFunction, schedule: StepSchedule,
-             opts: SolverOptions | None = None) -> FlowTrajectory:
+def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
     """Run the full chain of implicit steps.  A step that fails to converge
     truncates the trajectory; its best iterate is kept and flagged."""
-    opts = opts or SolverOptions()
     chain = _ChainState()
     snapshots = [f0]
     reports = []
     current = f0
     for k in range(1, schedule.steps + 1):
-        current, report = minimize_step(current, schedule.tau(k), opts,
+        current, report = minimize_step(current, schedule.tau(k),
                                         step_index=k, _factor=chain)
         snapshots.append(current)
         reports.append(report)

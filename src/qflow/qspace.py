@@ -6,10 +6,15 @@ The matching metric is the l2 cost of the best branch pairing; for n = 1 the
 identity pairing of the sorted tuples is optimal, so the sorted tuple itself
 is an isometric embedding into R^Q.  The ascending cone is the image of that
 embedding and `ascending_projection` retracts onto it.
+
+`match_rows` makes every pairing decision of the package, for a batch of
+rows at once: the identity for n = 1, one cost tensor over all q!
+permutations for q <= 4, an assignment solve per row beyond that.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +24,7 @@ __all__ = [
     "QPoint",
     "Matching",
     "make_qpoint",
+    "match_rows",
     "optimal_matching",
     "matching_distance",
     "branch_mean",
@@ -31,12 +37,13 @@ __all__ = [
 
 
 def _canonical(points: np.ndarray) -> np.ndarray:
-    if points.shape[1] == 1:
-        out = np.sort(points, axis=0)
+    """Canonical order of the (q, n) rows of a (..., q, n) array."""
+    if points.shape[-1] == 1:
+        out = np.sort(points, axis=-2)
     else:
         # lexicographic by first coordinate, then second, ...
-        order = np.lexsort(points.T[::-1])
-        out = points[order]
+        order = np.lexsort(np.moveaxis(points[..., ::-1], -1, 0), axis=-1)
+        out = np.take_along_axis(points, order[..., None], axis=-2)
     out = np.ascontiguousarray(out, dtype=float)
     out.flags.writeable = False
     return out
@@ -97,32 +104,25 @@ def make_qpoint(values, n: int | None = None) -> QPoint:
     return QPoint(arr)
 
 
-def _check_compatible(a: QPoint, b: QPoint):
-    if a.q != b.q or a.n != b.n:
-        raise ValueError(
-            f"incompatible operands: ({a.q},{a.n}) vs ({b.q},{b.n})"
-        )
+# largest q whose q! permutations are scored as one cost tensor
+_ENUMERATE_MAX_Q = 4
 
 
-def _lex_smallest_assignment(cost: np.ndarray, total: float) -> list:
+def _lex_smallest_assignment(cost: np.ndarray) -> list:
     """Lexicographically smallest permutation among the minimizers of the
-    assignment problem with the given cost matrix and optimal value."""
+    assignment problem with the given cost matrix."""
     q = cost.shape[0]
+    rows, cols = linear_sum_assignment(cost)
+    total = float(cost[rows, cols].sum())
     tol = 1e-9 * (1.0 + abs(total))
     free = list(range(q))
     sigma = []
     remaining = total
     for i in range(q):
         for j in free:
-            rest_rows = np.arange(i + 1, q)
-            rest_cols = [c for c in free if c != j]
-            if rest_rows.size:
-                sub = cost[np.ix_(rest_rows, rest_cols)]
-                r, c = linear_sum_assignment(sub)
-                rest = float(sub[r, c].sum())
-            else:
-                rest = 0.0
-            if cost[i, j] + rest <= remaining + tol:
+            sub = cost[i + 1:, [c for c in free if c != j]]
+            r, c = linear_sum_assignment(sub)
+            if cost[i, j] + float(sub[r, c].sum()) <= remaining + tol:
                 sigma.append(j)
                 free.remove(j)
                 remaining -= cost[i, j]
@@ -132,30 +132,40 @@ def _lex_smallest_assignment(cost: np.ndarray, total: float) -> list:
     return sigma
 
 
-def optimal_matching(a: QPoint, b: QPoint) -> Matching:
-    """Best branch pairing between two compatible QPoints.
-
-    For n = 1 the operands are already sorted and the identity pairing is
-    optimal.  For n > 1 an exact assignment solve is used; ties are broken
-    toward the lexicographically smallest permutation.
+def match_rows(a: np.ndarray, b: np.ndarray):
+    """Best branch pairing of every row of two canonical (rows, q, n)
+    arrays: branch i of a[r] goes to branch sigma[r, i] of b[r].  Returns
+    sigma (rows, q) and the squared-distance cost of each row.  Ties within
+    1e-9 * (1 + |minimum|) go to the lexicographically smallest sigma.
     """
-    _check_compatible(a, b)
-    if a.n == 1:
-        cost = float(((a.points - b.points) ** 2).sum())
-        return Matching(tuple(range(a.q)), cost)
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    cost = (diff**2).sum(axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum())
-    sigma = _lex_smallest_assignment(cost, total)
-    return Matching(tuple(sigma), float(cost[np.arange(a.q), sigma].sum()))
+    rows, q, n = a.shape
+    if b.shape != a.shape:
+        raise ValueError(f"incompatible operands: {a.shape} vs {b.shape}")
+    if n == 1:
+        sigma = np.zeros((rows, q), dtype=np.int64) + np.arange(q)
+        return sigma, ((a - b) ** 2).sum(axis=(1, 2))
+    cost = ((a[:, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=3)
+    branches = np.arange(q)
+    if q <= _ENUMERATE_MAX_Q:
+        perms = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
+        scores = cost[:, branches, perms].sum(axis=2)
+        low = scores.min(axis=1, keepdims=True)
+        first = np.argmax(scores <= low + 1e-9 * (1.0 + np.abs(low)), axis=1)
+        return perms[first], scores[np.arange(rows), first]
+    sigma = np.array([_lex_smallest_assignment(c) for c in cost],
+                     dtype=np.int64).reshape(rows, q)
+    return sigma, cost[np.arange(rows)[:, None], branches, sigma].sum(axis=1)
+
+
+def optimal_matching(a: QPoint, b: QPoint) -> Matching:
+    """Best branch pairing between two compatible QPoints (`match_rows`
+    on one row)."""
+    sigma, cost = match_rows(a.points[None], b.points[None])
+    return Matching(tuple(sigma[0].tolist()), float(cost[0]))
 
 
 def matching_distance(a: QPoint, b: QPoint) -> float:
     """Metric between multisets: sqrt of the optimal pairing cost."""
-    _check_compatible(a, b)
-    if a.n == 1:
-        return float(np.sqrt(((a.points - b.points) ** 2).sum()))
     return float(np.sqrt(optimal_matching(a, b).cost))
 
 

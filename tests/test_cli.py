@@ -17,7 +17,6 @@ from qflow.cli import (
     load_config,
     main,
     make_initial,
-    make_opts,
     make_schedule,
     parse_config,
     serialize_config,
@@ -59,7 +58,7 @@ def test_parse_small_config():
     assert cfg.steps == 6
     assert cfg.seed == 7
     # untouched keys keep their defaults
-    assert cfg.max_outer == RunConfig().max_outer
+    assert cfg.spatial_steps == RunConfig().spatial_steps
 
 
 def test_serialize_parse_round_trip():
@@ -74,7 +73,7 @@ def test_serialize_parse_round_trip():
             coeffs=(0.5, 0.0, -0.25),
             checks=("holder", "symmetry"),
             sweep_steps=(4, 8, 16),
-            max_outer=7,
+            spatial_steps=640,
         ),
         dataclasses.replace(
             RunConfig(),
@@ -96,6 +95,11 @@ def test_parse_rejects_malformed_input():
         parse_config("no_such_key = 3\n")
     with pytest.raises(ConfigError):
         parse_config("steps = many\n")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        parse_config("h = 0.5.1\n")
+    # the pairing sweep cap is no longer configurable
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        parse_config("max_outer = 5\n")
 
 
 @pytest.mark.parametrize(
@@ -114,7 +118,7 @@ def test_parse_rejects_malformed_input():
         ({"steps": 0}, "steps"),
         ({"preset": "branches", "q": 1, "branch_coeffs": ((),)},
          "branch_coeffs"),
-        ({"max_outer": 0}, "max_outer"),
+        ({"sweep_steps": (0, 4)}, "sweep_steps"),
         ({"seed": -1}, "seed"),
         ({"checks": ("bogus",)}, "checks"),
         ({"inject": "holder"}, "inject"),
@@ -249,8 +253,7 @@ def small_trajectory(tmp_path):
     """The trajectory of the SMALL config, built through the library."""
     config = load_config(write_config(tmp_path, SMALL))
     domain = build_domain(config.m, config.resolution)
-    return run_flow(make_initial(config, domain), make_schedule(config),
-                    make_opts(config))
+    return run_flow(make_initial(config, domain), make_schedule(config))
 
 
 def test_energy_csv_columns_are_the_trajectory_quantities(tmp_path):

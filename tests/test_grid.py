@@ -19,6 +19,7 @@ from qflow.grid import (
     write_snapshot_csv,
 )
 from qflow.oracle import implicit_euler_chain
+from qflow.qspace import make_qpoint, optimal_matching
 
 
 def random_function(rng, domain, q, n=1, scale=1.0):
@@ -274,6 +275,26 @@ def test_grid_function_rows_are_canonical_and_frozen():
     assert np.array_equal(f.values[0, :, 0], [-1.0, 2.0])
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 9.0
+
+
+def test_vector_energy_adds_edge_costs_left_to_right():
+    """For n > 1 the energy and the distance are the per-row matching
+    costs added in row order, bit for bit."""
+    rng = np.random.default_rng(31)
+    d = build_domain(2, 9)
+    f = random_function(rng, d, 3, n=2)
+    g = random_function(rng, d, 3, n=2)
+
+    def in_order(a_rows, b_rows):
+        total = 0.0
+        for va, vb in zip(a_rows, b_rows):
+            total += optimal_matching(make_qpoint(va), make_qpoint(vb)).cost
+        return total
+
+    ea, eb = d.edges[:, 0], d.edges[:, 1]
+    assert dirichlet_energy(f) == \
+        d.delta ** (d.m - 2) * in_order(f.values[ea], f.values[eb])
+    assert l2_distance_sq(f, g) == d.delta**d.m * in_order(f.values, g.values)
 
 
 # --- snapshot files --------------------------------------------------------

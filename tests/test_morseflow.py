@@ -16,10 +16,9 @@ from qflow.grid import (
     make_grid_function,
     sample_initial,
 )
-from qflow import morseflow
+from qflow import morseflow, qspace
 from qflow.morseflow import (
     FlowTrajectory,
-    SolverOptions,
     StepReport,
     evaluate_at_time,
     geometric_schedule,
@@ -57,9 +56,13 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         geometric_schedule(0.0, 4)
     with pytest.raises(ValueError):
-        geometric_schedule(0.25, 0)
-    with pytest.raises(ValueError):
         uniform_schedule(-1.0, 4)
+    with pytest.raises(ValueError, match="steps"):
+        uniform_schedule(0.25, 0)
+    with pytest.raises(ValueError, match="steps"):
+        geometric_schedule(0.25, 0)
+    with pytest.raises(ValueError, match="steps"):
+        uniform_schedule(0.25, -2)
 
 
 # --- single step -----------------------------------------------------------
@@ -212,18 +215,39 @@ def test_flow_energies_are_monotone_and_consistent():
         )
 
 
-def test_flow_truncates_when_a_step_cannot_confirm():
+def test_flow_truncates_when_a_step_cannot_confirm(monkeypatch):
     # planar data whose first sweep changes the pairings: one outer pass can
     # be taken, but not confirmed as the pairing fixed point
     rng = np.random.default_rng(6)
     d = build_domain(1, 11)
     f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
     assert run_flow(f0, uniform_schedule(0.25, 4)).reports[0].outer_iterations > 1
-    opts = SolverOptions(max_outer=1)
-    traj = run_flow(f0, uniform_schedule(0.25, 4), opts)
+    monkeypatch.setattr(morseflow, "_MAX_OUTER", 1)
+    traj = run_flow(f0, uniform_schedule(0.25, 4))
     assert not traj.converged
     assert traj.completed_steps == 1
     assert not traj.reports[0].converged
+
+
+def test_vector_flow_builds_no_qpoints(monkeypatch):
+    """Pairings and energies of an n = 2 run are matched as whole arrays,
+    never through one QPoint per edge or node."""
+    built = []
+    post_init = qspace.QPoint.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(qspace.QPoint, "__post_init__", counted)
+    rng = np.random.default_rng(6)
+    d = build_domain(1, 11)
+    f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
+    traj = run_flow(f0, uniform_schedule(0.25, 4))
+    assert traj.converged
+    assert traj.reports[0].outer_iterations > 1
+    assert len(traj.energies) == 5
+    assert built == []
 
 
 def test_flow_computes_each_start_energy_once(monkeypatch):

@@ -4,13 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.qspace import (
     QPoint,
+    _canonical,
     ascending_projection,
     approx_equal,
     branch_mean,
     make_qpoint,
+    match_rows,
     matching_distance,
     optimal_matching,
     qpoint_norm,
@@ -31,6 +35,28 @@ def exhaustive_cost(a, b):
         if best is None or c < best:
             best = c
     return best
+
+
+def reference_match(a, b):
+    """First permutation, in itertools.permutations order, whose cost is
+    within 1e-9 * (1 + |minimum|) of the minimum, with that cost summed
+    branch by branch."""
+    q = a.shape[0]
+    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    perms = list(itertools.permutations(range(q)))
+    scores = [cost[np.arange(q), list(p)].sum() for p in perms]
+    low = min(scores)
+    return next((p, c) for p, c in zip(perms, scores)
+                if c <= low + 1e-9 * (1.0 + abs(low)))
+
+
+def assert_matches_reference(a, b):
+    sigma, cost = match_rows(a, b)
+    assert sigma.shape == a.shape[:2] and cost.shape == a.shape[:1]
+    for r in range(a.shape[0]):
+        ref_sigma, ref_cost = reference_match(a[r], b[r])
+        assert tuple(sigma[r]) == ref_sigma
+        assert cost[r].tobytes() == ref_cost.tobytes()
 
 
 # --- frozen values ---------------------------------------------------------
@@ -127,6 +153,52 @@ def test_assignment_matches_exhaustive_search_in_the_plane():
         assert optimal_matching(a, b).cost == pytest.approx(
             exhaustive_cost(a, b), abs=1e-12
         )
+
+
+def test_match_rows_is_the_first_minimizer_in_permutation_order():
+    """Both sides of the enumeration threshold (q <= 4 by cost tensor,
+    q > 4 by assignment solves) against the reference, with exact ties
+    from rounded values and from duplicated points."""
+    rng = np.random.default_rng(707)
+    for q in range(1, 7):
+        for n in range(1, 4):
+            rows = 12
+            a = rng.normal(size=(rows, q, n))
+            b = rng.normal(size=(rows, q, n))
+            a[:4], b[:4] = np.round(a[:4]), np.round(b[:4])
+            b[4:8] = a[4:8, rng.permutation(q)]
+            a[8:, -1] = a[8:, 0]
+            b[8:, 0] = b[8:, -1]
+            assert_matches_reference(_canonical(a), _canonical(b))
+
+
+@st.composite
+def row_pairs(draw):
+    """Two (rows, q, n) arrays of half integers, so ties are exact."""
+    rows, q, n = draw(st.tuples(st.integers(1, 3), st.integers(1, 6),
+                                st.integers(1, 3)))
+    size = 2 * rows * q * n
+    values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    a, b = 0.5 * np.array(values, dtype=float).reshape(2, rows, q, n)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_pairs())
+def test_match_rows_breaks_exact_ties_like_the_reference(pair):
+    a, b = pair
+    assert_matches_reference(_canonical(a), _canonical(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_pairs())
+def test_batched_canonical_order_is_the_per_row_order(pair):
+    vals = pair[0]
+    batched = _canonical(vals)
+    for r, row in enumerate(vals):
+        assert np.array_equal(batched[r], QPoint(row).points)
+        assert [tuple(p) for p in batched[r]] == sorted(map(tuple, row))
+    assert not batched.flags.writeable
 
 
 def test_sorted_embedding_is_isometric():
