@@ -7,11 +7,16 @@ distances over edges with weight delta^(m-2); the squared L2 distance
 sums them over nodes with weight delta^m.  Boundary nodes are the lattice
 points touching the sphere (or the interval endpoints for m = 1) and are
 treated as hard constraints by every solver in this package.
+
+Snapshot files are formatted with one `%.17e` pass over each function's
+values; the `node_index,x0[,x1]` cells are formatted once per domain.  The
+bytes equal a per-cell `format(c, ".17e")`, the same CPython routine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -66,6 +71,13 @@ class GridDomain:
 
     def same_as(self, other: "GridDomain") -> bool:
         return self.m == other.m and self.resolution == other.resolution
+
+    @cached_property
+    def _snapshot_prefix(self) -> tuple:
+        """Snapshot header cells and per-row `j,x0[,x1],` prefixes."""
+        head = ",".join(["node_index"] + [f"x{i}" for i in range(self.m)])
+        row = "%d," + "%.17e," * self.m
+        return head, [row % (j, *xs) for j, xs in enumerate(self.coords.tolist())]
 
 
 def build_domain(m: int, resolution: int) -> GridDomain:
@@ -291,17 +303,12 @@ def translate_field(f: QGridFunction, phi) -> QGridFunction:
 def write_snapshot_csv(f: QGridFunction, path):
     """One row per node: node index, m coordinates, then q*n branch
     coordinates in canonical order."""
-    d = f.domain
-    cols = ["node_index"]
-    cols += [f"x{i}" for i in range(d.m)]
-    cols += [f"v{i}" for i in range(f.q * f.n)]
+    head, prefixes = f.domain._snapshot_prefix
+    width = f.q * f.n
+    cells = ",".join(["%.17e"] * width) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for j in range(d.num_nodes):
-            row = [str(j)]
-            row += [format(c, ".17e") for c in d.coords[j]]
-            row += [format(c, ".17e") for c in f.values[j].ravel()]
-            fh.write(",".join(row) + "\n")
+        fh.write(head + "".join(f",v{i}" for i in range(width)) + "\n")
+        fh.write((cells.join(prefixes) + cells) % tuple(f.values.ravel().tolist()))
 
 
 def read_snapshot_csv(path, domain: GridDomain, q: int, n: int = 1) -> QGridFunction:

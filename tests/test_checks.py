@@ -1,10 +1,12 @@
 """Check battery: positive runs and deliberate negative controls."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qflow import checks
 from qflow.checks import (
     CHECK_NAMES,
     check_ascending_projection,
@@ -30,6 +32,7 @@ from qflow.morseflow import (
     run_flow,
     uniform_schedule,
 )
+from qflow.qspace import make_qpoint, optimal_matching
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,45 @@ def test_value_space_checks_pass():
         res = fn(rng, 50)
         assert res.passed, res.detail
         assert res.margin >= 0.0 or fn is check_sorted_matching
+
+
+def sorted_matching_by_loop(rng, samples=200):
+    """Per-permutation loop reference for `check_sorted_matching`."""
+    worst = 0.0
+    identity_ok = True
+    for _ in range(samples):
+        q = int(rng.integers(2, 7))
+        a = np.sort(rng.normal(size=q))
+        b = np.sort(rng.normal(size=q))
+        match = optimal_matching(make_qpoint(a), make_qpoint(b))
+        identity_ok &= match.sigma == tuple(range(q))
+        best = min(
+            float(((a - b[list(p)]) ** 2).sum())
+            for p in itertools.permutations(range(q))
+        )
+        worst = max(worst, abs(match.cost - best))
+    detail = f"{samples} samples, largest identity-vs-exhaustive gap {worst:.3e}"
+    if not identity_ok:
+        detail = "non-identity pairing returned for canonical operands"
+    return identity_ok and worst == 0.0, -worst, detail
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sorted_matching_agrees_with_a_permutation_loop(seed):
+    res = check_sorted_matching(np.random.default_rng(seed), 60)
+    ref = sorted_matching_by_loop(np.random.default_rng(seed), 60)
+    assert (res.passed, res.margin, res.detail) == ref
+
+
+def test_sorted_matching_rejects_a_cost_one_ulp_high(monkeypatch):
+    def one_ulp_high(a, b):
+        match = optimal_matching(a, b)
+        return replace(match, cost=float(np.nextafter(match.cost, np.inf)))
+
+    monkeypatch.setattr(checks, "optimal_matching", one_ulp_high)
+    res = check_sorted_matching(np.random.default_rng(3), 20)
+    assert not res.passed
+    assert res.margin < 0.0
 
 
 def test_translation_identity_check_passes():

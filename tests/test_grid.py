@@ -311,6 +311,58 @@ def test_snapshot_round_trip_is_exact(tmp_path):
     assert header == "node_index,x0,v0,v1,v2"
 
 
+def write_snapshot_by_rows(f, path):
+    """Per-row, per-cell reference writer for `write_snapshot_csv`."""
+    d = f.domain
+    cols = ["node_index"]
+    cols += [f"x{i}" for i in range(d.m)]
+    cols += [f"v{i}" for i in range(f.q * f.n)]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for j in range(d.num_nodes):
+            row = [str(j)]
+            row += [format(c, ".17e") for c in d.coords[j]]
+            row += [format(c, ".17e") for c in f.values[j].ravel()]
+            fh.write(",".join(row) + "\n")
+
+
+def assert_same_snapshot_bytes(f, tmp_path):
+    write_snapshot_csv(f, tmp_path / "fast.csv")
+    write_snapshot_by_rows(f, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+EXTREME_VALUES = [-0.0, 5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("m,resolution", [(1, 9), (2, 7)])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_snapshot_bytes_match_a_per_row_writer(tmp_path, m, resolution, q, n):
+    rng = np.random.default_rng(31 + 7 * q + n)
+    d = build_domain(m, resolution)
+    vals = rng.normal(size=(d.num_nodes, q, n))
+    vals.ravel()[:len(EXTREME_VALUES)] = EXTREME_VALUES
+    f = make_grid_function(d, vals)
+    assert_same_snapshot_bytes(f, tmp_path)
+    text = (tmp_path / "fast.csv").read_text()
+    for cell in ("-0.00000000000000000e+00", "4.94065645841246544e-324",
+                 "-1.00000000000000005e+300", "3.33333333333333315e-01"):
+        assert cell in text
+
+
+def test_snapshot_widths_on_one_domain_in_either_order(tmp_path):
+    rng = np.random.default_rng(37)
+    d = build_domain(2, 9)
+    narrow = random_function(rng, d, 1)
+    wide = random_function(rng, d, 3, n=2)
+    for f in (narrow, wide, narrow):
+        assert_same_snapshot_bytes(f, tmp_path)
+    d = build_domain(2, 9)
+    for f in (make_grid_function(d, wide.values), make_grid_function(d, narrow.values)):
+        assert_same_snapshot_bytes(f, tmp_path)
+
+
 def test_snapshot_read_validates_shape(tmp_path):
     d = build_domain(1, 5)
     f = make_grid_function(d, np.zeros((5, 2, 1)))
