@@ -14,14 +14,11 @@ from .qspace import (
     Matching,
     QPoint,
     ascending_projection,
-    branch_mean,
     make_qpoint,
     match_rows,
     matching_distance,
     optimal_matching,
-    qpoint_norm,
     sorted_embedding,
-    translate,
 )
 from .grid import (
     GridDomain,
@@ -63,9 +60,8 @@ from .checks import CHECK_NAMES, CheckResult
 
 __all__ = [
     "__version__",
-    "Matching", "QPoint", "ascending_projection", "branch_mean",
-    "make_qpoint", "match_rows", "matching_distance", "optimal_matching",
-    "qpoint_norm", "sorted_embedding", "translate",
+    "Matching", "QPoint", "ascending_projection", "make_qpoint",
+    "match_rows", "matching_distance", "optimal_matching", "sorted_embedding",
     "GridDomain", "InitialSpec", "QGridFunction", "branch_mean_field",
     "branch_mean_residual", "build_domain", "dirichlet_energy",
     "domain_manifest", "l2_distance_sq", "make_grid_function",

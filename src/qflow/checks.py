@@ -345,11 +345,10 @@ def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResu
     for f in traj.snapshots[1:]:
         if not np.array_equal(f.values[bnd], ref):
             dev = max(dev, float(np.max(np.abs(f.values[bnd] - ref))))
-    if traj.snapshots[0].n == 1 and traj.completed_steps > 0:
-        for t in rng.uniform(0.0, traj.horizon, size=times):
-            g = evaluate_at_time(traj, float(t))
-            if not np.array_equal(g.values[bnd], ref):
-                dev = max(dev, float(np.max(np.abs(g.values[bnd] - ref))))
+    for t in rng.uniform(0.0, traj.horizon, size=times):
+        g = evaluate_at_time(traj, float(t))
+        if not np.array_equal(g.values[bnd], ref):
+            dev = max(dev, float(np.max(np.abs(g.values[bnd] - ref))))
     return CheckResult(
         "boundary_trace",
         dev == 0.0,

@@ -163,10 +163,10 @@ def validate(config: RunConfig):
             )
         if any(not g for g in config.branch_coeffs):
             raise ConfigError("branch_coeffs", "empty coefficient group")
-    if config.h <= 0:
-        raise ConfigError("h", "must be positive")
-    if config.total_time <= 0:
-        raise ConfigError("total_time", "must be positive")
+    if not 0 < config.h < math.inf:
+        raise ConfigError("h", "must be positive and finite")
+    if not 0 < config.total_time < math.inf:
+        raise ConfigError("total_time", "must be positive and finite")
     if config.steps < 1:
         raise ConfigError("steps", "must be at least 1")
     if config.seed < 0:
@@ -466,8 +466,9 @@ def _ladder_rows(config: RunConfig, errors_fn, pool_jobs: int):
     cells = [(config.resolution, n) for n in config.sweep_steps]
     cells += [(r, config.spatial_steps) for r in config.sweep_resolutions]
 
-    if pool_jobs > 1:
-        with ProcessPoolExecutor(max_workers=pool_jobs) as pool:
+    workers = min(pool_jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(errors_fn, cells))
     else:
         outcomes = [errors_fn(cell) for cell in cells]

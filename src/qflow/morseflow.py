@@ -9,9 +9,12 @@ pairing the identity and a single sweep is exact.  Two step size schedules
 are provided: a geometric one where step k uses tau = h / 2^k, and a
 uniform one with tau = T / N.
 
-The interpolated trajectory of the geometric schedule holds each state on
-a plateau and crosses to the next state on a short terminal ramp through
-the sorted embedding; the uniform schedule interpolates linearly.
+The interpolated trajectory crosses from state k-1 to state k over the
+window `StepSchedule.window(k)`: all of step k's wall time for the uniform
+schedule, its terminal tau_k for the geometric one, which holds each state
+on a plateau before it.  Across a window each node's branches move linearly
+along an optimal pairing, a constant-speed geodesic of the matching metric,
+for every value dimension n.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ class StepSchedule:
             raise ValueError("mode must be 'geometric' or 'uniform'")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.h <= 0 or self.total <= 0:
-            raise ValueError("step sizes must be positive")
+        if not (0 < self.h < math.inf and 0 < self.total < math.inf):
+            raise ValueError("step sizes must be positive and finite")
 
     def tau(self, k: int) -> float:
         """Step size of step k, 1 <= k <= steps."""
@@ -71,6 +74,17 @@ class StepSchedule:
         if self.mode == "geometric":
             return self.h * 0.5**k
         return self.h
+
+    def window(self, k: int) -> tuple:
+        """Wall-time window (start, end) over which the interpolated
+        trajectory crosses from state k - 1 to state k: the whole step
+        ((k-1) h, k h) for the uniform schedule, its terminal tau_k for the
+        geometric one."""
+        tau = self.tau(k)
+        end = k * self.h
+        if self.mode == "geometric":
+            return end - tau, end
+        return (k - 1) * self.h, end
 
 
 def geometric_schedule(h: float, steps: int) -> StepSchedule:
@@ -168,17 +182,6 @@ class FlowTrajectory:
     def effective_time(self) -> float:
         """Sum of the step sizes actually taken."""
         return math.fsum(r.tau for r in self.reports)
-
-    def ramp_intervals(self) -> tuple:
-        """Terminal crossing windows of the geometric interpolation."""
-        if self.schedule.mode != "geometric":
-            return ()
-        h = self.schedule.h
-        out = []
-        for k in range(1, self.completed_steps + 1):
-            end = k * h
-            out.append((end - self.schedule.tau(k), end))
-        return tuple(out)
 
 
 class _ChainState:
@@ -371,26 +374,30 @@ def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
     return FlowTrajectory(schedule, tuple(snapshots), tuple(reports))
 
 
-def _blend_sorted(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:
-    """Convex combination through the sorted embedding.  Both rows are
-    ascending and both weights lie in [0, 1]; rounding is monotone, so the
-    blend is ascending too and needs no projection onto the cone.
-    Boundary rows are pinned rather than blended: both endpoints share them
-    bitwise and (1-a)*v + a*v can drift by an ulp."""
-    emb_prev = prev.values[:, :, 0]
-    emb_next = nxt.values[:, :, 0]
-    blend = (1.0 - a) * emb_prev + a * emb_next
+def _blend(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:
+    """(1 - a) prev + a next, with the branches of each node paired
+    optimally, then canonicalized.  For n = 1 both rows are sorted and the
+    identity pairing is optimal.  Boundary rows are pinned rather than
+    blended: both endpoints share them bitwise and (1-a)*v + a*v can drift
+    by an ulp."""
+    prev_vals, next_vals = prev.values, nxt.values
+    if prev.n > 1:
+        sigma = match_rows(prev_vals, next_vals)[0]
+        next_vals = np.take_along_axis(next_vals, sigma[:, :, None], axis=1)
+    blend = (1.0 - a) * prev_vals + a * next_vals
     bnd = prev.domain.is_boundary
-    blend[bnd] = emb_prev[bnd]
-    return QGridFunction(prev.domain, blend[:, :, None])
+    blend[bnd] = prev_vals[bnd]
+    return QGridFunction(prev.domain, blend)
 
 
 def evaluate_at_time(traj: FlowTrajectory, t: float) -> QGridFunction:
     """State of the interpolated trajectory at wall time t.
 
-    Geometric mode: constant plateaus with a crossing ramp of length tau_k
-    at the end of each step window.  Uniform mode: linear interpolation
-    between consecutive states.  Blending requires n = 1.
+    With k the step whose wall time contains t, the trajectory is state
+    k - 1 up to the start of `StepSchedule.window(k)`, state k from its end,
+    and the matched blend of the two inside it: linear interpolation for
+    the uniform schedule, a plateau and a terminal ramp of length tau_k for
+    the geometric one.  Works for every value shape.
     """
     sched = traj.schedule
     completed = traj.completed_steps
@@ -402,29 +409,14 @@ def evaluate_at_time(traj: FlowTrajectory, t: float) -> QGridFunction:
     if completed == 0:
         return traj.snapshots[0]
 
-    if sched.mode == "uniform":
-        i = min(int(t / sched.h), completed - 1)
-        a = (t - i * sched.h) / sched.h
-        a = min(max(a, 0.0), 1.0)
-        if a == 0.0:
-            return traj.snapshots[i]
-        if a == 1.0:
-            return traj.snapshots[i + 1]
-        if traj.snapshots[0].n != 1:
-            raise ValueError("interpolation requires n = 1")
-        return _blend_sorted(traj.snapshots[i], traj.snapshots[i + 1], a)
-
     k = min(int(t / sched.h) + 1, completed)
-    ramp_len = sched.tau(k)
-    ramp_start = k * sched.h - ramp_len
-    if t <= ramp_start:
+    start, end = sched.window(k)
+    if t <= start:
         return traj.snapshots[k - 1]
-    if t >= k * sched.h:
+    if t >= end:
         return traj.snapshots[k]
-    if traj.snapshots[0].n != 1:
-        raise ValueError("interpolation requires n = 1")
-    a = (t - ramp_start) / ramp_len
-    return _blend_sorted(traj.snapshots[k - 1], traj.snapshots[k], a)
+    a = (t - start) / sched.tau(k)
+    return _blend(traj.snapshots[k - 1], traj.snapshots[k], a)
 
 
 def step_estimate_margin(report: StepReport) -> float:

@@ -27,12 +27,8 @@ __all__ = [
     "match_rows",
     "optimal_matching",
     "matching_distance",
-    "branch_mean",
-    "translate",
     "sorted_embedding",
     "ascending_projection",
-    "qpoint_norm",
-    "approx_equal",
 ]
 
 
@@ -169,19 +165,6 @@ def matching_distance(a: QPoint, b: QPoint) -> float:
     return float(np.sqrt(optimal_matching(a, b).cost))
 
 
-def branch_mean(a: QPoint) -> np.ndarray:
-    """Average of the q branch points, a vector in R^n."""
-    return a.points.mean(axis=0)
-
-
-def translate(a: QPoint, shift) -> QPoint:
-    """Add the same vector to every branch point."""
-    v = np.asarray(shift, dtype=float).reshape(-1)
-    if v.size != a.n:
-        raise ValueError(f"shift must have dimension {a.n}")
-    return QPoint(a.points + v[None, :])
-
-
 def sorted_embedding(a: QPoint) -> np.ndarray:
     """The ascending tuple of values, an isometric image in R^q (n = 1)."""
     if a.n != 1:
@@ -212,16 +195,3 @@ def ascending_projection(values) -> np.ndarray:
             counts[-1] += c
     means = [s / c for s, c in zip(sums, counts)]
     return np.repeat(means, counts).astype(float)
-
-
-def qpoint_norm(a: QPoint) -> float:
-    """Distance to q copies of the origin: sqrt of the sum of |p_i|^2."""
-    return float(np.sqrt((a.points**2).sum()))
-
-
-def approx_equal(a: QPoint, b: QPoint, tol: float = 1e-12) -> bool:
-    """Coordinatewise comparison of the canonical forms."""
-    if a.q != b.q or a.n != b.n:
-        return False
-    return bool(np.max(np.abs(a.points - b.points), initial=0.0) <= tol)
-

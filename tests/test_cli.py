@@ -128,6 +128,10 @@ def test_parse_rejects_malformed_input():
         ({"spatial_steps": 0}, "spatial_steps"),
         ({"eigen_index": 0}, "eigen_index"),
         ({"jobs": 0}, "jobs"),
+        ({"h": float("nan")}, "h"),
+        ({"h": float("inf")}, "h"),
+        ({"total_time": float("nan")}, "total_time"),
+        ({"total_time": float("inf")}, "total_time"),
     ],
 )
 def test_validate_names_the_offending_key(changes, key):
@@ -371,6 +375,33 @@ def test_sweep_with_worker_pool_matches_serial(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(pooled),
                  "--jobs", "2"]) == 0
     assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
+
+
+def test_worker_pool_is_capped_at_the_ladder_cells(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Serial stand-in for ProcessPoolExecutor that starts no process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path, SWEEP)
+    for command in ("sweep", "oracle"):
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / command), "--jobs", "500"]) == 0
+    # SWEEP holds two temporal and two spatial cells
+    assert pools == [4, 4]
 
 
 def test_sweep_requires_the_interval(tmp_path, capsys):

@@ -17,6 +17,7 @@ from qflow.grid import (
     sample_initial,
 )
 from qflow import morseflow, qspace
+from qflow.checks import check_boundary_trace, check_holder
 from qflow.morseflow import (
     FlowTrajectory,
     StepReport,
@@ -63,6 +64,11 @@ def test_schedule_validation():
         geometric_schedule(0.25, 0)
     with pytest.raises(ValueError, match="steps"):
         uniform_schedule(0.25, -2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            geometric_schedule(bad, 4)
+        with pytest.raises(ValueError, match="finite"):
+            uniform_schedule(bad, 4)
 
 
 # --- single step -----------------------------------------------------------
@@ -338,7 +344,7 @@ def test_geometric_interpolation_has_plateaus_and_ramps():
     traj = FlowTrajectory(
         sched, (fa, fb, fc), (fake_report(1, 0.5), fake_report(2, 0.25))
     )
-    assert traj.ramp_intervals() == ((0.5, 1.0), (1.75, 2.0))
+    assert [sched.window(k) for k in (1, 2)] == [(0.5, 1.0), (1.75, 2.0)]
     # plateau of step 1, then its terminal ramp
     assert evaluate_at_time(traj, 0.25) is fa
     assert evaluate_at_time(traj, 0.5) is fa
@@ -374,6 +380,102 @@ def test_interpolation_covers_only_the_completed_horizon():
     evaluate_at_time(traj, 0.25 / 8)  # end of the completed step is fine
     with pytest.raises(ValueError):
         evaluate_at_time(traj, 0.25)
+
+
+def sorted_blend_reference(traj, t):
+    """Interpolation of scalar branches through the sorted embedding, one
+    branch per schedule, kept as an independent reference."""
+    sched, snaps = traj.schedule, traj.snapshots
+    t = min(max(t, 0.0), traj.horizon)
+
+    def blend(prev, nxt, a):
+        emb = (1.0 - a) * prev.values[:, :, 0] + a * nxt.values[:, :, 0]
+        bnd = prev.domain.is_boundary
+        emb[bnd] = prev.values[bnd, :, 0]
+        return emb[:, :, None]
+
+    if sched.mode == "uniform":
+        i = min(int(t / sched.h), traj.completed_steps - 1)
+        a = min(max((t - i * sched.h) / sched.h, 0.0), 1.0)
+        if a in (0.0, 1.0):
+            return snaps[i + int(a)].values
+        return blend(snaps[i], snaps[i + 1], a)
+    k = min(int(t / sched.h) + 1, traj.completed_steps)
+    ramp_start = k * sched.h - sched.tau(k)
+    if t <= ramp_start:
+        return snaps[k - 1].values
+    if t >= k * sched.h:
+        return snaps[k].values
+    return blend(snaps[k - 1], snaps[k], (t - ramp_start) / sched.tau(k))
+
+
+@pytest.mark.parametrize("sched", [
+    uniform_schedule(0.1, 7),
+    uniform_schedule(0.3, 11),
+    geometric_schedule(0.3, 6),
+], ids=["uniform-0.1/7", "uniform-0.3/11", "geometric-0.3"])
+def test_scalar_interpolation_matches_the_sorted_blend_bitwise(sched):
+    d = build_domain(1, 21)
+    spec = InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),
+                                                  (0.0, 0.5), (-0.5, 2.0)))
+    traj = run_flow(sample_initial(spec, d, 3), sched)
+    rng = np.random.default_rng(67)
+    times = list(rng.uniform(0.0, traj.horizon, size=200))
+    for k in range(1, sched.steps + 1):
+        start, end = sched.window(k)
+        times += [np.nextafter(start, end), np.nextafter(end, start)]
+        # a window's ends are the states themselves; at a uniform window
+        # end the reference can stop an ulp short of state k, where
+        # (k h - (k-1) h) / h rounds below 1
+        assert evaluate_at_time(traj, start) is traj.snapshots[k - 1]
+        assert evaluate_at_time(traj, end) is traj.snapshots[k]
+    for t in times:
+        got = evaluate_at_time(traj, float(t)).values
+        assert got.tobytes() == sorted_blend_reference(traj, float(t)).tobytes()
+
+
+def sqrt_branched(domain, rng, perturbation=1e-2):
+    """{+sqrt(z), -sqrt(z)} as two points of R^2 per node (z = x0 + i x1),
+    with a small seeded perturbation of the interior branch values."""
+    root = np.sqrt(domain.coords[:, 0] + 1j * domain.coords[:, 1])
+    vals = np.empty((domain.num_nodes, 2, 2))
+    vals[:, 0, 0], vals[:, 0, 1] = root.real, root.imag
+    vals[:, 1] = -vals[:, 0]
+    vals[domain.interior] += perturbation * rng.normal(
+        size=(len(domain.interior), 2, 2))
+    return make_grid_function(domain, vals)
+
+
+@pytest.mark.parametrize("sched", [uniform_schedule(0.05, 16),
+                                   geometric_schedule(0.01, 6)],
+                         ids=["uniform", "geometric"])
+def test_vector_interpolation_is_a_matched_geodesic(sched):
+    d = build_domain(2, 21)
+    rng = np.random.default_rng(5)
+    traj = run_flow(sqrt_branched(d, rng), sched)
+    assert traj.converged
+    for k in range(1, sched.steps + 1):
+        start, end = sched.window(k)
+        mid = evaluate_at_time(traj, 0.5 * (start + end))
+        quarter = 0.25 * traj.penalties[k - 1]
+        assert quarter > 0.0
+        for endpoint in traj.snapshots[k - 1:k + 1]:
+            assert l2_distance_sq(mid, endpoint) == pytest.approx(
+                quarter, rel=1e-12)
+    bnd = d.is_boundary
+    for t in rng.uniform(0.0, traj.horizon, size=20):
+        g = evaluate_at_time(traj, float(t))
+        assert np.array_equal(g.values[bnd], traj.snapshots[0].values[bnd])
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_vector_flow_passes_the_time_regularity_checks(seed):
+    d = build_domain(2, 21)
+    rng = np.random.default_rng(seed)
+    traj = run_flow(sqrt_branched(d, rng), uniform_schedule(0.05, 16))
+    holder = check_holder(traj, rng)
+    assert holder.passed and holder.margin >= 0.0
+    assert check_boundary_trace(traj, rng).passed
 
 
 # --- a priori bounds -------------------------------------------------------
