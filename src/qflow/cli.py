@@ -396,25 +396,22 @@ def cmd_verify(config: RunConfig) -> int:
 
     traj = _apply_injection(run_flow(make_initial(config, domain), schedule),
                             config)
-    if config.preset.startswith("symmetric"):
-        traj_sym = traj
-    else:
-        sym_cfg = replace(config, preset="symmetric-cos", coeffs=(),
-                          branch_coeffs=(), q=2)
-        traj_sym = run_flow(make_initial(sym_cfg, domain), schedule)
-    q1_cfg = replace(config, mode="uniform", q=1, preset="branches",
-                     coeffs=(), branch_coeffs=((1.0, 0.0, -1.0),))
-    traj_q1 = run_flow(make_initial(q1_cfg, domain),
-                       uniform_schedule(config.total_time, config.steps))
-
     ctx = {
         "config": config,
         "rng": np.random.default_rng(config.seed),
         "domain": domain,
         "traj": traj,
-        "traj_sym": traj_sym,
-        "traj_q1": traj_q1,
     }
+    # a symmetric preset is its own symmetric run: the checks fall back to
+    # traj, and max_principle counts it once
+    if not config.preset.startswith("symmetric"):
+        sym_cfg = replace(config, preset="symmetric-cos", coeffs=(),
+                          branch_coeffs=(), q=2)
+        ctx["traj_sym"] = run_flow(make_initial(sym_cfg, domain), schedule)
+    q1_cfg = replace(config, mode="uniform", q=1, preset="branches",
+                     coeffs=(), branch_coeffs=((1.0, 0.0, -1.0),))
+    ctx["traj_q1"] = run_flow(make_initial(q1_cfg, domain),
+                              uniform_schedule(config.total_time, config.steps))
     results = [_evaluate(n, ctx) for n in _selected(config, checks.CHECK_NAMES)]
     all_passed = all(r.passed for r in results)
 

@@ -3,11 +3,13 @@
 Each step minimizes  dirichlet_energy(g) + l2_distance_sq(g, f_prev) / tau
 over grid functions that agree with f_prev on the boundary.  The solver
 alternates between recomputing optimal branch pairings and a direct sparse
-(LU) solve of the resulting convex quadratic, and stops when the pairings
-no longer change; for n = 1 the canonical (sorted) storage makes every
-pairing the identity and a single sweep is exact.  Two step size schedules
-are provided: a geometric one where step k uses tau = h / 2^k, and a
-uniform one with tau = T / N.
+(LU) solve of the resulting convex quadratic, one block solve over every
+value column per sweep, and stops when the pairings no longer change or a
+sweep no longer lowers the objective.  For n = 1 the canonical (sorted)
+storage makes every pairing the identity, so a single sweep is exact and
+no pairing is recomputed after it.  Two step size schedules are provided:
+a geometric one where step k uses tau = h / 2^k, and a uniform one with
+tau = T / N.
 
 The interpolated trajectory crosses from state k-1 to state k over the
 window `StepSchedule.window(k)`: all of step k's wall time for the uniform
@@ -100,8 +102,6 @@ def uniform_schedule(total_time: float, steps: int) -> StepSchedule:
     return StepSchedule("uniform", float(total_time) / steps, steps, float(total_time))
 
 
-# relative objective decrease below which the pairing iteration stops
-_OUTER_TOL = 1e-12
 # pairing sweeps a step may take before it is flagged as not converged
 _MAX_OUTER = 100
 
@@ -254,33 +254,31 @@ def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
     node_nu[j, i] of f_prev.  The objective is then a convex quadratic in
     the interior branch values, solved directly by sparse LU.  The matrix
     depends on tau and the edge pairings only.  When every edge pairing is
-    the identity it is q copies of one scalar block: that block is
-    factored, and each (branch, coordinate) column is solved with it
-    separately, which keeps +/- symmetric data exactly symmetric.  Returns
-    the new node values and the largest residual of the linear system.
+    the identity it is q copies of one scalar block over the interior
+    nodes and the right-hand side has one column per (branch, coordinate);
+    otherwise the columns are the n coordinates of every branch lane.
+    Either way all columns go through one block solve, in which a negated
+    column is solved with the same arithmetic, so +/- data (q = 2) stay
+    exactly symmetric.  Returns the new node values and the largest
+    residual of the block system.
     """
     qq, nn = prev_vals.shape[1:]
     if (edge_sigma == np.arange(qq)).all():
         sigma, key = np.zeros((domain.num_edges, 1), dtype=np.int64), (tau, None)
-        columns = [np.s_[:, i, c] for i in range(qq) for c in range(nn)]
+        shape = (-1, qq * nn)
     else:
         sigma, key = edge_sigma, (tau, edge_sigma.tobytes())
-        columns = [np.s_[:, :, c] for c in range(nn)]
+        shape = (-1, nn)
     matrix, couple, lu = cache.get(
         domain, key, lambda: _frozen_system(domain, tau, sigma))
 
     w_p = domain.delta**domain.m / tau
     matched = prev_vals[domain.interior[:, None], node_nu]
-    x = np.empty_like(matched)
-    residual = 0.0
-    for col in columns:
-        b = w_p * matched[col].ravel() + couple @ prev_vals[col].ravel()
-        sol = lu.solve(b)
-        residual = max(residual, float(np.max(np.abs(matrix @ sol - b))))
-        x[col] = sol.reshape(x[col].shape)
+    rhs = w_p * matched.reshape(shape) + couple @ prev_vals.reshape(shape)
+    sol = lu.solve(rhs)
     vals = prev_vals.copy()
-    vals[domain.interior] = x
-    return vals, residual
+    vals[domain.interior] = sol.reshape(matched.shape)
+    return vals, float(np.max(np.abs(matrix @ sol - rhs)))
 
 
 def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
@@ -288,12 +286,14 @@ def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
     """One implicit step from f_prev.
 
     Alternates frozen-pairing solves with pairing updates until the
-    pairings of the new iterate are the ones it was solved with (the first
-    sweep for n = 1), the objective stops decreasing by _OUTER_TOL, or it
-    reaches the floating point floor; a step still moving after _MAX_OUTER
-    sweeps is flagged as not converged.  Returns (f_next, report) with the
-    boundary of f_prev preserved and objective value never above the
-    starting one, so the Dirichlet energy cannot increase across the step.
+    pairings of the new iterate are the ones it was solved with, or a sweep
+    no longer lowers the objective (its floating point floor); a step still
+    moving after _MAX_OUTER sweeps is flagged as not converged.  For n = 1
+    sorted storage makes the identity pairing optimal, so the first
+    accepted sweep ends the step without recomputing any pairing.  Returns
+    (f_next, report) with the boundary of f_prev preserved and objective
+    value never above the starting one, so the Dirichlet energy cannot
+    increase across the step.
     `_factor` lets a chain of steps share one factorization and hand each
     step the energy of its starting state.
     """
@@ -315,13 +315,9 @@ def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
     prev_vals = f_prev.values
     pairings = _pairings(prev_vals, prev_vals, domain)
     trace = [energy_before]  # objective at f_prev: penalty vanishes
-    energy_after, penalty = energy_before, 0.0
-    converged = False
-    outer = 0
-    stationarity = 0.0
-    current = f_prev
-    while outer < _MAX_OUTER:
-        outer += 1
+    current, energy_after, penalty = f_prev, energy_before, 0.0
+    converged = True
+    for outer in range(1, _MAX_OUTER + 1):
         vals, stationarity = _solve_frozen(prev_vals, domain, tau, *pairings, cache)
         candidate = QGridFunction(domain, vals)
         energy = dirichlet_energy(candidate)
@@ -329,18 +325,18 @@ def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
         value = energy + dist / tau
         if value >= trace[-1]:
             # floating point floor reached; keep the last accepted iterate
-            converged = True
             break
         current, energy_after, penalty = candidate, energy, dist
         trace.append(value)
-        if trace[-2] - value <= _OUTER_TOL * max(1.0, abs(trace[-2])):
-            converged = True
+        if f_prev.n == 1:
+            # sorted storage keeps the identity pairing optimal
             break
         solved_with = pairings
         pairings = _pairings(candidate.values, prev_vals, domain)
         if all(np.array_equal(p, s) for p, s in zip(pairings, solved_with)):
-            converged = True
             break
+    else:
+        converged = False
 
     cache.state, cache.energy = current, energy_after
     report = StepReport(

@@ -226,3 +226,19 @@ def test_oracle_equivalence_requires_single_branch_uniform(healthy):
     )
     good = run_flow(f0, uniform_schedule(0.1, 4))
     assert check_oracle_equivalence(good).passed
+
+
+def test_oracle_equivalence_detects_a_moved_value():
+    d = build_domain(1, 21)
+    f0 = sample_initial(
+        InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),)), d, 1
+    )
+    good = run_flow(f0, uniform_schedule(0.1, 4))
+    vals = good.snapshots[2].values.copy()
+    vals[d.interior[5], 0, 0] += 1e-6
+    snaps = list(good.snapshots)
+    snaps[2] = QGridFunction(d, vals)
+    bad = FlowTrajectory(good.schedule, tuple(snaps), good.reports)
+    res = check_oracle_equivalence(bad)
+    assert not res.passed
+    assert res.margin < 0.0

@@ -316,6 +316,9 @@ def test_verify_runs_the_full_battery(tmp_path):
     assert names == list(CHECK_NAMES)
     assert payload["passed"] is True
     assert all(c["passed"] for c in payload["checks"])
+    # the symmetric preset is its own symmetric run, counted once
+    detail = payload["checks"][names.index("max_principle")]["detail"]
+    assert detail.startswith("2 uniform run(s)")
 
 
 def test_verify_reports_injected_failures(tmp_path, capsys):

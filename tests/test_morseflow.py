@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from qflow.grid import (
     InitialSpec,
@@ -142,9 +143,18 @@ def test_symmetric_step_keeps_the_mean_at_zero():
     assert max(np.max(np.abs(branch_mean_field(f))) for f in traj.snapshots) == 0.0
 
 
-def test_single_valued_step_takes_one_sweep():
+def test_single_valued_step_takes_one_sweep(monkeypatch):
     """For n = 1 the sorted identity pairing is optimal, so the first
-    frozen-pairing solve is already the pairing fixed point."""
+    frozen-pairing solve is already the pairing fixed point, and no
+    pairing is recomputed to confirm it."""
+    calls = []
+    pairings = morseflow._pairings
+
+    def counted(*args):
+        calls.append(args)
+        return pairings(*args)
+
+    monkeypatch.setattr(morseflow, "_pairings", counted)
     rng = np.random.default_rng(39)
     d = build_domain(1, 31)
     f = make_grid_function(d, rng.normal(0.0, 1.0, size=(31, 3, 1)))
@@ -152,6 +162,58 @@ def test_single_valued_step_takes_one_sweep():
     assert report.converged
     assert report.outer_iterations == 1
     assert len(report.objective_trace) == 2
+    assert len(calls) == 1
+
+
+def _solve_by_column(prev_vals, domain, tau, edge_sigma, node_nu):
+    """Reference for the block solve: one LU solve per (branch, coordinate)
+    column when every edge pairing is the identity, one per coordinate of
+    the lane-coupled system otherwise.  Returns the interior values."""
+    qq, nn = prev_vals.shape[1:]
+    if (edge_sigma == np.arange(qq)).all():
+        sigma = np.zeros((domain.num_edges, 1), dtype=np.int64)
+        columns = [np.s_[:, i, c] for i in range(qq) for c in range(nn)]
+    else:
+        sigma = edge_sigma
+        columns = [np.s_[:, :, c] for c in range(nn)]
+    matrix, couple = morseflow._frozen_system(domain, tau, sigma)
+    lu = splu(matrix)
+    w_p = domain.delta**domain.m / tau
+    matched = prev_vals[domain.interior[:, None], node_nu]
+    x = np.empty_like(matched)
+    for col in columns:
+        b = w_p * matched[col].ravel() + couple @ prev_vals[col].ravel()
+        x[col] = lu.solve(b).reshape(x[col].shape)
+    return x
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q, n", [(1, 1), (2, 1), (3, 1), (6, 1),
+                                  (2, 2), (3, 2), (2, 3)])
+def test_block_solve_matches_per_column_solves(m, q, n):
+    """The one block solve of a sweep agrees with solving each column on
+    its own.  Multi-column LU solves may round differently from single
+    ones, so the bound is a few ulps, not bit equality."""
+    rng = np.random.default_rng(100 * m + 10 * q + n)
+    d = build_domain(m, 9 if m == 2 else 15)
+    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
+
+    def perms(rows):
+        return rng.permuted(np.tile(np.arange(q), (rows, 1)), axis=1)
+
+    node_nu = perms(len(d.interior))
+    paths = [np.tile(np.arange(q), (d.num_edges, 1))]
+    if q > 1:
+        paths.append(perms(d.num_edges))
+        assert (paths[-1] != np.arange(q)).any()
+    for edge_sigma in paths:
+        vals, residual = morseflow._solve_frozen(
+            f.values, d, 0.05, edge_sigma, node_nu, morseflow._ChainState())
+        want = _solve_by_column(f.values, d, 0.05, edge_sigma, node_nu)
+        tol = 8 * np.spacing(np.max(np.abs(want)))
+        assert np.max(np.abs(vals[d.interior] - want)) <= tol
+        assert np.array_equal(vals[d.is_boundary], f.values[d.is_boundary])
+        assert residual <= 1e-10
 
 
 def test_single_valued_step_matches_direct_chain():

@@ -72,6 +72,18 @@ def test_chain_decays_discrete_modes_geometrically(index):
     assert np.max(np.abs(out - expected)) <= 1e-12
 
 
+def test_chain_steps_one_at_a_time_bit_for_bit():
+    """Each step reads only the previous state, so chaining single steps
+    reproduces one call over all of them exactly."""
+    rng = np.random.default_rng(29)
+    d = build_domain(1, 41)
+    u0 = rng.normal(0.0, 1.0, size=d.num_nodes)
+    u = u0
+    for k in range(1, 9):
+        u = implicit_euler_chain(d, u, [0.03])
+        assert np.array_equal(u, implicit_euler_chain(d, u0, [0.03] * k))
+
+
 def test_chain_and_brute_force_solve_the_same_single_step():
     rng = np.random.default_rng(31)
     d = build_domain(1, 5)
