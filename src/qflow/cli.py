@@ -17,7 +17,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,18 +100,6 @@ def _parse_value(key: str, raw: str):
     raise ConfigError(key, "unknown configuration key")
 
 
-def _format_value(key: str, value) -> str:
-    if key == "branch_coeffs":
-        return ";".join(",".join(repr(c) for c in g) for g in value)
-    if isinstance(value, tuple):
-        return ",".join(
-            repr(v) if isinstance(v, float) else str(v) for v in value
-        )
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def parse_config(text: str) -> RunConfig:
     """key=value lines to a validated RunConfig."""
     known = {f.name for f in fields(RunConfig)}
@@ -130,14 +118,6 @@ def parse_config(text: str) -> RunConfig:
     config = replace(RunConfig(), **values)
     validate(config)
     return config
-
-
-def serialize_config(config: RunConfig) -> str:
-    lines = [
-        f"{f.name}={_format_value(f.name, getattr(config, f.name))}"
-        for f in fields(RunConfig)
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def validate(config: RunConfig):
@@ -285,27 +265,20 @@ def _evaluate(name: str, ctx: dict) -> checks.CheckResult:
     raise ValueError(f"unknown check {name!r}")
 
 
-def _print_results(results):
+def _write_report(path: Path, payload: dict, results):
+    """Write the JSON report of a run or verify command with its check
+    results, print one line per check and name the failing checks on
+    stderr."""
+    payload = {**payload, "checks": [asdict(r) for r in results]}
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"check {res.name}: {status} margin={res.margin:.3e} ({res.detail})")
-
-
-def _check_payload(results):
-    return [
-        {"name": r.name, "passed": r.passed, "margin": r.margin,
-         "detail": r.detail}
-        for r in results
-    ]
-
-
-def _config_payload(config: RunConfig) -> dict:
-    out = {}
-    for f in fields(RunConfig):
-        v = getattr(config, f.name)
-        out[f.name] = list(list(g) if isinstance(g, tuple) else g for g in v) \
-            if isinstance(v, tuple) else v
-    return out
+    failing = [r.name for r in results if not r.passed]
+    if failing:
+        print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
 
 
 def _write_energy_csv(path, traj: FlowTrajectory):
@@ -352,42 +325,29 @@ def cmd_run(config: RunConfig) -> int:
         "traj": traj,
     }
     results = [_evaluate(n, ctx) for n in _selected(config, _run_check_names(config))]
-    all_passed = all(r.passed for r in results)
     complete = traj.converged
+    passed = all(r.passed for r in results) and complete
 
-    payload = {
+    # ahead of the report's FAILED line on stderr
+    if not complete:
+        print("run: trajectory truncated by a non-converged step", file=sys.stderr)
+    _write_report(out_dir / "run.json", {
         "version": __version__,
         "command": "run",
-        "config": _config_payload(config),
+        "config": asdict(config),
         "domain": domain_manifest(domain),
-        "schedule": {
-            "mode": traj.schedule.mode,
-            "h": traj.schedule.h,
-            "steps": traj.schedule.steps,
-            "total": traj.schedule.total,
-        },
+        "schedule": asdict(traj.schedule),
         "completed_steps": traj.completed_steps,
         "converged": complete,
         "effective_time": traj.effective_time,
         "energies": traj.energies,
         "injected": config.inject or None,
         "wall_time_seconds": wall,
-        "checks": _check_payload(results),
-        "passed": bool(all_passed and complete),
-    }
-    with open(out_dir / "run.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _print_results(results)
+        "passed": passed,
+    }, results)
     print(f"run: {traj.completed_steps}/{traj.schedule.steps} steps, "
           f"converged={complete}, artifacts in {out_dir}")
-    if not complete:
-        print("run: trajectory truncated by a non-converged step", file=sys.stderr)
-    failing = [r.name for r in results if not r.passed]
-    if failing:
-        print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
-    return 0 if (all_passed and complete) else 1
+    return 0 if passed else 1
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -413,103 +373,42 @@ def cmd_verify(config: RunConfig) -> int:
     ctx["traj_q1"] = run_flow(make_initial(q1_cfg, domain),
                               uniform_schedule(config.total_time, config.steps))
     results = [_evaluate(n, ctx) for n in _selected(config, checks.CHECK_NAMES)]
-    all_passed = all(r.passed for r in results)
+    passed = all(r.passed for r in results)
 
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
+    _write_report(out_dir / "verify.json", {
         "version": __version__,
         "command": "verify",
-        "config": _config_payload(config),
+        "config": asdict(config),
         "injected": config.inject or None,
-        "checks": _check_payload(results),
-        "passed": bool(all_passed),
-    }
-    with open(out_dir / "verify.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _print_results(results)
-    failing = [r.name for r in results if not r.passed]
-    if failing:
-        print(f"FAILED checks: {', '.join(failing)}", file=sys.stderr)
+        "passed": passed,
+    }, results)
+    if not passed:
         return 1
     print(f"verify: {len(results)} checks passed, report in {out_dir}")
     return 0
 
 
+def _rel_errors(u, exact):
+    """Relative l2 and max errors of u against exact."""
+    diff = u - exact
+    return (float(np.linalg.norm(diff) / np.linalg.norm(exact)),
+            float(np.max(np.abs(diff)) / np.max(np.abs(exact))))
+
+
 def _heat_errors(config: RunConfig, resolution: int, steps: int):
-    """Relative l2 and max errors of the uniform flow's top branch at T
-    against the separated exact solution."""
+    """Relative errors of the uniform flow's top branch at T against the
+    separated exact solution."""
     domain = build_domain(1, resolution)
     cfg = replace(config, m=1, resolution=resolution, steps=steps,
                   mode="uniform", preset="symmetric-cos", q=2,
                   coeffs=(), branch_coeffs=())
     traj = run_flow(make_initial(cfg, domain),
                     uniform_schedule(config.total_time, steps))
-    upper = traj.snapshots[-1].values[:, -1, 0]
     exact = exact_eigen_solution(EigenMode(config.eigen_index),
                                  config.total_time, domain)
-    diff = upper - exact
-    l2 = float(np.linalg.norm(diff) / np.linalg.norm(exact))
-    linf = float(np.max(np.abs(diff)) / np.max(np.abs(exact)))
-    return l2, linf
-
-
-def _ladder_rows(config: RunConfig, errors_fn, pool_jobs: int):
-    """Temporal rows (fixed grid, steps from sweep_steps) then spatial rows
-    (fixed steps, resolutions from sweep_resolutions), with observed orders
-    between consecutive rows of each group."""
-    cells = [(config.resolution, n) for n in config.sweep_steps]
-    cells += [(r, config.spatial_steps) for r in config.sweep_resolutions]
-
-    workers = min(pool_jobs, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(errors_fn, cells))
-    else:
-        outcomes = [errors_fn(cell) for cell in cells]
-
-    rows = []
-    n_t = len(config.sweep_steps)
-    for i, ((resolution, steps), (l2, linf)) in enumerate(zip(cells, outcomes)):
-        tau = config.total_time / steps
-        spatial = i >= n_t
-        first = i == 0 or i == n_t
-        if first or not math.isfinite(l2):
-            order = None
-        else:
-            prev_res, prev_steps = cells[i - 1]
-            prev_l2 = rows[-1]["l2"]
-            if spatial:
-                ratio = (resolution - 1) / (prev_res - 1)
-            else:
-                ratio = steps / prev_steps
-            order = math.log(prev_l2 / l2) / math.log(ratio) \
-                if prev_l2 > 0 and l2 > 0 else None
-        rows.append({"resolution": resolution, "tau": tau, "steps": steps,
-                     "l2": l2, "linf": linf, "order": order})
-    return rows
-
-
-def _write_ladder_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("resolution,tau,N,l2_error_vs_exact,linf_error_vs_exact,"
-                 "observed_order\n")
-        for row in rows:
-            order = "" if row["order"] is None else _FMT(row["order"])
-            fh.write(",".join([
-                str(row["resolution"]), _FMT(row["tau"]), str(row["steps"]),
-                _FMT(row["l2"]), _FMT(row["linf"]), order,
-            ]) + "\n")
-
-
-def _print_ladder(rows, label):
-    print(f"{label}: resolution  N       l2_rel      linf_rel    order")
-    for row in rows:
-        order = "      -" if row["order"] is None else f"{row['order']:7.3f}"
-        print(f"  {row['resolution']:10d}  {row['steps']:6d}  "
-              f"{row['l2']:.4e}  {row['linf']:.4e}  {order}")
+    return _rel_errors(traj.snapshots[-1].values[:, -1, 0], exact)
 
 
 def _flow_errors(config: RunConfig, cell):
@@ -523,6 +422,65 @@ def _flow_errors(config: RunConfig, cell):
         return float("nan"), float("nan")
 
 
+def _chain_errors(config: RunConfig, cell):
+    """Oracle cell worker: the reference chain against the exact mode."""
+    resolution, steps = cell
+    domain = build_domain(1, resolution)
+    mode = EigenMode(config.eigen_index)
+    u0 = exact_eigen_solution(mode, 0.0, domain)
+    u = implicit_euler_chain(domain, u0, [config.total_time / steps] * steps)
+    return _rel_errors(u, exact_eigen_solution(mode, config.total_time, domain))
+
+
+def _ladder(config: RunConfig, name: str, label: str, errors_fn) -> list:
+    """Error ladder of one cell worker: temporal rows (fixed grid, steps
+    from sweep_steps) then spatial rows (fixed steps, resolutions from
+    sweep_resolutions), with observed orders between consecutive rows of
+    each group.  Writes <name>.csv, prints the table and returns the rows
+    (resolution, tau, steps, l2, linf, order)."""
+    cells = [(config.resolution, n) for n in config.sweep_steps]
+    cells += [(r, config.spatial_steps) for r in config.sweep_resolutions]
+
+    workers = min(config.jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(errors_fn, cells))
+    else:
+        outcomes = [errors_fn(cell) for cell in cells]
+
+    rows = []
+    n_t = len(config.sweep_steps)
+    for i, ((resolution, steps), (l2, linf)) in enumerate(zip(cells, outcomes)):
+        order = None
+        if i not in (0, n_t) and math.isfinite(l2):
+            prev_res, prev_steps = cells[i - 1]
+            prev_l2 = rows[-1][3]
+            if i > n_t:
+                ratio = (resolution - 1) / (prev_res - 1)
+            else:
+                ratio = steps / prev_steps
+            if prev_l2 > 0 and l2 > 0:
+                order = math.log(prev_l2 / l2) / math.log(ratio)
+        rows.append((resolution, config.total_time / steps, steps, l2, linf,
+                     order))
+
+    path = Path(config.out) / f"{name}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("resolution,tau,N,l2_error_vs_exact,linf_error_vs_exact,"
+                 "observed_order\n")
+        for resolution, tau, steps, l2, linf, order in rows:
+            order = "" if order is None else _FMT(order)
+            fh.write(f"{resolution},{_FMT(tau)},{steps},{_FMT(l2)},"
+                     f"{_FMT(linf)},{order}\n")
+    print(f"{name} ({label}): resolution  N       l2_rel      linf_rel    order")
+    for resolution, _, steps, l2, linf, order in rows:
+        order = "      -" if order is None else f"{order:7.3f}"
+        print(f"  {resolution:10d}  {steps:6d}  {l2:.4e}  {linf:.4e}  {order}")
+    print(f"{name}: table in {path}")
+    return rows
+
+
 def cmd_sweep(config: RunConfig) -> int:
     if config.m != 1:
         raise ConfigError("m", "sweep compares against the interval exact "
@@ -531,41 +489,17 @@ def cmd_sweep(config: RunConfig) -> int:
         raise ConfigError("eigen_index", "the flow sweep tracks the ground "
                                          "mode; use the oracle command for "
                                          "higher modes")
-    rows = _ladder_rows(config, functools.partial(_flow_errors, config),
-                        config.jobs)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_ladder_csv(out_dir / "sweep.csv", rows)
-    _print_ladder(rows, "sweep (flow vs exact)")
-    print(f"sweep: table in {out_dir / 'sweep.csv'}")
-    bad = any(not math.isfinite(row["l2"]) for row in rows)
-    return 1 if bad else 0
-
-
-def _chain_errors(config: RunConfig, cell):
-    resolution, steps = cell
-    domain = build_domain(1, resolution)
-    mode = EigenMode(config.eigen_index)
-    u0 = exact_eigen_solution(mode, 0.0, domain)
-    tau = config.total_time / steps
-    u = implicit_euler_chain(domain, u0, [tau] * steps)
-    exact = exact_eigen_solution(mode, config.total_time, domain)
-    diff = u - exact
-    l2 = float(np.linalg.norm(diff) / np.linalg.norm(exact))
-    linf = float(np.max(np.abs(diff)) / np.max(np.abs(exact)))
-    return l2, linf
+    rows = _ladder(config, "sweep", "flow vs exact",
+                   functools.partial(_flow_errors, config))
+    # a failed cell has a NaN l2 error
+    return 0 if all(math.isfinite(row[3]) for row in rows) else 1
 
 
 def cmd_oracle(config: RunConfig) -> int:
     if config.m != 1:
         raise ConfigError("m", "the reference chain is built for m=1")
-    rows = _ladder_rows(config, functools.partial(_chain_errors, config),
-                        config.jobs)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_ladder_csv(out_dir / "oracle.csv", rows)
-    _print_ladder(rows, "oracle (reference chain vs exact)")
-    print(f"oracle: table in {out_dir / 'oracle.csv'}")
+    _ladder(config, "oracle", "reference chain vs exact",
+            functools.partial(_chain_errors, config))
     return 0
 
 

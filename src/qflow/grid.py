@@ -44,7 +44,7 @@ __all__ = [
 _GEOM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridDomain:
     """Masked lattice over the closed unit ball in R^m, m in {1, 2}."""
 
@@ -140,7 +140,7 @@ def domain_manifest(domain: GridDomain) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QGridFunction:
     """Node values of shape (num_nodes, q, n), canonical per node."""
 

@@ -119,7 +119,7 @@ class StepReport:
     stationarity: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """Snapshots of a run with the per-step quantities the paper's bounds
     are stated in.  Each quantity is computed from the snapshots, not taken
@@ -208,12 +208,10 @@ class _ChainState:
 def _pairings(vals, prev_vals, domain: GridDomain):
     """Optimal branch pairings across each edge, shape (edges, q), and from
     each interior node to f_prev, shape (interior, q).  For n = 1 sorted
-    storage makes the identity optimal and no matching is computed."""
-    qq = vals.shape[1]
+    storage makes the identity optimal; it is returned as (None, None)
+    and no matching is computed."""
     if vals.shape[2] == 1:
-        ident = np.arange(qq)
-        return (np.zeros((domain.num_edges, qq), dtype=np.int64) + ident,
-                np.zeros((len(domain.interior), qq), dtype=np.int64) + ident)
+        return None, None
     ea, eb = domain.edges[:, 0], domain.edges[:, 1]
     inner = domain.interior
     return (match_rows(vals[ea], vals[eb])[0],
@@ -251,19 +249,20 @@ def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
 
     Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at b;
     interior node interior[j] compares its branch i with branch
-    node_nu[j, i] of f_prev.  The objective is then a convex quadratic in
-    the interior branch values, solved directly by sparse LU.  The matrix
-    depends on tau and the edge pairings only.  When every edge pairing is
-    the identity it is q copies of one scalar block over the interior
-    nodes and the right-hand side has one column per (branch, coordinate);
-    otherwise the columns are the n coordinates of every branch lane.
+    node_nu[j, i] of f_prev; None stands for the identity pairing.  The
+    objective is then a convex quadratic in the interior branch values,
+    solved directly by sparse LU.  The matrix depends on tau and the edge
+    pairings only.  When every edge pairing is the identity it is q copies
+    of one scalar block over the interior nodes and the right-hand side
+    has one column per (branch, coordinate); otherwise the columns are the
+    n coordinates of every branch lane.
     Either way all columns go through one block solve, in which a negated
     column is solved with the same arithmetic, so +/- data (q = 2) stay
     exactly symmetric.  Returns the new node values and the largest
     residual of the block system.
     """
     qq, nn = prev_vals.shape[1:]
-    if (edge_sigma == np.arange(qq)).all():
+    if edge_sigma is None or (edge_sigma == np.arange(qq)).all():
         sigma, key = np.zeros((domain.num_edges, 1), dtype=np.int64), (tau, None)
         shape = (-1, qq * nn)
     else:
@@ -273,7 +272,10 @@ def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
         domain, key, lambda: _frozen_system(domain, tau, sigma))
 
     w_p = domain.delta**domain.m / tau
-    matched = prev_vals[domain.interior[:, None], node_nu]
+    if node_nu is None:
+        matched = prev_vals[domain.interior]
+    else:
+        matched = prev_vals[domain.interior[:, None], node_nu]
     rhs = w_p * matched.reshape(shape) + couple @ prev_vals.reshape(shape)
     sol = lu.solve(rhs)
     vals = prev_vals.copy()

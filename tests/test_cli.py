@@ -19,7 +19,6 @@ from qflow.cli import (
     make_initial,
     make_schedule,
     parse_config,
-    serialize_config,
     validate,
 )
 from qflow.grid import build_domain, dirichlet_energy
@@ -61,31 +60,101 @@ def test_parse_small_config():
     assert cfg.spatial_steps == RunConfig().spatial_steps
 
 
-def test_serialize_parse_round_trip():
-    configs = [
+FULL_DEFAULT = """
+mode=uniform
+m=1
+resolution=51
+q=2
+preset=symmetric-cos
+coeffs=
+branch_coeffs=
+h=0.25
+total_time=0.25
+steps=16
+out=out
+seed=0
+checks=all
+inject=
+sweep_resolutions=11,21,41
+sweep_steps=16,32,64
+spatial_steps=12800
+eigen_index=1
+jobs=1
+"""
+
+POLY = """
+mode=geometric
+m=1
+resolution=51
+q=2
+preset=symmetric-poly
+coeffs=0.5,0.0,-0.25
+branch_coeffs=
+h=0.125
+total_time=0.25
+steps=24
+out=out
+seed=0
+checks=holder,symmetry
+inject=
+sweep_resolutions=11,21,41
+sweep_steps=4,8,16
+spatial_steps=640
+eigen_index=1
+jobs=1
+"""
+
+BRANCHES = """
+mode=uniform
+m=1
+resolution=51
+q=3
+preset=branches
+coeffs=
+branch_coeffs=1.0,0.0,-1.0;0.25;0.5,0.1
+h=0.25
+total_time=0.25
+steps=16
+out=out
+seed=0
+checks=all
+inject=energy_monotonicity
+sweep_resolutions=11,21,41
+sweep_steps=16,32,64
+spatial_steps=12800
+eigen_index=1
+jobs=3
+"""
+
+
+@pytest.mark.parametrize("text, expected", [
+    (FULL_DEFAULT, RunConfig()),
+    (POLY, dataclasses.replace(
         RunConfig(),
-        dataclasses.replace(
-            RunConfig(),
-            mode="geometric",
-            h=0.125,
-            steps=24,
-            preset="symmetric-poly",
-            coeffs=(0.5, 0.0, -0.25),
-            checks=("holder", "symmetry"),
-            sweep_steps=(4, 8, 16),
-            spatial_steps=640,
-        ),
-        dataclasses.replace(
-            RunConfig(),
-            q=3,
-            preset="branches",
-            branch_coeffs=((1.0, 0.0, -1.0), (0.25,), (0.5, 0.1)),
-            inject="energy_monotonicity",
-            jobs=3,
-        ),
-    ]
-    for cfg in configs:
-        assert parse_config(serialize_config(cfg)) == cfg
+        mode="geometric",
+        h=0.125,
+        steps=24,
+        preset="symmetric-poly",
+        coeffs=(0.5, 0.0, -0.25),
+        checks=("holder", "symmetry"),
+        sweep_steps=(4, 8, 16),
+        spatial_steps=640,
+    )),
+    (BRANCHES, dataclasses.replace(
+        RunConfig(),
+        q=3,
+        preset="branches",
+        branch_coeffs=((1.0, 0.0, -1.0), (0.25,), (0.5, 0.1)),
+        inject="energy_monotonicity",
+        jobs=3,
+    )),
+], ids=["default", "poly", "branches"])
+def test_parse_every_key_and_value_syntax(text, expected):
+    """Every key written out: floats, comma tuples, `;` coefficient
+    groups, check names, int tuples, strings, ints and empty values."""
+    assert {line.partition("=")[0] for line in text.split()} == {
+        f.name for f in dataclasses.fields(RunConfig)}
+    assert parse_config(text) == expected
 
 
 def test_parse_rejects_malformed_input():
@@ -305,6 +374,58 @@ def test_artifacts_and_checks_share_one_energy_per_snapshot(tmp_path,
     assert sorted(seen) == sorted(id(f) for f in traj.snapshots)
 
 
+def test_truncation_is_reported_before_the_failed_checks(tmp_path,
+                                                          monkeypatch, capsys):
+    def truncated(f0, schedule):
+        traj = run_flow(f0, schedule)
+        first = dataclasses.replace(traj.reports[0], converged=False)
+        return morseflow.FlowTrajectory(schedule, traj.snapshots[:2], (first,))
+
+    monkeypatch.setattr(cli, "run_flow", truncated)
+    cfg = write_config(tmp_path, SMALL + "inject = energy_monotonicity\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err[0] == "run: trajectory truncated by a non-converged step"
+    assert err[1].startswith("FAILED checks: energy_monotonicity")
+    assert len(err) == 2
+    stdout = captured.out.splitlines()
+    assert stdout[-1].startswith("run: 1/6 steps, converged=False")
+    assert all(line.startswith("check ") for line in stdout[:-1])
+    payload = json.loads((out / "run.json").read_text())
+    assert payload["passed"] is False and payload["completed_steps"] == 1
+
+
+RUN_KEYS = {"checks", "command", "completed_steps", "config", "converged",
+            "domain", "effective_time", "energies", "injected", "passed",
+            "schedule", "version", "wall_time_seconds"}
+VERIFY_KEYS = {"checks", "command", "config", "injected", "passed", "version"}
+
+
+def test_report_keys_are_the_dataclass_fields(tmp_path):
+    """run.json and verify.json write RunConfig, StepSchedule and
+    CheckResult as their fields, so a field added to one of them changes
+    the report schema and must show up here."""
+    cfg = write_config(tmp_path, SMALL)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "v"),
+                 "--check", "metric_axioms,energy_monotonicity"]) == 0
+    run = json.loads((tmp_path / "r" / "run.json").read_text())
+    verify = json.loads((tmp_path / "v" / "verify.json").read_text())
+    assert set(run) == RUN_KEYS
+    assert set(verify) == VERIFY_KEYS
+    assert set(run["schedule"]) == {"h", "mode", "steps", "total"}
+    for payload in (run, verify):
+        assert set(payload["config"]) == {
+            f.name for f in dataclasses.fields(RunConfig)}
+        assert payload["config"]["branch_coeffs"] == []
+        assert payload["config"]["sweep_steps"] == [16, 32, 64]
+        assert payload["checks"]
+        for check in payload["checks"]:
+            assert set(check) == {"detail", "margin", "name", "passed"}
+
+
 # --- verify ----------------------------------------------------------------
 
 def test_verify_runs_the_full_battery(tmp_path):
@@ -405,6 +526,27 @@ def test_worker_pool_is_capped_at_the_ladder_cells(tmp_path, monkeypatch):
                      str(tmp_path / command), "--jobs", "500"]) == 0
     # SWEEP holds two temporal and two spatial cells
     assert pools == [4, 4]
+
+
+def test_sweep_names_a_failed_cell_and_exits_1(tmp_path, monkeypatch, capsys):
+    heat_errors = cli._heat_errors
+
+    def failing(config, resolution, steps):
+        if resolution == 11:
+            raise RuntimeError("solver blew up")
+        return heat_errors(config, resolution, steps)
+
+    monkeypatch.setattr(cli, "_heat_errors", failing)
+    cfg = write_config(tmp_path, SWEEP)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sweep cell resolution=11 N=200 failed: solver blew up" in err
+    rows = read_ladder(out / "sweep.csv")
+    # the failed row is kept as NaN, and no order is taken across it
+    assert rows[2][3] == rows[2][4] == "nan"
+    assert rows[3][5] == ""
+    assert np.isfinite(float(rows[3][3]))
 
 
 def test_sweep_requires_the_interval(tmp_path, capsys):

@@ -277,6 +277,19 @@ def test_grid_function_rows_are_canonical_and_frozen():
         f.values[0, 0, 0] = 9.0
 
 
+def test_domains_and_grid_functions_compare_by_identity():
+    """Array fields take no part in == or hash(): equal-shaped objects
+    built twice are distinct, and `same_as` is the structural test."""
+    d, d2 = build_domain(1, 5), build_domain(1, 5)
+    assert d != d2 and d == d and d.same_as(d2)
+    assert d in [d2, d] and d not in [d2]
+    assert hash(d) == hash(d) and len({d, d2, d}) == 2
+    f = make_grid_function(d, np.zeros((5, 2, 1)))
+    f2 = make_grid_function(d, np.zeros((5, 2, 1)))
+    assert f != f2 and f in [f2, f] and f not in [f2]
+    assert len({f, f2, f}) == 2
+
+
 def test_vector_energy_adds_edge_costs_left_to_right():
     """For n > 1 the energy and the distance are the per-row matching
     costs added in row order, bit for bit."""

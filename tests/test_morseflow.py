@@ -165,6 +165,27 @@ def test_single_valued_step_takes_one_sweep(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_none_pairings_solve_as_the_identity_bit_for_bit(m, q, n):
+    """(None, None), what `_pairings` returns for n = 1, gives the same
+    bits as explicit identity pairing arrays."""
+    rng = np.random.default_rng(100 * m + 10 * q + n)
+    d = build_domain(m, 9 if m == 2 else 15)
+    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
+    if n == 1:
+        assert morseflow._pairings(f.values, f.values, d) == (None, None)
+    ident = (np.tile(np.arange(q), (d.num_edges, 1)),
+             np.tile(np.arange(q), (len(d.interior), 1)))
+    got = morseflow._solve_frozen(f.values, d, 0.05, None, None,
+                                  morseflow._ChainState())
+    want = morseflow._solve_frozen(f.values, d, 0.05, *ident,
+                                   morseflow._ChainState())
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
 def _solve_by_column(prev_vals, domain, tau, edge_sigma, node_nu):
     """Reference for the block solve: one LU solve per (branch, coordinate)
     column when every edge pairing is the identity, one per coordinate of
@@ -281,6 +302,15 @@ def test_flow_energies_are_monotone_and_consistent():
         assert report.penalty == pytest.approx(
             l2_distance_sq(traj.snapshots[k], traj.snapshots[k - 1]), rel=1e-12
         )
+
+
+def test_trajectories_compare_by_identity():
+    d = build_domain(1, 11)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    a, b = (run_flow(f0, uniform_schedule(0.25, 2)) for _ in range(2))
+    assert a != b and a == a
+    assert a in [b, a] and a not in [b]
+    assert len({a, b, a}) == 2
 
 
 def test_flow_truncates_when_a_step_cannot_confirm(monkeypatch):
