@@ -30,7 +30,6 @@ from .grid import (
     dirichlet_energy,
     domain_manifest,
     l2_distance_sq,
-    make_grid_function,
     read_snapshot_csv,
     sample_initial,
     scalar_dirichlet_energy,
@@ -46,7 +45,6 @@ from .morseflow import (
     holder_margin,
     minimize_step,
     run_flow,
-    step_estimate_margin,
     uniform_schedule,
 )
 from .oracle import (
@@ -64,12 +62,12 @@ __all__ = [
     "match_rows", "matching_distance", "optimal_matching", "sorted_embedding",
     "GridDomain", "InitialSpec", "QGridFunction", "branch_mean_field",
     "branch_mean_residual", "build_domain", "dirichlet_energy",
-    "domain_manifest", "l2_distance_sq", "make_grid_function",
-    "read_snapshot_csv", "sample_initial", "scalar_dirichlet_energy",
-    "translate_field", "write_snapshot_csv",
+    "domain_manifest", "l2_distance_sq", "read_snapshot_csv",
+    "sample_initial", "scalar_dirichlet_energy", "translate_field",
+    "write_snapshot_csv",
     "FlowTrajectory", "StepReport", "StepSchedule",
     "evaluate_at_time", "geometric_schedule", "holder_margin",
-    "minimize_step", "run_flow", "step_estimate_margin", "uniform_schedule",
+    "minimize_step", "run_flow", "uniform_schedule",
     "EigenMode", "brute_force_step", "exact_eigen_solution",
     "implicit_euler_chain", "max_principle_check",
     "CHECK_NAMES", "CheckResult",

@@ -382,8 +382,9 @@ def check_brute_force(rng, instances: int = 20) -> CheckResult:
     """Solver objective vs exhaustive global minimum on tiny instances."""
     worst = 0.0
     one_sided = math.inf
+    domains = {res: build_domain(1, res) for res in (3, 5)}
     for i in range(instances):
-        domain = build_domain(1, 3 if i % 4 == 0 else 5)
+        domain = domains[3 if i % 4 == 0 else 5]
         f_prev = QGridFunction(
             domain, rng.normal(size=(domain.num_nodes, 2, 1))
         )

@@ -246,7 +246,7 @@ def _evaluate(name: str, ctx: dict) -> checks.CheckResult:
     if name == "step_estimate":
         return checks.check_step_estimate(ctx["traj"])
     if name == "eta_residual":
-        return checks.check_eta_residual(ctx["traj"])
+        return checks.check_eta_residual(ctx.get("traj_q1") or ctx["traj"])
     if name == "symmetry":
         return checks.check_symmetry(ctx.get("traj_sym") or ctx["traj"])
     if name == "positivity":
@@ -268,10 +268,13 @@ def _evaluate(name: str, ctx: dict) -> checks.CheckResult:
 def _write_report(path: Path, payload: dict, results):
     """Write the JSON report of a run or verify command with its check
     results, print one line per check and name the failing checks on
-    stderr."""
-    payload = {**payload, "checks": [asdict(r) for r in results]}
+    stderr.  A check that cannot apply has a non-finite margin, which the
+    report writes as null so that the file stays strict JSON."""
+    payload = {**payload, "checks": [
+        {**asdict(r), "margin": r.margin if math.isfinite(r.margin) else None}
+        for r in results]}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     for res in results:
         status = "PASS" if res.passed else "FAIL"

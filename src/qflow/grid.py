@@ -29,7 +29,6 @@ __all__ = [
     "InitialSpec",
     "build_domain",
     "domain_manifest",
-    "make_grid_function",
     "sample_initial",
     "dirichlet_energy",
     "l2_distance_sq",
@@ -81,7 +80,12 @@ class GridDomain:
 
 
 def build_domain(m: int, resolution: int) -> GridDomain:
-    """Uniform grid of odd resolution >= 3 on [-1, 1]^m masked to |x| <= 1."""
+    """Uniform grid of odd resolution >= 3 on [-1, 1]^m masked to |x| <= 1.
+
+    Nodes are numbered row by row with x fastest, and the edges list each
+    node's +x edge before its +y edge, node by node; snapshot rows and
+    energy sums follow this order.  A node is on the boundary when it lies
+    on the sphere or misses an axis neighbor."""
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
     if resolution < 3 or resolution % 2 == 0:
@@ -89,35 +93,28 @@ def build_domain(m: int, resolution: int) -> GridDomain:
     axis = np.linspace(-1.0, 1.0, resolution)
     delta = 2.0 / (resolution - 1)
 
-    if m == 1:
-        coords = axis.reshape(-1, 1).copy()
-        is_boundary = np.zeros(resolution, dtype=bool)
-        is_boundary[0] = is_boundary[-1] = True
-        idx = np.arange(resolution - 1)
-        edges = np.column_stack([idx, idx + 1]).astype(np.int64)
-    else:
-        keep = {}
-        coords_list = []
-        for iy in range(resolution):
-            for ix in range(resolution):
-                x, y = axis[ix], axis[iy]
-                if x * x + y * y <= 1.0 + _GEOM_TOL:
-                    keep[(ix, iy)] = len(coords_list)
-                    coords_list.append((x, y))
-        coords = np.asarray(coords_list, dtype=float)
-        nb = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        is_boundary = np.zeros(len(coords_list), dtype=bool)
-        edge_list = []
-        for (ix, iy), k in keep.items():
-            x, y = coords[k]
-            on_sphere = x * x + y * y >= 1.0 - _GEOM_TOL
-            missing = any((ix + dx, iy + dy) not in keep for dx, dy in nb)
-            is_boundary[k] = on_sphere or missing
-            for dx, dy in ((1, 0), (0, 1)):
-                other = keep.get((ix + dx, iy + dy))
-                if other is not None:
-                    edge_list.append((k, other))
-        edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+    grids = np.meshgrid(*[axis] * m)  # indexed [y, x]: x varies fastest
+    r2 = sum(g * g for g in grids)
+    inside = r2 <= 1.0 + _GEOM_TOL
+    coords = np.column_stack([g[inside] for g in grids])
+    nodes = np.arange(coords.shape[0])
+    # node index on the lattice padded by one layer of -1 (no node)
+    index = np.full([resolution + 2] * m, -1, dtype=np.int64)
+    index[(slice(1, -1),) * m][inside] = nodes
+
+    def neighbors(ax: int, step: int) -> np.ndarray:
+        window = [slice(1, -1)] * m
+        window[ax] = slice(1 + step, resolution + 1 + step)
+        return index[tuple(window)][inside]
+
+    axes = range(m - 1, -1, -1)  # x first, then y
+    ahead = np.column_stack([neighbors(ax, 1) for ax in axes])
+    behind = np.column_stack([neighbors(ax, -1) for ax in axes])
+    is_boundary = (r2[inside] >= 1.0 - _GEOM_TOL) | np.any(
+        (ahead < 0) | (behind < 0), axis=1)
+    has = ahead >= 0
+    edges = np.column_stack(
+        [np.broadcast_to(nodes[:, None], ahead.shape)[has], ahead[has]])
 
     interior = np.flatnonzero(~is_boundary)
     # every interior node must see at least one edge
@@ -164,10 +161,6 @@ class QGridFunction:
     @property
     def n(self) -> int:
         return self.values.shape[2]
-
-
-def make_grid_function(domain: GridDomain, values) -> QGridFunction:
-    return QGridFunction(domain, np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ __all__ = [
     "minimize_step",
     "run_flow",
     "evaluate_at_time",
-    "step_estimate_margin",
     "holder_margin",
 ]
 
@@ -415,12 +414,6 @@ def evaluate_at_time(traj: FlowTrajectory, t: float) -> QGridFunction:
         return traj.snapshots[k]
     a = (t - start) / sched.tau(k)
     return _blend(traj.snapshots[k - 1], traj.snapshots[k], a)
-
-
-def step_estimate_margin(report: StepReport) -> float:
-    """Slack in the step penalty bound
-    penalty <= tau * (energy_before - energy_after)."""
-    return report.tau * (report.energy_before - report.energy_after) - report.penalty
 
 
 def holder_margin(traj: FlowTrajectory, t: float, s: float) -> float:

@@ -182,23 +182,11 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
     return minimizer, objective
 
 
-def max_principle_check(snapshots, positive_upper: bool = False,
-                        positive_floor: float = 0.0) -> bool:
+def max_principle_check(snapshots) -> bool:
     """True iff the largest node norm never increases along the sequence
-    (within 1e-12), and, when requested, the top branch stays strictly
-    above `positive_floor` at interior nodes from the first step on."""
-    snaps = list(snapshots)
-    if not snaps:
+    (within 1e-12)."""
+    norms = [float(np.sqrt((f.values**2).sum(axis=(1, 2))).max())
+             for f in snapshots]
+    if not norms:
         raise ValueError("empty snapshot sequence")
-    norms = []
-    for f in snaps:
-        norms.append(float(np.sqrt((f.values**2).sum(axis=(1, 2))).max()))
-    for prev, curr in zip(norms, norms[1:]):
-        if curr > prev + 1e-12:
-            return False
-    if positive_upper:
-        interior = snaps[0].domain.interior
-        for f in snaps[1:]:
-            if not np.all(f.values[interior, -1, 0] > positive_floor):
-                return False
-    return True
+    return not any(curr > prev + 1e-12 for prev, curr in zip(norms, norms[1:]))

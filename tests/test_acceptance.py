@@ -13,12 +13,12 @@ import pytest
 
 from qflow.grid import (
     InitialSpec,
+    QGridFunction,
     branch_mean_field,
     branch_mean_residual,
     build_domain,
     dirichlet_energy,
     l2_distance_sq,
-    make_grid_function,
     sample_initial,
 )
 from qflow.morseflow import (
@@ -27,7 +27,6 @@ from qflow.morseflow import (
     holder_margin,
     minimize_step,
     run_flow,
-    step_estimate_margin,
     uniform_schedule,
 )
 from qflow.oracle import (
@@ -122,9 +121,9 @@ def test_criterion_02_step_estimate(battery):
     worst = np.inf
     count = 0
     for entry in battery["runs"].values():
-        for report in entry["traj"].reports:
-            worst = min(worst, step_estimate_margin(report))
-            count += 1
+        margins = entry["traj"].estimate_margins
+        worst = min(worst, *margins)
+        count += len(margins)
     ok = worst >= -1e-10
     summary(2, f"step estimate over {count} steps", ok,
             f"smallest margin {worst:.3e}")
@@ -275,7 +274,7 @@ def test_criterion_09_oracle_equivalence(battery):
     for i in range(20):
         res = 3 if i % 4 == 0 else 5  # at most 3 interior nodes
         dom = build_domain(1, res)
-        f = make_grid_function(dom, rng.normal(0.0, 1.0, size=(dom.num_nodes, 2, 1)))
+        f = QGridFunction(dom, rng.normal(0.0, 1.0, size=(dom.num_nodes, 2, 1)))
         tau = float(10.0 ** rng.uniform(-1.0, 0.0))
         local, _ = minimize_step(f, tau)
         value = dirichlet_energy(local) + l2_distance_sq(local, f) / tau
@@ -302,7 +301,7 @@ def test_criterion_10_translation_identity(battery):
 
     for _ in range(50):
         q = int(rng.integers(1, 4))
-        f = make_grid_function(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))
+        f = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))
         phi = rng.normal(0.0, 1.0, size=d.num_nodes)
         lhs = dirichlet_energy(translate_field(f, phi[:, None]))
         eta = branch_mean_field(f)[:, 0]

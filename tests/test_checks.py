@@ -25,7 +25,7 @@ from qflow.checks import (
     check_translation_identity,
     check_embedding_isometry,
 )
-from qflow.grid import InitialSpec, QGridFunction, build_domain, make_grid_function, sample_initial
+from qflow.grid import InitialSpec, QGridFunction, build_domain, sample_initial
 from qflow.morseflow import (
     FlowTrajectory,
     geometric_schedule,
@@ -176,7 +176,7 @@ def test_eta_residual_holds_for_vector_values():
     its second coordinate must fail."""
     rng = np.random.default_rng(67)
     d = build_domain(1, 15)
-    f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(15, 2, 2)))
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(15, 2, 2)))
     traj = run_flow(f0, uniform_schedule(0.25, 6))
     assert traj.converged
     res = check_eta_residual(traj)

@@ -21,8 +21,8 @@ from qflow.cli import (
     parse_config,
     validate,
 )
-from qflow.grid import build_domain, dirichlet_energy
-from qflow.morseflow import run_flow
+from qflow.grid import QGridFunction, build_domain, dirichlet_energy
+from qflow.morseflow import FlowTrajectory, run_flow
 
 SMALL = """
 # smoke configuration
@@ -449,6 +449,68 @@ def test_verify_reports_injected_failures(tmp_path, capsys):
     assert "energy_monotonicity" in capsys.readouterr().err
     payload = json.loads((out / "verify.json").read_text())
     assert payload["passed"] is False
+
+
+VERIFY = """
+mode = uniform
+m = 1
+resolution = 201
+q = 2
+preset = symmetric-cos
+total_time = 0.25
+steps = 64
+"""
+
+
+def test_verify_eta_residual_reads_the_one_branch_run(tmp_path):
+    """The symmetric datum's branch mean is zero, so its step equation
+    residual is zero at every step; verify reads the one-branch run."""
+    cfg = write_config(tmp_path, VERIFY)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--seed", "11", "--check", "eta_residual"]) == 0
+    (check,) = json.loads((out / "verify.json").read_text())["checks"]
+    assert check["name"] == "eta_residual" and check["passed"]
+    assert check["detail"].startswith("residual ")
+    assert float(check["detail"].split()[1]) > 0.0
+
+
+def test_verify_eta_residual_fails_on_a_moved_one_branch_value(
+        tmp_path, monkeypatch, capsys):
+    def moved_run_flow(f0, schedule):
+        traj = run_flow(f0, schedule)
+        if f0.q != 1:
+            return traj
+        snaps = list(traj.snapshots)
+        vals = snaps[2].values.copy()
+        vals[f0.domain.interior[0], 0, 0] += 1e-6
+        snaps[2] = QGridFunction(f0.domain, vals)
+        return FlowTrajectory(traj.schedule, tuple(snaps), traj.reports)
+
+    monkeypatch.setattr(cli, "run_flow", moved_run_flow)
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out),
+                 "--check", "eta_residual"]) == 1
+    assert "FAILED checks: eta_residual" in capsys.readouterr().err
+
+
+def test_reports_stay_strict_json_when_a_check_cannot_apply(tmp_path, capsys):
+    cfg = write_config(tmp_path, "mode = geometric\nresolution = 51\n"
+                                 "h = 0.3\nsteps = 12\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out),
+                 "--check", "oracle_equivalence,max_principle"]) == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads((out / "run.json").read_text(), parse_constant=reject)
+    assert [(c["name"], c["passed"], c["margin"]) for c in payload["checks"]] \
+        == [("max_principle", False, None), ("oracle_equivalence", False, None)]
+    captured = capsys.readouterr()
+    assert "check max_principle: FAIL margin=-inf" in captured.out
+    assert "FAILED checks: max_principle, oracle_equivalence" in captured.err
 
 
 # --- sweep and oracle ------------------------------------------------------

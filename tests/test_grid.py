@@ -5,13 +5,13 @@ import pytest
 
 from qflow.grid import (
     InitialSpec,
+    QGridFunction,
     build_domain,
     branch_mean_field,
     branch_mean_residual,
     dirichlet_energy,
     domain_manifest,
     l2_distance_sq,
-    make_grid_function,
     read_snapshot_csv,
     sample_initial,
     scalar_dirichlet_energy,
@@ -23,7 +23,7 @@ from qflow.qspace import make_qpoint, optimal_matching
 
 
 def random_function(rng, domain, q, n=1, scale=1.0):
-    return make_grid_function(
+    return QGridFunction(
         domain, rng.normal(0.0, scale, size=(domain.num_nodes, q, n))
     )
 
@@ -57,6 +57,54 @@ def test_disk_domain_counts_at_resolution_9():
     assert np.all(np.linalg.norm(d.coords, axis=1) <= 1.0 + 1e-12)
 
 
+def _per_point_lattice(m, resolution):
+    """The lattice built point by point: the closed form on the interval,
+    and on the disk a walk over every point of the square that keeps the
+    points of the closed disk, row by row with x fastest."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    if m == 1:
+        coords = axis.reshape(-1, 1).copy()
+        is_boundary = np.zeros(resolution, dtype=bool)
+        is_boundary[0] = is_boundary[-1] = True
+        idx = np.arange(resolution - 1)
+        edges = np.column_stack([idx, idx + 1]).astype(np.int64)
+        return coords, is_boundary, edges, np.flatnonzero(~is_boundary)
+    keep = {}
+    coords_list = []
+    for iy in range(resolution):
+        for ix in range(resolution):
+            x, y = axis[ix], axis[iy]
+            if x * x + y * y <= 1.0 + 1e-12:
+                keep[(ix, iy)] = len(coords_list)
+                coords_list.append((x, y))
+    coords = np.asarray(coords_list, dtype=float)
+    is_boundary = np.zeros(len(coords_list), dtype=bool)
+    edge_list = []
+    for (ix, iy), k in keep.items():
+        x, y = coords[k]
+        on_sphere = x * x + y * y >= 1.0 - 1e-12
+        missing = any((ix + dx, iy + dy) not in keep
+                      for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+        is_boundary[k] = on_sphere or missing
+        for dx, dy in ((1, 0), (0, 1)):
+            other = keep.get((ix + dx, iy + dy))
+            if other is not None:
+                edge_list.append((k, other))
+    edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+    return coords, is_boundary, edges, np.flatnonzero(~is_boundary)
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_domain_arrays_equal_the_per_point_lattice(m):
+    for resolution in [*range(3, 62, 2), 201]:
+        d = build_domain(m, resolution)
+        got = (d.coords, d.is_boundary, d.edges, d.interior)
+        for name, a, b in zip(("coords", "is_boundary", "edges", "interior"),
+                              got, _per_point_lattice(m, resolution)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (resolution, name)
+            assert a.tobytes() == b.tobytes(), (resolution, name)
+
+
 def test_domain_validation():
     for m, res in ((0, 11), (3, 11), (1, 10), (1, 1)):
         with pytest.raises(ValueError):
@@ -76,7 +124,7 @@ def test_domain_manifest_fields():
 
 def test_hat_function_energy():
     d = build_domain(1, 3)
-    f = make_grid_function(d, np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
+    f = QGridFunction(d, np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
     assert dirichlet_energy(f) == 2.0
 
 
@@ -85,7 +133,7 @@ def test_symmetric_pair_doubles_the_scalar_energy():
     d = build_domain(1, 21)
     u = np.abs(rng.normal(0.0, 1.0, size=d.num_nodes))
     vals = np.stack([-u, u], axis=1)[:, :, None]
-    f = make_grid_function(d, vals)
+    f = QGridFunction(d, vals)
     expected = 2.0 * scalar_dirichlet_energy(d, u)
     assert dirichlet_energy(f) == pytest.approx(expected, rel=1e-12)
 
@@ -115,9 +163,9 @@ def test_l2_distance_between_distinct_functions_is_positive():
 
 def test_mismatched_functions_raise():
     d5, d7 = build_domain(1, 5), build_domain(1, 7)
-    f5 = make_grid_function(d5, np.zeros((5, 1, 1)))
-    f7 = make_grid_function(d7, np.zeros((7, 1, 1)))
-    g5 = make_grid_function(d5, np.zeros((5, 2, 1)))
+    f5 = QGridFunction(d5, np.zeros((5, 1, 1)))
+    f7 = QGridFunction(d7, np.zeros((7, 1, 1)))
+    g5 = QGridFunction(d5, np.zeros((5, 2, 1)))
     with pytest.raises(ValueError):
         l2_distance_sq(f5, f7)
     with pytest.raises(ValueError):
@@ -156,7 +204,7 @@ def test_translation_energy_identity():
 
 def test_translate_field_validates_shape():
     d = build_domain(1, 5)
-    f = make_grid_function(d, np.zeros((5, 2, 1)))
+    f = QGridFunction(d, np.zeros((5, 2, 1)))
     with pytest.raises(ValueError):
         translate_field(f, np.zeros(4))
 
@@ -191,15 +239,15 @@ def test_chain_step_has_negligible_residual():
     u0 = rng.normal(0.0, 1.0, size=d.num_nodes)
     tau = 0.05
     u1 = implicit_euler_chain(d, u0, [tau])
-    f0 = make_grid_function(d, u0[:, None, None])
-    f1 = make_grid_function(d, u1[:, None, None])
+    f0 = QGridFunction(d, u0[:, None, None])
+    f1 = QGridFunction(d, u1[:, None, None])
     assert branch_mean_residual(f0, f1, tau) <= 1e-10
 
 
 def test_residual_rejects_bad_arguments():
     d = build_domain(1, 5)
-    f = make_grid_function(d, np.zeros((5, 1, 1)))
-    g = make_grid_function(d, np.zeros((5, 1, 2)))
+    f = QGridFunction(d, np.zeros((5, 1, 1)))
+    g = QGridFunction(d, np.zeros((5, 1, 2)))
     with pytest.raises(ValueError):
         branch_mean_residual(f, f, tau=0.0)
     with pytest.raises(ValueError):
@@ -213,11 +261,11 @@ def test_vector_residual_is_the_largest_coordinate_residual():
     d = build_domain(2, 9)
     prev = rng.normal(size=(d.num_nodes, 2, 3))
     curr = rng.normal(size=(d.num_nodes, 2, 3))
-    got = branch_mean_residual(make_grid_function(d, prev),
-                               make_grid_function(d, curr), tau=0.2)
+    got = branch_mean_residual(QGridFunction(d, prev),
+                               QGridFunction(d, curr), tau=0.2)
     per_coordinate = [
-        branch_mean_residual(make_grid_function(d, prev[:, :, c:c + 1]),
-                             make_grid_function(d, curr[:, :, c:c + 1]), tau=0.2)
+        branch_mean_residual(QGridFunction(d, prev[:, :, c:c + 1]),
+                             QGridFunction(d, curr[:, :, c:c + 1]), tau=0.2)
         for c in range(3)
     ]
     assert got == max(per_coordinate)
@@ -271,7 +319,7 @@ def test_preset_validation():
 
 def test_grid_function_rows_are_canonical_and_frozen():
     d = build_domain(1, 3)
-    f = make_grid_function(d, np.array([[[2.0], [-1.0]]] * 3))
+    f = QGridFunction(d, np.array([[[2.0], [-1.0]]] * 3))
     assert np.array_equal(f.values[0, :, 0], [-1.0, 2.0])
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 9.0
@@ -284,8 +332,8 @@ def test_domains_and_grid_functions_compare_by_identity():
     assert d != d2 and d == d and d.same_as(d2)
     assert d in [d2, d] and d not in [d2]
     assert hash(d) == hash(d) and len({d, d2, d}) == 2
-    f = make_grid_function(d, np.zeros((5, 2, 1)))
-    f2 = make_grid_function(d, np.zeros((5, 2, 1)))
+    f = QGridFunction(d, np.zeros((5, 2, 1)))
+    f2 = QGridFunction(d, np.zeros((5, 2, 1)))
     assert f != f2 and f in [f2, f] and f not in [f2]
     assert len({f, f2, f}) == 2
 
@@ -356,7 +404,7 @@ def test_snapshot_bytes_match_a_per_row_writer(tmp_path, m, resolution, q, n):
     d = build_domain(m, resolution)
     vals = rng.normal(size=(d.num_nodes, q, n))
     vals.ravel()[:len(EXTREME_VALUES)] = EXTREME_VALUES
-    f = make_grid_function(d, vals)
+    f = QGridFunction(d, vals)
     assert_same_snapshot_bytes(f, tmp_path)
     text = (tmp_path / "fast.csv").read_text()
     for cell in ("-0.00000000000000000e+00", "4.94065645841246544e-324",
@@ -372,13 +420,13 @@ def test_snapshot_widths_on_one_domain_in_either_order(tmp_path):
     for f in (narrow, wide, narrow):
         assert_same_snapshot_bytes(f, tmp_path)
     d = build_domain(2, 9)
-    for f in (make_grid_function(d, wide.values), make_grid_function(d, narrow.values)):
+    for f in (QGridFunction(d, wide.values), QGridFunction(d, narrow.values)):
         assert_same_snapshot_bytes(f, tmp_path)
 
 
 def test_snapshot_read_validates_shape(tmp_path):
     d = build_domain(1, 5)
-    f = make_grid_function(d, np.zeros((5, 2, 1)))
+    f = QGridFunction(d, np.zeros((5, 2, 1)))
     path = tmp_path / "snap.csv"
     write_snapshot_csv(f, path)
     with pytest.raises(ValueError):

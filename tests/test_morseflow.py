@@ -9,12 +9,12 @@ from scipy.sparse.linalg import splu
 
 from qflow.grid import (
     InitialSpec,
+    QGridFunction,
     build_domain,
     branch_mean_field,
     branch_mean_residual,
     dirichlet_energy,
     l2_distance_sq,
-    make_grid_function,
     sample_initial,
 )
 from qflow import morseflow, qspace
@@ -27,7 +27,6 @@ from qflow.morseflow import (
     holder_margin,
     minimize_step,
     run_flow,
-    step_estimate_margin,
     uniform_schedule,
 )
 from qflow.oracle import implicit_euler_chain
@@ -78,7 +77,7 @@ def test_single_hat_step_reference_values():
     """Unit hat on three nodes, tau = 1/2: the closed form minimizer sits at
     half height with objective 1."""
     d = build_domain(1, 3)
-    f = make_grid_function(d, np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
+    f = QGridFunction(d, np.array([0.0, 1.0, 0.0]).reshape(3, 1, 1))
     g, report = minimize_step(f, 0.5)
     assert g.values[1, 0, 0] == pytest.approx(0.5, abs=1e-12)
     assert report.energy_before == 2.0
@@ -87,19 +86,20 @@ def test_single_hat_step_reference_values():
     assert report.objective_trace[0] == 2.0
     assert report.objective_trace[-1] == pytest.approx(1.0, abs=1e-12)
     assert report.converged
-    assert step_estimate_margin(report) == pytest.approx(0.5, abs=1e-12)
+    slack = report.tau * (report.energy_before - report.energy_after) - report.penalty
+    assert slack == pytest.approx(0.5, abs=1e-12)
 
 
 def test_step_rejects_bad_tau():
     d = build_domain(1, 3)
-    f = make_grid_function(d, np.zeros((3, 1, 1)))
+    f = QGridFunction(d, np.zeros((3, 1, 1)))
     with pytest.raises(ValueError):
         minimize_step(f, 0.0)
 
 
 def test_constant_data_short_circuits():
     d = build_domain(1, 9)
-    f = make_grid_function(d, np.full((9, 2, 1), 1.5))
+    f = QGridFunction(d, np.full((9, 2, 1), 1.5))
     g, report = minimize_step(f, 0.1)
     assert g is f
     assert report.converged
@@ -118,13 +118,14 @@ def test_tiny_step_barely_moves():
 def test_objective_trace_is_strictly_decreasing():
     rng = np.random.default_rng(37)
     d = build_domain(1, 31)
-    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(31, 3, 1)))
+    f = QGridFunction(d, rng.normal(0.0, 1.0, size=(31, 3, 1)))
     g, report = minimize_step(f, 0.05)
     trace = report.objective_trace
     assert all(b < a for a, b in zip(trace, trace[1:]))
     assert report.converged
     assert report.energy_after <= report.energy_before
-    assert step_estimate_margin(report) >= -1e-10
+    slack = report.tau * (report.energy_before - report.energy_after) - report.penalty
+    assert slack >= -1e-10
 
 
 def test_symmetric_step_keeps_the_mean_at_zero():
@@ -157,7 +158,7 @@ def test_single_valued_step_takes_one_sweep(monkeypatch):
     monkeypatch.setattr(morseflow, "_pairings", counted)
     rng = np.random.default_rng(39)
     d = build_domain(1, 31)
-    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(31, 3, 1)))
+    f = QGridFunction(d, rng.normal(0.0, 1.0, size=(31, 3, 1)))
     _, report = minimize_step(f, 0.05)
     assert report.converged
     assert report.outer_iterations == 1
@@ -173,7 +174,7 @@ def test_none_pairings_solve_as_the_identity_bit_for_bit(m, q, n):
     bits as explicit identity pairing arrays."""
     rng = np.random.default_rng(100 * m + 10 * q + n)
     d = build_domain(m, 9 if m == 2 else 15)
-    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
+    f = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
     if n == 1:
         assert morseflow._pairings(f.values, f.values, d) == (None, None)
     ident = (np.tile(np.arange(q), (d.num_edges, 1)),
@@ -217,7 +218,7 @@ def test_block_solve_matches_per_column_solves(m, q, n):
     ones, so the bound is a few ulps, not bit equality."""
     rng = np.random.default_rng(100 * m + 10 * q + n)
     d = build_domain(m, 9 if m == 2 else 15)
-    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
+    f = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
 
     def perms(rows):
         return rng.permuted(np.tile(np.arange(q), (rows, 1)), axis=1)
@@ -241,7 +242,7 @@ def test_single_valued_step_matches_direct_chain():
     rng = np.random.default_rng(41)
     d = build_domain(1, 51)
     u0 = rng.normal(0.0, 1.0, size=d.num_nodes)
-    f0 = make_grid_function(d, u0[:, None, None])
+    f0 = QGridFunction(d, u0[:, None, None])
     tau = 0.02
     g, report = minimize_step(f0, tau)
     chain = implicit_euler_chain(d, u0, [tau])
@@ -253,7 +254,7 @@ def test_single_valued_step_matches_direct_chain():
 def test_planar_values_converge_too():
     rng = np.random.default_rng(43)
     d = build_domain(1, 11)
-    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
+    f = QGridFunction(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
     g, report = minimize_step(f, 0.1)
     assert report.converged
     assert report.energy_after <= report.energy_before
@@ -269,8 +270,8 @@ def test_planar_step_reduces_to_scalar_when_flat():
     d = build_domain(1, 15)
     u = rng.normal(0.0, 1.0, size=(15, 2, 1))
     flat = np.concatenate([u, np.zeros_like(u)], axis=2)
-    g_scalar, _ = minimize_step(make_grid_function(d, u), 0.08)
-    g_flat, _ = minimize_step(make_grid_function(d, flat), 0.08)
+    g_scalar, _ = minimize_step(QGridFunction(d, u), 0.08)
+    g_flat, _ = minimize_step(QGridFunction(d, flat), 0.08)
     assert np.max(np.abs(g_flat.values[:, :, 1])) <= 1e-12
     assert np.max(np.abs(g_flat.values[:, :, 0] - g_scalar.values[:, :, 0])) <= 1e-9
 
@@ -278,7 +279,7 @@ def test_planar_step_reduces_to_scalar_when_flat():
 def test_boundary_rows_never_move():
     rng = np.random.default_rng(53)
     d = build_domain(1, 25)
-    f = make_grid_function(d, rng.normal(0.0, 1.0, size=(25, 2, 1)))
+    f = QGridFunction(d, rng.normal(0.0, 1.0, size=(25, 2, 1)))
     g, _ = minimize_step(f, 0.3)
     bnd = d.is_boundary
     assert np.array_equal(g.values[bnd], f.values[bnd])
@@ -318,7 +319,7 @@ def test_flow_truncates_when_a_step_cannot_confirm(monkeypatch):
     # be taken, but not confirmed as the pairing fixed point
     rng = np.random.default_rng(6)
     d = build_domain(1, 11)
-    f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
     assert run_flow(f0, uniform_schedule(0.25, 4)).reports[0].outer_iterations > 1
     monkeypatch.setattr(morseflow, "_MAX_OUTER", 1)
     traj = run_flow(f0, uniform_schedule(0.25, 4))
@@ -340,7 +341,7 @@ def test_vector_flow_builds_no_qpoints(monkeypatch):
     monkeypatch.setattr(qspace.QPoint, "__post_init__", counted)
     rng = np.random.default_rng(6)
     d = build_domain(1, 11)
-    f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
     traj = run_flow(f0, uniform_schedule(0.25, 4))
     assert traj.converged
     assert traj.reports[0].outer_iterations > 1
@@ -373,7 +374,7 @@ def test_flow_matches_stepping_by_hand(n):
     bit-identical to independent minimize_step calls."""
     rng = np.random.default_rng(67)
     d = build_domain(1, 15)
-    f0 = make_grid_function(d, rng.normal(0.0, 1.0, size=(15, 2, n)))
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(15, 2, n)))
     sched = uniform_schedule(0.25, 6)
     traj = run_flow(f0, sched)
     assert traj.converged
@@ -406,7 +407,7 @@ def boundary_pinned_pair(values_a, values_b):
     vb = np.zeros((3, 2, 1))
     va[1, :, 0] = values_a
     vb[1, :, 0] = values_b
-    return make_grid_function(d, va), make_grid_function(d, vb)
+    return QGridFunction(d, va), QGridFunction(d, vb)
 
 
 def fake_report(k, tau):
@@ -535,7 +536,7 @@ def sqrt_branched(domain, rng, perturbation=1e-2):
     vals[:, 1] = -vals[:, 0]
     vals[domain.interior] += perturbation * rng.normal(
         size=(len(domain.interior), 2, 2))
-    return make_grid_function(domain, vals)
+    return QGridFunction(domain, vals)
 
 
 @pytest.mark.parametrize("sched", [uniform_schedule(0.05, 16),
@@ -596,6 +597,5 @@ def test_flow_on_the_disk_behaves():
     energies = traj.energies
     for prev, curr in zip(energies, energies[1:]):
         assert curr <= prev + 1e-10 * max(1.0, prev)
-    for report in traj.reports:
-        assert step_estimate_margin(report) >= -1e-10
+    assert min(traj.estimate_margins) >= -1e-10
     assert np.max(np.abs(branch_mean_field(traj.snapshots[-1]))) <= 1e-10

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qflow.grid import build_domain, dirichlet_energy, l2_distance_sq, make_grid_function
+from qflow.grid import QGridFunction, build_domain, dirichlet_energy, l2_distance_sq
 from qflow.oracle import (
     EigenMode,
     brute_force_step,
@@ -90,7 +90,7 @@ def test_chain_and_brute_force_solve_the_same_single_step():
     for _ in range(5):
         u0 = rng.normal(0.0, 1.0, size=d.num_nodes)
         tau = float(10.0 ** rng.uniform(-2.0, 0.0))
-        f0 = make_grid_function(d, u0[:, None, None])
+        f0 = QGridFunction(d, u0[:, None, None])
         mini, _ = brute_force_step(f0, tau)
         chain = implicit_euler_chain(d, u0, [tau])
         assert np.max(np.abs(mini.values[:, 0, 0] - chain)) <= 1e-12
@@ -98,7 +98,7 @@ def test_chain_and_brute_force_solve_the_same_single_step():
 
 def test_constant_data_is_a_fixed_point():
     d = build_domain(1, 7)
-    f = make_grid_function(d, np.full((7, 2, 1), 0.3))
+    f = QGridFunction(d, np.full((7, 2, 1), 0.3))
     mini, objective = brute_force_step(f, 0.5)
     assert np.max(np.abs(mini.values - f.values)) <= 1e-12
     assert abs(objective) <= 1e-12
@@ -110,7 +110,7 @@ def test_symmetric_two_branch_step_splits_the_hat():
     d = build_domain(1, 3)
     vals = np.zeros((3, 2, 1))
     vals[1, 0, 0], vals[1, 1, 0] = -1.0, 1.0
-    f = make_grid_function(d, vals)
+    f = QGridFunction(d, vals)
     mini, objective = brute_force_step(f, 0.5)
     assert mini.values[1, 0, 0] == pytest.approx(-0.5, abs=1e-12)
     assert mini.values[1, 1, 0] == pytest.approx(0.5, abs=1e-12)
@@ -123,14 +123,14 @@ def test_symmetric_two_branch_step_splits_the_hat():
 
 def test_brute_force_rejects_large_or_vector_instances():
     big = build_domain(1, 9)  # 7 interior nodes, q=2 gives 14 unknowns
-    f_big = make_grid_function(big, np.zeros((big.num_nodes, 2, 1)))
+    f_big = QGridFunction(big, np.zeros((big.num_nodes, 2, 1)))
     with pytest.raises(ValueError):
         brute_force_step(f_big, 0.1)
     d = build_domain(1, 3)
-    f_vec = make_grid_function(d, np.zeros((3, 1, 2)))
+    f_vec = QGridFunction(d, np.zeros((3, 1, 2)))
     with pytest.raises(ValueError):
         brute_force_step(f_vec, 0.1)
-    f = make_grid_function(d, np.zeros((3, 1, 1)))
+    f = QGridFunction(d, np.zeros((3, 1, 1)))
     with pytest.raises(ValueError):
         brute_force_step(f, 0.0)
 
@@ -139,20 +139,12 @@ def test_max_principle_check_controls():
     d = build_domain(1, 5)
 
     def const(c):
-        return make_grid_function(d, np.full((5, 1, 1), c))
+        return QGridFunction(d, np.full((5, 1, 1), c))
 
     assert max_principle_check([const(1.0), const(0.5), const(0.5)])
     assert not max_principle_check([const(0.5), const(1.0)])
     with pytest.raises(ValueError):
         max_principle_check([])
-
-    # positive upper branch monitoring
-    vals = np.zeros((5, 2, 1))
-    vals[:, 1, 0] = 0.5
-    pos = make_grid_function(d, vals)
-    flat = make_grid_function(d, np.zeros((5, 2, 1)))
-    assert max_principle_check([pos, pos], positive_upper=True, positive_floor=0.1)
-    assert not max_principle_check([pos, flat], positive_upper=True, positive_floor=0.1)
 
 
 def test_chain_converges_first_order_in_time():
