@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .grid import (
@@ -185,9 +185,12 @@ class FlowTrajectory:
 
 class _ChainState:
     """Chain state of a run: the frozen-pairing system of one (domain, tau,
-    edge pairings) with its LU factor, which a new key replaces, so one run
-    holds one factor; and the last accepted state with its energy, which
-    the next step takes as its energy_before."""
+    edge pairings) with its LU factor and the boundary term of its
+    right-hand side, which a new key replaces, so one run holds one factor;
+    and the last accepted state with its energy, which the next step takes
+    as its energy_before.  One chain holds one boundary: every state it
+    steps from has the same boundary rows, bit for bit, so the boundary
+    term is computed once per factorization."""
 
     def __init__(self):
         self.domain = None
@@ -198,8 +201,7 @@ class _ChainState:
 
     def get(self, domain: GridDomain, key, build):
         if self.domain is not domain or self.key != key:
-            matrix, couple = build()
-            self.system = (matrix, couple, splu(matrix))
+            self.system = build()
             self.domain, self.key = domain, key
         return self.system
 
@@ -217,29 +219,61 @@ def _pairings(vals, prev_vals, domain: GridDomain):
             match_rows(vals[inner], prev_vals[inner])[0])
 
 
+def _compressed(fmt, data, major, minor, shape):
+    """CSC (major = column) or CSR (major = row) matrix from entries
+    sorted by (major, minor) index."""
+    count = shape[1] if fmt is csc_matrix else shape[0]
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(major, minlength=count), out=indptr[1:])
+    return fmt((data, minor, indptr), shape=shape)
+
+
 def _frozen_system(domain: GridDomain, tau: float, sigma):
     """Normal equations of the frozen-pairing quadratic.
 
     The unknowns are node lanes, lane i of node x at index x * w + i with
     w = sigma.shape[1]; edge e joins lane i of its first node with lane
     sigma[e, i] of its second.  Returns the SPD matrix over the interior
-    lanes and the coupling that carries fixed boundary lanes into the
-    right-hand side.
+    lanes (CSC) and the coupling (CSR) that carries fixed boundary lanes
+    into the right-hand side.  Both are assembled straight from COO index
+    arrays: the matrix has w_e * degree + w_p on the diagonal and -w_e for
+    each pair of joined interior lanes, the coupling w_e for each interior
+    lane joined to a boundary lane.  Each row of the coupling lists its
+    boundary columns in descending order, so `couple @ x` adds them in
+    that order.
     """
     width = sigma.shape[1]
     lanes = np.arange(width)
-    size = domain.num_nodes * width
     ua = (domain.edges[:, :1] * width + lanes).ravel()
     ub = (domain.edges[:, 1:] * width + sigma).ravel()
-    adj = csr_matrix((np.ones(ua.size), (ua, ub)), shape=(size, size))
     inner = (domain.interior[:, None] * width + lanes).ravel()
-    rows = (adj + adj.T)[inner]
+    # row of each lane among the interior lanes, -1 for a boundary lane
+    row_of = np.full(domain.num_nodes * width, -1, dtype=np.int64)
+    row_of[inner] = np.arange(inner.size)
+    # every joined pair in both directions, from an interior lane
+    src, dst = np.concatenate([ua, ub]), np.concatenate([ub, ua])
+    rows = row_of[src]
+    rows, dst = rows[rows >= 0], dst[rows >= 0]
+    cols = row_of[dst]
     w_e = domain.delta ** (domain.m - 2)
     w_p = domain.delta**domain.m / tau
-    degree = np.asarray(rows.sum(axis=1)).ravel()
-    matrix = diags(w_e * degree + w_p) - w_e * rows[:, inner]
-    fixed = diags(np.repeat(domain.is_boundary, width).astype(float))
-    return matrix.tocsc(), (w_e * rows @ fixed).tocsr()
+    degree = np.bincount(rows, minlength=inner.size).astype(float)
+
+    coupled = cols >= 0
+    diag = np.arange(inner.size)
+    m_rows = np.concatenate([diag, rows[coupled]])
+    m_cols = np.concatenate([diag, cols[coupled]])
+    m_data = np.concatenate([w_e * degree + w_p,
+                             np.full(coupled.sum(), -w_e)])
+    order = np.argsort(m_cols * inner.size + m_rows)
+    matrix = _compressed(csc_matrix, m_data[order], m_cols[order],
+                         m_rows[order], (inner.size, inner.size))
+
+    c_rows, c_cols = rows[~coupled], dst[~coupled]
+    order = np.argsort(c_rows * row_of.size - c_cols)
+    couple = _compressed(csr_matrix, np.full(c_rows.size, w_e), c_rows[order],
+                         c_cols[order], (inner.size, row_of.size))
+    return matrix, couple
 
 
 def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
@@ -267,15 +301,18 @@ def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
     else:
         sigma, key = edge_sigma, (tau, edge_sigma.tobytes())
         shape = (-1, nn)
-    matrix, couple, lu = cache.get(
-        domain, key, lambda: _frozen_system(domain, tau, sigma))
 
+    def build():
+        matrix, couple = _frozen_system(domain, tau, sigma)
+        return matrix, splu(matrix), couple @ prev_vals.reshape(shape)
+
+    matrix, lu, boundary_rhs = cache.get(domain, key, build)
     w_p = domain.delta**domain.m / tau
     if node_nu is None:
         matched = prev_vals[domain.interior]
     else:
         matched = prev_vals[domain.interior[:, None], node_nu]
-    rhs = w_p * matched.reshape(shape) + couple @ prev_vals.reshape(shape)
+    rhs = w_p * matched.reshape(shape) + boundary_rhs
     sol = lu.solve(rhs)
     vals = prev_vals.copy()
     vals[domain.interior] = sol.reshape(matched.shape)
@@ -298,8 +335,8 @@ def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
     `_factor` lets a chain of steps share one factorization and hand each
     step the energy of its starting state.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     domain = f_prev.domain
     cache = _factor if _factor is not None else _ChainState()
     if cache.state is f_prev:

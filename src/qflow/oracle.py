@@ -2,14 +2,16 @@
 
 Nothing here shares linear algebra with the direct sparse (SuperLU) path
 in `morseflow`: the heat chain below uses a LAPACK banded factorization, the
-step oracle enumerates every branch pairing and solves each frozen quadratic
-densely, and the eigenmode solutions are closed form.
+step oracle enumerates every branch pairing and solves the frozen quadratics
+of all configurations in fixed-size blocks, each block by one batched dense
+solve, and the eigenmode solutions are closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -86,57 +88,8 @@ def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray
     return u
 
 
-def _frozen_quadratic_min(f_prev, tau, edge_cfg, node_cfg, interior, int_of):
-    """Minimize the step objective with all pairings frozen.  Returns the
-    interior branch values and the attained value."""
-    d = f_prev.domain
-    qq = f_prev.q
-    w_e = d.delta ** (d.m - 2)
-    w_p = d.delta**d.m / tau
-    nu = len(interior) * qq
-    mat = np.zeros((nu, nu))
-    lin = np.zeros(nu)
-    const = 0.0
-    vals = f_prev.values[:, :, 0]
-
-    def unknown(node, branch):
-        return int_of[node] * qq + branch
-
-    # quadratic w x^2 - 2 w c x + w c^2 pieces, accumulated term by term
-    def add_pair(w, ia, ib):
-        mat[ia, ia] += w
-        mat[ib, ib] += w
-        mat[ia, ib] -= w
-        mat[ib, ia] -= w
-
-    def add_fixed(w, ia, c):
-        nonlocal const
-        mat[ia, ia] += w
-        lin[ia] += w * c
-        const += w * c * c
-
-    for (a, b), sigma in edge_cfg:
-        for i in range(qq):
-            j = sigma[i]
-            a_in = int_of[a] >= 0
-            b_in = int_of[b] >= 0
-            if a_in and b_in:
-                add_pair(w_e, unknown(a, i), unknown(b, j))
-            elif a_in:
-                add_fixed(w_e, unknown(a, i), vals[b, j])
-            elif b_in:
-                add_fixed(w_e, unknown(b, j), vals[a, i])
-            else:
-                # both ends fixed; identity pairing is optimal for sorted
-                # scalar tuples, so this is the true edge cost
-                const += w_e * (vals[a, i] - vals[b, j]) ** 2
-    for x, nu_x in node_cfg:
-        for i in range(qq):
-            add_fixed(w_p, unknown(x, i), vals[x, nu_x[i]])
-
-    z = np.linalg.solve(mat, lin)
-    value = const - float(lin @ z)
-    return z, value
+# configurations per batched dense solve; bounds a batch at (block, nu, nu)
+_CONFIG_BLOCK = 512
 
 
 def brute_force_step(f_prev: QGridFunction, tau: float):
@@ -145,38 +98,96 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
     Enumerates every branch pairing on edges and nodes, solves each frozen
     convex quadratic exactly, and keeps the overall minimum (first
     configuration wins ties).  Returns (minimizer, objective value).
+
+    A configuration is one permutation per live edge (an edge with an
+    interior end), then one per interior node, in `itertools.product`
+    order.  Lane i of edge (a, b) meets lane sigma[i] of b: a lane with two
+    interior ends couples them in the matrix, one with a fixed end adds a
+    diagonal, linear and constant term, and an edge with two fixed ends
+    only a constant, at the identity pairing.  The configurations are
+    assembled and solved in blocks of _CONFIG_BLOCK, each block by one
+    batched dense solve; `np.add.at` applies repeated indices in order, so
+    every entry is summed term by term in the same order for every block.
     """
     if f_prev.n != 1:
         raise ValueError("brute force step supports n = 1 only")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     d = f_prev.domain
     qq = f_prev.q
     interior = d.interior
-    if len(interior) * qq > BRUTE_FORCE_MAX_UNKNOWNS:
+    nu = len(interior) * qq
+    if nu > BRUTE_FORCE_MAX_UNKNOWNS:
         raise ValueError(
-            f"instance too large: {len(interior) * qq} unknowns exceeds "
+            f"instance too large: {nu} unknowns exceeds "
             f"{BRUTE_FORCE_MAX_UNKNOWNS}"
         )
     int_of = -np.ones(d.num_nodes, dtype=int)
     int_of[interior] = np.arange(len(interior))
+    w_e = d.delta ** (d.m - 2)
+    w_p = d.delta**d.m / tau
+    vals = f_prev.values[:, :, 0]
+    perms = np.array(list(permutations(range(qq))))
 
-    perms = list(permutations(range(qq)))
-    live_edges = [tuple(e) for e in d.edges if int_of[e[0]] >= 0 or int_of[e[1]] >= 0]
-    fixed_edges = [tuple(e) for e in d.edges if int_of[e[0]] < 0 and int_of[e[1]] < 0]
+    live = (int_of[d.edges] >= 0).any(axis=1)
+    ea, eb = d.edges[live].T
+    fa, fb = d.edges[~live].T
+    a_in, b_in = int_of[ea, None] >= 0, int_of[eb, None] >= 0
+    ua = int_of[ea, None] * qq + np.arange(qq)
+    # of the four entries a coupled lane adds, a lane with a fixed end
+    # keeps the diagonal of its interior end
+    quad = np.broadcast_to(
+        np.stack([a_in, b_in, a_in & b_in, a_in & b_in], axis=-1),
+        ua.shape + (4,))
+    quad_w = np.broadcast_to([w_e, w_e, -w_e, -w_e], quad.shape)[quad]
+    one_fixed = np.broadcast_to(a_in ^ b_in, ua.shape)
+    fixed_const = (w_e * (vals[fa] - vals[fb]) ** 2).ravel()
 
-    best = None
-    choice_lists = [perms] * len(live_edges) + [perms] * len(interior)
-    for config in product(*choice_lists):
-        edge_cfg = list(zip(live_edges, config[: len(live_edges)]))
-        edge_cfg += [(e, perms[0]) for e in fixed_edges]
-        node_cfg = list(zip(interior, config[len(live_edges):]))
-        z, value = _frozen_quadratic_min(f_prev, tau, edge_cfg, node_cfg, interior, int_of)
-        if best is None or value < best[0]:
-            best = (value, z)
+    slots = len(ea) + len(interior)
+    count = len(perms) ** slots
+    digits = len(perms) ** np.arange(slots - 1, -1, -1)
+    best_value, best_z = math.inf, None
+    for start in range(0, count, _CONFIG_BLOCK):
+        cfg = np.arange(start, min(start + _CONFIG_BLOCK, count))
+        sigma = perms[cfg[:, None] // digits % len(perms)]
+        edge_sigma, node_nu = sigma[:, :len(ea)], sigma[:, len(ea):]
+        size, batch = len(cfg), np.arange(len(cfg))[:, None]
+        ub = int_of[eb, None] * qq + edge_sigma
+        vb = vals[eb[:, None], edge_sigma]
+        ua_b = np.broadcast_to(ua, ub.shape)
+        nodes = np.broadcast_to(np.arange(nu), (size, nu))
+        rows = np.concatenate(
+            [np.stack([ua_b, ub, ua_b, ub], axis=-1)[:, quad], nodes], axis=1)
+        cols = np.concatenate(
+            [np.stack([ua_b, ub, ub, ua_b], axis=-1)[:, quad], nodes], axis=1)
+        mat = np.zeros((size, nu, nu))
+        np.add.at(mat, (batch, rows, cols),
+                  np.concatenate([quad_w, np.full(nu, w_p)]))
+
+        edge_c = np.where(a_in, vb, vals[ea])[:, one_fixed]
+        node_c = vals[interior[:, None], node_nu].reshape(size, nu)
+        edge_lin, node_lin = w_e * edge_c, w_p * node_c
+        lin = np.zeros((size, nu))
+        lin_rows = np.concatenate(
+            [np.where(a_in, ua_b, ub)[:, one_fixed], nodes], axis=1)
+        np.add.at(lin, (batch, lin_rows),
+                  np.concatenate([edge_lin, node_lin], axis=1))
+        const_terms = np.concatenate(
+            [edge_lin * edge_c,
+             np.broadcast_to(fixed_const, (size, fixed_const.size)),
+             node_lin * node_c], axis=1)
+        const = np.zeros(size)
+        np.add.at(const, np.broadcast_to(batch, const_terms.shape),
+                  const_terms)
+
+        z = np.linalg.solve(mat, lin[:, :, None])
+        value = const - (lin[:, None, :] @ z)[:, 0, 0]
+        first = int(np.argmin(value))
+        if value[first] < best_value:
+            best_value, best_z = value[first], z[first, :, 0]
 
     vals = f_prev.values.copy()
-    vals[interior, :, 0] = best[1].reshape(len(interior), qq)
+    vals[interior, :, 0] = best_z.reshape(len(interior), qq)
     minimizer = QGridFunction(d, vals)
     objective = dirichlet_energy(minimizer) + l2_distance_sq(minimizer, f_prev) / tau
     return minimizer, objective

@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "QPoint",
@@ -106,7 +105,10 @@ _ENUMERATE_MAX_Q = 4
 
 def _lex_smallest_assignment(cost: np.ndarray) -> list:
     """Lexicographically smallest permutation among the minimizers of the
-    assignment problem with the given cost matrix."""
+    assignment problem with the given cost matrix.  Only n > 1, q > 4 data
+    reach it, so scipy.optimize is imported here, off the package import."""
+    from scipy.optimize import linear_sum_assignment
+
     q = cost.shape[0]
     rows, cols = linear_sum_assignment(cost)
     total = float(cost[rows, cols].sum())

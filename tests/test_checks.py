@@ -1,14 +1,16 @@
 """Check battery: positive runs and deliberate negative controls."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qflow import checks
+from qflow import checks, qspace
 from qflow.checks import (
     CHECK_NAMES,
+    CheckResult,
     check_ascending_projection,
     check_boundary_trace,
     check_brute_force,
@@ -32,7 +34,7 @@ from qflow.morseflow import (
     run_flow,
     uniform_schedule,
 )
-from qflow.qspace import make_qpoint, optimal_matching
+from qflow.qspace import make_qpoint, match_rows, matching_distance, optimal_matching
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +67,60 @@ def test_value_space_checks_pass():
         res = fn(rng, 50)
         assert res.passed, res.detail
         assert res.margin >= 0.0 or fn is check_sorted_matching
+
+
+def metric_axioms_by_loop(rng, samples=200):
+    """Per-sample reference for `check_metric_axioms`: one
+    `matching_distance` call per distance."""
+    margin = math.inf
+    ok = True
+    worst = ""
+    for _ in range(samples):
+        q = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 4))
+        a = rng.normal(size=(q, n))
+        b = rng.normal(size=(q, n))
+        c = rng.normal(size=(q, n))
+        pa, pb, pc = make_qpoint(a, n), make_qpoint(b, n), make_qpoint(c, n)
+        dab = matching_distance(pa, pb)
+        sym = 1e-12 - abs(dab - matching_distance(pb, pa))
+        same = matching_distance(pa, make_qpoint(a[rng.permutation(q)], n))
+        if same != 0.0:
+            ok = False
+            worst = f"nonzero distance {same:g} on a permuted copy"
+        distinct = dab - 1e-12
+        tri = matching_distance(pa, pb) + matching_distance(pb, pc) \
+            + 1e-10 - matching_distance(pa, pc)
+        margin = min(margin, sym, distinct, tri)
+    passed = ok and margin >= 0.0
+    detail = worst or (
+        f"{samples} samples, q<=6, n<=3; smallest clearance {margin:.3e}"
+    )
+    return CheckResult("metric_axioms", passed, margin, detail)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11, 123, 999])
+def test_metric_axioms_agrees_with_a_per_sample_loop(seed):
+    for samples in (200, 7, 0):
+        assert check_metric_axioms(np.random.default_rng(seed), samples) \
+            == metric_axioms_by_loop(np.random.default_rng(seed), samples)
+
+
+def test_metric_axioms_names_the_last_failing_sample(monkeypatch):
+    """A matching that charges equal multisets, by their first value, makes
+    the permuted-copy axiom fail on every sample; both paths name the same
+    (last) one."""
+    def charging(a, b):
+        sigma, cost = match_rows(a, b)
+        equal = (a == b).all(axis=(1, 2))
+        return sigma, cost + np.abs(a[:, 0, 0]) * equal
+
+    monkeypatch.setattr(qspace, "match_rows", charging)
+    monkeypatch.setattr(checks, "match_rows", charging)
+    res = check_metric_axioms(np.random.default_rng(3), 40)
+    assert not res.passed
+    assert res.detail.startswith("nonzero distance")
+    assert res == metric_axioms_by_loop(np.random.default_rng(3), 40)
 
 
 def sorted_matching_by_loop(rng, samples=200):

@@ -653,3 +653,15 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (out / "run.json").exists()
     assert "converged=True" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """`linear_sum_assignment` is imported only where n > 1, q > 4 data
+    need it, so importing the CLI does not pay for scipy.optimize."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qflow.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

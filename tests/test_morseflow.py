@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import splu
 
 from qflow.grid import (
@@ -97,6 +98,14 @@ def test_step_rejects_bad_tau():
         minimize_step(f, 0.0)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_step_rejects_non_finite_tau(tau):
+    d = build_domain(1, 5)
+    f = QGridFunction(d, np.random.default_rng(5).normal(size=(5, 2, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        minimize_step(f, tau)
+
+
 def test_constant_data_short_circuits():
     d = build_domain(1, 9)
     f = QGridFunction(d, np.full((9, 2, 1), 1.5))
@@ -185,6 +194,66 @@ def test_none_pairings_solve_as_the_identity_bit_for_bit(m, q, n):
                                    morseflow._ChainState())
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]
+
+
+def frozen_system_by_csr(domain, tau, sigma):
+    """csr-pipeline reference for `_frozen_system`: a lane adjacency
+    matrix, symmetrized, sliced to the interior rows, with `diags`."""
+    width = sigma.shape[1]
+    lanes = np.arange(width)
+    size = domain.num_nodes * width
+    ua = (domain.edges[:, :1] * width + lanes).ravel()
+    ub = (domain.edges[:, 1:] * width + sigma).ravel()
+    adj = csr_matrix((np.ones(ua.size), (ua, ub)), shape=(size, size))
+    inner = (domain.interior[:, None] * width + lanes).ravel()
+    rows = (adj + adj.T)[inner]
+    w_e = domain.delta ** (domain.m - 2)
+    w_p = domain.delta**domain.m / tau
+    degree = np.asarray(rows.sum(axis=1)).ravel()
+    matrix = diags(w_e * degree + w_p) - w_e * rows[:, inner]
+    fixed = diags(np.repeat(domain.is_boundary, width).astype(float))
+    return matrix.tocsc(), (w_e * rows @ fixed).tocsr()
+
+
+@pytest.mark.parametrize("m, res", [(1, 3), (1, 15), (2, 5), (2, 21)])
+@pytest.mark.parametrize("q", [2, 3])
+def test_frozen_system_matches_the_csr_pipeline(m, res, q):
+    """The COO-assembled system has the reference's CSC arrays, and its
+    coupling the same rows in the same column order, so `couple @ x`
+    carries the same bits, for identity and non-identity pairings."""
+    rng = np.random.default_rng(10 * res + q)
+    d = build_domain(m, res)
+    sigmas = {
+        "scalar block": np.zeros((d.num_edges, 1), dtype=np.int64),
+        "identity lanes": np.tile(np.arange(q), (d.num_edges, 1)),
+        "permuted lanes": rng.permuted(
+            np.tile(np.arange(q), (d.num_edges, 1)), axis=1),
+    }
+    assert (sigmas["permuted lanes"] != np.arange(q)).any()
+    for sigma in sigmas.values():
+        matrix, couple = morseflow._frozen_system(d, 0.05, sigma)
+        want, want_couple = frozen_system_by_csr(d, 0.05, sigma)
+        assert matrix.format == "csc" and couple.format == "csr"
+        for got, ref in ((matrix, want), (couple, want_couple)):
+            assert got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+        x = rng.normal(size=(couple.shape[1], 3))
+        assert np.array_equal(couple @ x, want_couple @ x)
+
+
+def test_chain_boundary_term_matches_a_fresh_factor_per_step():
+    """A chain computes the boundary term of its right-hand side once per
+    factorization; stepping each state with a fresh factor gives the same
+    bits."""
+    rng = np.random.default_rng(13)
+    d = build_domain(2, 9)
+    vals = rng.normal(size=(d.num_nodes, 2, 2))
+    traj = run_flow(QGridFunction(d, vals), uniform_schedule(0.05, 4))
+    for k, (prev, nxt) in enumerate(zip(traj.snapshots, traj.snapshots[1:]),
+                                    start=1):
+        fresh, _ = minimize_step(prev, traj.schedule.tau(k))
+        assert np.array_equal(fresh.values, nxt.values)
 
 
 def _solve_by_column(prev_vals, domain, tau, edge_sigma, node_nu):

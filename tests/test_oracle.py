@@ -1,8 +1,12 @@
 """Reference solvers: closed-form modes, direct chain, enumerated step."""
 
+import math
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
+from qflow import checks, oracle
 from qflow.grid import QGridFunction, build_domain, dirichlet_energy, l2_distance_sq
 from qflow.oracle import (
     EigenMode,
@@ -133,6 +137,140 @@ def test_brute_force_rejects_large_or_vector_instances():
     f = QGridFunction(d, np.zeros((3, 1, 1)))
     with pytest.raises(ValueError):
         brute_force_step(f, 0.0)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_brute_force_rejects_non_finite_tau(tau):
+    d = build_domain(1, 3)
+    f = QGridFunction(d, np.random.default_rng(7).normal(size=(3, 2, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_step(f, tau)
+
+
+def frozen_quadratic_min_by_terms(f_prev, tau, edge_cfg, node_cfg, int_of):
+    """Per-configuration reference for `brute_force_step`: the frozen
+    quadratic assembled term by term, solved densely."""
+    d = f_prev.domain
+    qq = f_prev.q
+    w_e = d.delta ** (d.m - 2)
+    w_p = d.delta**d.m / tau
+    nu = len(d.interior) * qq
+    mat = np.zeros((nu, nu))
+    lin = np.zeros(nu)
+    const = 0.0
+    vals = f_prev.values[:, :, 0]
+
+    def unknown(node, branch):
+        return int_of[node] * qq + branch
+
+    def add_pair(w, ia, ib):
+        mat[ia, ia] += w
+        mat[ib, ib] += w
+        mat[ia, ib] -= w
+        mat[ib, ia] -= w
+
+    def add_fixed(w, ia, c):
+        nonlocal const
+        mat[ia, ia] += w
+        lin[ia] += w * c
+        const += w * c * c
+
+    for (a, b), sigma in edge_cfg:
+        for i in range(qq):
+            j = sigma[i]
+            a_in = int_of[a] >= 0
+            b_in = int_of[b] >= 0
+            if a_in and b_in:
+                add_pair(w_e, unknown(a, i), unknown(b, j))
+            elif a_in:
+                add_fixed(w_e, unknown(a, i), vals[b, j])
+            elif b_in:
+                add_fixed(w_e, unknown(b, j), vals[a, i])
+            else:
+                const += w_e * (vals[a, i] - vals[b, j]) ** 2
+    for x, nu_x in node_cfg:
+        for i in range(qq):
+            add_fixed(w_p, unknown(x, i), vals[x, nu_x[i]])
+    z = np.linalg.solve(mat, lin)
+    return z, const - float(lin @ z)
+
+
+def brute_force_by_loop(f_prev, tau):
+    """One frozen quadratic per configuration, in `itertools.product`
+    order; the first configuration wins ties."""
+    d = f_prev.domain
+    qq = f_prev.q
+    interior = d.interior
+    int_of = -np.ones(d.num_nodes, dtype=int)
+    int_of[interior] = np.arange(len(interior))
+    perms = list(permutations(range(qq)))
+    live = [tuple(e) for e in d.edges if int_of[e[0]] >= 0 or int_of[e[1]] >= 0]
+    fixed = [tuple(e) for e in d.edges if int_of[e[0]] < 0 and int_of[e[1]] < 0]
+    best = None
+    for config in product(*[perms] * (len(live) + len(interior))):
+        edge_cfg = list(zip(live, config[:len(live)]))
+        edge_cfg += [(e, perms[0]) for e in fixed]
+        node_cfg = list(zip(interior, config[len(live):]))
+        z, value = frozen_quadratic_min_by_terms(f_prev, tau, edge_cfg,
+                                                 node_cfg, int_of)
+        if best is None or value < best[0]:
+            best = (value, z)
+    vals = f_prev.values.copy()
+    vals[interior, :, 0] = best[1].reshape(len(interior), qq)
+    minimizer = QGridFunction(d, vals)
+    return minimizer, (dirichlet_energy(minimizer)
+                       + l2_distance_sq(minimizer, f_prev) / tau)
+
+
+def assert_same_minimum(f_prev, tau, got=None):
+    got = got or brute_force_step(f_prev, tau)
+    want = brute_force_by_loop(f_prev, tau)
+    assert np.array_equal(got[0].values, want[0].values)
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_batched_step_matches_the_loop_on_check_instances(seed, monkeypatch):
+    """Every instance `check_brute_force` draws gets the loop's minimizer
+    and objective, bit for bit."""
+    seen = []
+
+    def recording(f_prev, tau):
+        result = brute_force_step(f_prev, tau)
+        seen.append((f_prev, tau, result))
+        return result
+
+    monkeypatch.setattr(checks, "brute_force_step", recording)
+    assert checks.check_brute_force(np.random.default_rng(seed)).passed
+    assert len(seen) == 20
+    for f_prev, tau, result in seen:
+        assert_same_minimum(f_prev, tau, result)
+
+
+@pytest.mark.parametrize("res, q", [(7, 2), (3, 4)])
+def test_batched_step_matches_the_loop_across_blocks(res, q):
+    """q = 2 at resolution 7 (2048 configurations) and q = 4 at resolution
+    3 (13 824) span several blocks; ties across blocks still go to the
+    first configuration."""
+    d = build_domain(1, res)
+    assert math.factorial(q) ** (d.num_edges + len(d.interior)) \
+        > 2 * oracle._CONFIG_BLOCK
+    rng = np.random.default_rng(res + q)
+    f_prev = QGridFunction(d, rng.normal(size=(d.num_nodes, q, 1)))
+    assert_same_minimum(f_prev, 0.3)
+
+
+def test_batched_step_matches_the_loop_with_ties_and_fixed_edges():
+    """Symmetric data (many exactly tied configurations), and a disk whose
+    boundary-to-boundary edges add only constants."""
+    d = build_domain(1, 5)
+    vals = np.zeros((5, 2, 1))
+    vals[1:4, 0, 0], vals[1:4, 1, 0] = -1.0, 1.0
+    assert_same_minimum(QGridFunction(d, vals), 0.5)
+    disk = build_domain(2, 5)
+    rng = np.random.default_rng(3)
+    assert_same_minimum(
+        QGridFunction(disk, rng.normal(size=(disk.num_nodes, 1, 1))), 0.2)
 
 
 def test_max_principle_check_controls():
