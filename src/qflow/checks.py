@@ -415,20 +415,18 @@ def check_brute_force(rng, instances: int = 20) -> CheckResult:
 
 
 def check_oracle_equivalence(traj: FlowTrajectory) -> CheckResult:
-    """Single-branch uniform flow against the banded-solver reference chain,
-    snapshot by snapshot, in the max norm.  The reference takes one step
-    from its own previous state per snapshot."""
-    if traj.snapshots[0].q != 1 or traj.snapshots[0].n != 1 \
-            or traj.schedule.mode != "uniform":
+    """Single-branch uniform flow on the interval against the banded-solver
+    reference chain, snapshot by snapshot, in the max norm.  The reference
+    takes one step from its own previous state per snapshot."""
+    f0 = traj.snapshots[0]
+    if (f0.domain.m, f0.q, f0.n, traj.schedule.mode) != (1, 1, 1, "uniform"):
         return CheckResult("oracle_equivalence", False, -math.inf,
-                           "needs a q = 1, n = 1 uniform run")
-    domain = traj.snapshots[0].domain
-    u0 = traj.snapshots[0].values[:, 0, 0]
+                           "needs an m = 1, q = 1, n = 1 uniform run")
     tau = traj.schedule.h
     worst = 0.0
-    ref = u0
+    ref = f0.values[:, 0, 0]
     for k in range(1, traj.completed_steps + 1):
-        ref = implicit_euler_chain(domain, ref, [tau])
+        ref = implicit_euler_chain(f0.domain, ref, [tau])
         worst = max(worst, float(np.max(np.abs(
             traj.snapshots[k].values[:, 0, 0] - ref
         ))))

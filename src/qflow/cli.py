@@ -214,7 +214,7 @@ def _run_check_names(config: RunConfig) -> tuple:
         names += ["symmetry", "positivity"]
     if config.mode == "uniform":
         names.append("max_principle")
-        if config.q == 1:
+        if config.q == 1 and config.m == 1:
             names.append("oracle_equivalence")
     return tuple(n for n in checks.CHECK_NAMES if n in names)
 

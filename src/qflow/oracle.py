@@ -26,7 +26,7 @@ __all__ = [
     "max_principle_check",
 ]
 
-BRUTE_FORCE_MAX_UNKNOWNS = 12
+BRUTE_FORCE_MAX_CONFIGS = 2**14
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,8 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
     assembled and solved in blocks of _CONFIG_BLOCK, each block by one
     batched dense solve; `np.add.at` applies repeated indices in order, so
     every entry is summed term by term in the same order for every block.
+    An instance of more than BRUTE_FORCE_MAX_CONFIGS configurations raises
+    ValueError before anything is assembled.
     """
     if f_prev.n != 1:
         raise ValueError("brute force step supports n = 1 only")
@@ -116,20 +118,22 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
     d = f_prev.domain
     qq = f_prev.q
     interior = d.interior
-    nu = len(interior) * qq
-    if nu > BRUTE_FORCE_MAX_UNKNOWNS:
-        raise ValueError(
-            f"instance too large: {nu} unknowns exceeds "
-            f"{BRUTE_FORCE_MAX_UNKNOWNS}"
-        )
     int_of = -np.ones(d.num_nodes, dtype=int)
     int_of[interior] = np.arange(len(interior))
+    live = (int_of[d.edges] >= 0).any(axis=1)
+    slots = int(live.sum()) + len(interior)
+    count = math.factorial(qq) ** slots
+    if count > BRUTE_FORCE_MAX_CONFIGS:
+        raise ValueError(
+            f"instance too large: {count} pairing configurations exceeds "
+            f"{BRUTE_FORCE_MAX_CONFIGS}"
+        )
+    nu = len(interior) * qq
     w_e = d.delta ** (d.m - 2)
     w_p = d.delta**d.m / tau
     vals = f_prev.values[:, :, 0]
     perms = np.array(list(permutations(range(qq))))
 
-    live = (int_of[d.edges] >= 0).any(axis=1)
     ea, eb = d.edges[live].T
     fa, fb = d.edges[~live].T
     a_in, b_in = int_of[ea, None] >= 0, int_of[eb, None] >= 0
@@ -143,8 +147,6 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
     one_fixed = np.broadcast_to(a_in ^ b_in, ua.shape)
     fixed_const = (w_e * (vals[fa] - vals[fb]) ** 2).ravel()
 
-    slots = len(ea) + len(interior)
-    count = len(perms) ** slots
     digits = len(perms) ** np.arange(slots - 1, -1, -1)
     best_value, best_z = math.inf, None
     for start in range(0, count, _CONFIG_BLOCK):

@@ -8,13 +8,13 @@ is an isometric embedding into R^Q.  The ascending cone is the image of that
 embedding and `ascending_projection` retracts onto it.
 
 `match_rows` makes every pairing decision of the package, for a batch of
-rows at once: the identity for n = 1, one cost tensor over all q!
-permutations for q <= 4, an assignment solve per row beyond that.
+rows at once: the identity for n = 1, and for n > 1 one dynamic programme
+over column subsets (Bellman 1962; Held and Karp 1962), vectorized over the
+rows, in O(rows * 2^q * q) time for q <= 8.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,35 +99,8 @@ def make_qpoint(values, n: int | None = None) -> QPoint:
     return QPoint(arr)
 
 
-# largest q whose q! permutations are scored as one cost tensor
-_ENUMERATE_MAX_Q = 4
-
-
-def _lex_smallest_assignment(cost: np.ndarray) -> list:
-    """Lexicographically smallest permutation among the minimizers of the
-    assignment problem with the given cost matrix.  Only n > 1, q > 4 data
-    reach it, so scipy.optimize is imported here, off the package import."""
-    from scipy.optimize import linear_sum_assignment
-
-    q = cost.shape[0]
-    rows, cols = linear_sum_assignment(cost)
-    total = float(cost[rows, cols].sum())
-    tol = 1e-9 * (1.0 + abs(total))
-    free = list(range(q))
-    sigma = []
-    remaining = total
-    for i in range(q):
-        for j in free:
-            sub = cost[i + 1:, [c for c in free if c != j]]
-            r, c = linear_sum_assignment(sub)
-            if cost[i, j] + float(sub[r, c].sum()) <= remaining + tol:
-                sigma.append(j)
-                free.remove(j)
-                remaining -= cost[i, j]
-                break
-        else:  # pragma: no cover - defensive, assignment always completes
-            raise RuntimeError("assignment reconstruction failed")
-    return sigma
+# largest q matched for n > 1: the subset table holds 2^q floats per row
+_MATCH_MAX_Q = 8
 
 
 def match_rows(a: np.ndarray, b: np.ndarray):
@@ -135,6 +108,13 @@ def match_rows(a: np.ndarray, b: np.ndarray):
     arrays: branch i of a[r] goes to branch sigma[r, i] of b[r].  Returns
     sigma (rows, q) and the squared-distance cost of each row.  Ties within
     1e-9 * (1 + |minimum|) go to the lexicographically smallest sigma.
+
+    For n = 1 the identity is optimal.  For n > 1, rest[s] is the cheapest
+    pairing of branches |s|..q-1 with the columns outside the set s, filled
+    from the full set down; sigma is then read off branch by branch, each
+    time the smallest free column through which the minimum is still met
+    within the tolerance.  That costs O(rows * 2^q * q) time and
+    rows * 2^q floats, so n > 1 requires q <= 8 (ValueError beyond).
     """
     rows, q, n = a.shape
     if b.shape != a.shape:
@@ -142,17 +122,37 @@ def match_rows(a: np.ndarray, b: np.ndarray):
     if n == 1:
         sigma = np.zeros((rows, q), dtype=np.int64) + np.arange(q)
         return sigma, ((a - b) ** 2).sum(axis=(1, 2))
-    cost = ((a[:, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=3)
-    branches = np.arange(q)
-    if q <= _ENUMERATE_MAX_Q:
-        perms = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
-        scores = cost[:, branches, perms].sum(axis=2)
-        low = scores.min(axis=1, keepdims=True)
-        first = np.argmax(scores <= low + 1e-9 * (1.0 + np.abs(low)), axis=1)
-        return perms[first], scores[np.arange(rows), first]
-    sigma = np.array([_lex_smallest_assignment(c) for c in cost],
-                     dtype=np.int64).reshape(rows, q)
-    return sigma, cost[np.arange(rows)[:, None], branches, sigma].sum(axis=1)
+    if q > _MATCH_MAX_Q:
+        raise ValueError(f"matching points in R^{n} needs q <= "
+                         f"{_MATCH_MAX_Q}, got q = {q}")
+    # cost[i, j, r]: squared distance from branch i of a[r] to branch j of b[r]
+    at, bt = a.transpose(2, 1, 0), b.transpose(2, 1, 0)
+    cost = sum((at[k][:, None] - bt[k][None]) ** 2 for k in range(n))
+    full = 1 << q
+    taken = (np.arange(full)[:, None] >> np.arange(q)) & 1
+    # nxt[s, j]: the set s plus column j, or the infinite entry if j is in s
+    nxt = np.where(taken, full, np.arange(full)[:, None] | 1 << np.arange(q))
+    rest = np.zeros((full + 1, rows))
+    rest[full] = np.inf
+    size = taken.sum(axis=1)
+    for i in range(q - 1, -1, -1):
+        sets = np.flatnonzero(size == i)
+        rest[sets] = (cost[i] + rest[nxt[sets]]).min(axis=1)
+    limit = rest[0] + 1e-9 * (1.0 + np.abs(rest[0]))
+    r = np.arange(rows)
+    sigma = np.zeros((rows, q), dtype=np.int64)
+    s = np.zeros(rows, dtype=np.int64)
+    spent = np.zeros(rows)
+    for i in range(q - 1):
+        through = spent + cost[i] + rest[nxt.T[:, s], r]
+        # admit the best free column even if rounding puts it above limit
+        bar = np.maximum(limit, through.min(axis=0))
+        sigma[:, i] = j = np.argmax(through <= bar, axis=0)
+        spent += cost[i, j, r]
+        s = nxt[s, j]
+    # the last branch takes the one column left
+    sigma[:, -1] = q * (q - 1) // 2 - sigma[:, :-1].sum(axis=1)
+    return sigma, cost[np.arange(q), sigma, r[:, None]].sum(axis=1)
 
 
 def optimal_matching(a: QPoint, b: QPoint) -> Matching:

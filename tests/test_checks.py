@@ -284,6 +284,19 @@ def test_oracle_equivalence_requires_single_branch_uniform(healthy):
     assert check_oracle_equivalence(good).passed
 
 
+def test_oracle_equivalence_cannot_apply_on_the_disk():
+    """The reference chain lives on the interval: a q = 1 disk run gets the
+    cannot-apply result, not the chain's ValueError."""
+    d = build_domain(2, 7)
+    f0 = sample_initial(
+        InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),)), d, 1
+    )
+    res = check_oracle_equivalence(run_flow(f0, uniform_schedule(0.1, 2)))
+    assert not res.passed
+    assert res.margin == -math.inf
+    assert res.detail == "needs an m = 1, q = 1, n = 1 uniform run"
+
+
 def test_oracle_equivalence_detects_a_moved_value():
     d = build_domain(1, 21)
     f0 = sample_initial(

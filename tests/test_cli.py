@@ -513,6 +513,42 @@ def test_reports_stay_strict_json_when_a_check_cannot_apply(tmp_path, capsys):
     assert "FAILED checks: max_principle, oracle_equivalence" in captured.err
 
 
+# --- the disk --------------------------------------------------------------
+
+DISK = """
+mode = uniform
+m = 2
+resolution = 11
+total_time = 0.25
+steps = 8
+seed = 3
+"""
+
+
+def test_single_branch_run_on_the_disk_ends_by_its_checks(tmp_path):
+    """The interval oracle is not among a disk run's checks."""
+    cfg = write_config(tmp_path, DISK + "q = 1\npreset = branches\n"
+                                        "branch_coeffs = 1.0,0.0,-1.0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "run.json").read_text())
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+        (name, True) for name in ("energy_monotonicity", "step_estimate",
+                                  "eta_residual", "max_principle",
+                                  "boundary_trace", "holder")]
+
+
+def test_verify_on_the_disk_fails_only_the_interval_oracle(tmp_path, capsys):
+    cfg = write_config(tmp_path, DISK + "q = 2\npreset = symmetric-cos\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    payload = json.loads((out / "verify.json").read_text())
+    assert len(payload["checks"]) == len(CHECK_NAMES)
+    assert [(c["name"], c["margin"]) for c in payload["checks"]
+            if not c["passed"]] == [("oracle_equivalence", None)]
+    assert "FAILED checks: oracle_equivalence\n" in capsys.readouterr().err
+
+
 # --- sweep and oracle ------------------------------------------------------
 
 SWEEP = """
@@ -655,13 +691,23 @@ def test_module_entry_point(tmp_path):
     assert "converged=True" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """`linear_sum_assignment` is imported only where n > 1, q > 4 data
-    need it, so importing the CLI does not pay for scipy.optimize."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qflow.cli; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True,
+def test_no_qflow_path_loads_scipy_optimize(tmp_path):
+    """Vector matching for q = 5..8 and a whole `verify` run, in a fresh
+    interpreter, never import scipy.optimize."""
+    cfg = write_config(tmp_path, SMALL)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from qflow.cli import main\n"
+        "from qflow.qspace import _canonical, match_rows\n"
+        "rng = np.random.default_rng(5)\n"
+        "for q in range(5, 9):\n"
+        "    match_rows(*_canonical(rng.normal(size=(2, 4, q, 2))))\n"
+        f"code = main(['verify', '--config', {str(cfg)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 False"

@@ -126,9 +126,10 @@ def test_symmetric_two_branch_step_splits_the_hat():
 
 
 def test_brute_force_rejects_large_or_vector_instances():
-    big = build_domain(1, 9)  # 7 interior nodes, q=2 gives 14 unknowns
+    # 8 live edges and 7 interior nodes: 2**15 pairing configurations
+    big = build_domain(1, 9)
     f_big = QGridFunction(big, np.zeros((big.num_nodes, 2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="32768 pairing configurations"):
         brute_force_step(f_big, 0.1)
     d = build_domain(1, 3)
     f_vec = QGridFunction(d, np.zeros((3, 1, 2)))
@@ -311,3 +312,14 @@ def test_chain_converges_second_order_in_space():
         exact = exact_eigen_solution(mode, 0.25, d)
         errors.append(np.linalg.norm(out - exact) / np.linalg.norm(exact))
     assert np.log2(errors[0] / errors[1]) >= 1.9
+
+
+def test_brute_force_bounds_configurations_not_unknowns():
+    """q = 3 at resolution 5 has only 9 unknowns but 6**7 configurations.
+    The largest admitted instances, q = 4 at resolution 3 (24**3) and q = 2
+    at resolution 7 (2**11), are stepped by
+    test_batched_step_matches_the_loop_across_blocks."""
+    d = build_domain(1, 5)
+    f = QGridFunction(d, np.zeros((d.num_nodes, 3, 1)))
+    with pytest.raises(ValueError, match="279936 pairing configurations"):
+        brute_force_step(f, 0.1)

@@ -33,26 +33,27 @@ def exhaustive_cost(a, b):
     return best
 
 
-def reference_match(a, b):
+def match_rows_by_enumeration(a, b):
     """First permutation, in itertools.permutations order, whose cost is
-    within 1e-9 * (1 + |minimum|) of the minimum, with that cost summed
-    branch by branch."""
-    q = a.shape[0]
-    cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    perms = list(itertools.permutations(range(q)))
-    scores = [cost[np.arange(q), list(p)].sum() for p in perms]
-    low = min(scores)
-    return next((p, c) for p, c in zip(perms, scores)
-                if c <= low + 1e-9 * (1.0 + abs(low)))
+    within 1e-9 * (1 + |minimum|) of the minimum, for every row of two
+    (rows, q, n) arrays at once: all q! permutations scored as one cost
+    tensor.  Returns sigma and each row's cost as the sum of its q pair
+    costs along the row (which numpy sums pairwise from q = 8 on)."""
+    rows, q, _ = a.shape
+    cost = ((a[:, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=3)
+    perms = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
+    scores = cost[:, np.arange(q), perms].sum(axis=2)
+    low = scores.min(axis=1, keepdims=True)
+    sigma = perms[np.argmax(scores <= low + 1e-9 * (1.0 + np.abs(low)), axis=1)]
+    return sigma, cost[np.arange(rows)[:, None], np.arange(q), sigma].sum(axis=1)
 
 
 def assert_matches_reference(a, b):
     sigma, cost = match_rows(a, b)
     assert sigma.shape == a.shape[:2] and cost.shape == a.shape[:1]
-    for r in range(a.shape[0]):
-        ref_sigma, ref_cost = reference_match(a[r], b[r])
-        assert tuple(sigma[r]) == ref_sigma
-        assert cost[r].tobytes() == ref_cost.tobytes()
+    ref_sigma, ref_cost = match_rows_by_enumeration(a, b)
+    assert np.array_equal(sigma, ref_sigma)
+    assert cost.tobytes() == ref_cost.tobytes()
 
 
 # --- frozen values ---------------------------------------------------------
@@ -157,11 +158,10 @@ def test_assignment_matches_exhaustive_search_in_the_plane():
 
 
 def test_match_rows_is_the_first_minimizer_in_permutation_order():
-    """Both sides of the enumeration threshold (q <= 4 by cost tensor,
-    q > 4 by assignment solves) against the reference, with exact ties
-    from rounded values and from duplicated points."""
+    """The subset programme against the enumeration for every q it takes,
+    with exact ties from rounded values and from duplicated points."""
     rng = np.random.default_rng(707)
-    for q in range(1, 7):
+    for q in range(1, 9):
         for n in range(1, 4):
             rows = 12
             a = rng.normal(size=(rows, q, n))
@@ -173,10 +173,47 @@ def test_match_rows_is_the_first_minimizer_in_permutation_order():
             assert_matches_reference(_canonical(a), _canonical(b))
 
 
+def test_match_rows_takes_near_ties_within_the_tolerance():
+    """Branches 0 and 1 of a[r] a hair apart: swapping their partners in
+    the minimizer changes the cost by less or by more than
+    1e-9 * (1 + |min|).  Where the swap comes first in permutation order,
+    rows of the first kind take it above the minimum and rows of the second
+    kind refuse it."""
+    rng = np.random.default_rng(808)
+    took = refused = 0
+    for q in range(2, 9):
+        rows = 40
+        a = rng.normal(size=(rows, q, 2))
+        b = rng.normal(size=(rows, q, 2))
+        a[:, 0, 0] = a[:, :, 0].min(axis=1) - 1.0  # first in canonical order
+        a[:, 1] = a[:, 0]
+        a[:, 1, 1] += 10.0 ** rng.uniform(-11.0, -7.0, size=rows)
+        a, b = _canonical(a), _canonical(b)
+        assert_matches_reference(a, b)
+        cost = ((a[:, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=3)
+        perms = np.array(list(itertools.permutations(range(q))))
+        best = perms[cost[:, np.arange(q), perms].sum(axis=2).argmin(axis=1)]
+        sigma = match_rows(a, b)[0]
+        moved = (sigma != best).any(axis=1)
+        took += int(moved.sum())
+        refused += int((~moved & (best[:, 1] < best[:, 0])).sum())
+    assert took > 0 and refused > 0
+
+
+def test_vector_matching_is_bounded_in_q():
+    rng = np.random.default_rng(909)
+    with pytest.raises(ValueError, match="q <= 8"):
+        match_rows(*rng.normal(size=(2, 3, 9, 2)))
+    a, b = np.sort(rng.normal(size=(2, 3, 9, 1)), axis=2)
+    sigma, cost = match_rows(a, b)
+    assert np.array_equal(sigma, np.broadcast_to(np.arange(9), (3, 9)))
+    assert np.array_equal(cost, ((a - b) ** 2).sum(axis=(1, 2)))
+
+
 @st.composite
 def row_pairs(draw):
     """Two (rows, q, n) arrays of half integers, so ties are exact."""
-    rows, q, n = draw(st.tuples(st.integers(1, 3), st.integers(1, 6),
+    rows, q, n = draw(st.tuples(st.integers(1, 3), st.integers(1, 8),
                                 st.integers(1, 3)))
     size = 2 * rows * q * n
     values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
