@@ -215,27 +215,32 @@ def _check_same(f: QGridFunction, g: QGridFunction):
         raise ValueError("grid functions have different value shapes")
 
 
-def _paired_costs(f: QGridFunction, a_vals: np.ndarray, b_vals: np.ndarray) -> float:
-    """Sum of squared matching distances over paired value arrays; the
-    row costs are added left to right."""
-    if f.n == 1 or f.q == 1:
-        return float(((a_vals - b_vals) ** 2).sum())
-    cost = match_rows(a_vals, b_vals)[1]
-    return float(np.add.accumulate(cost)[-1])
+def _paired(a_vals: np.ndarray, b_vals: np.ndarray):
+    """Optimal branch pairing of paired value arrays (rows, q, n) and the
+    sum of its squared matching distances, the row costs added left to
+    right.  The pairing is None when it is the identity on every row, which
+    sorted storage makes it for n = 1 or q = 1; no matching is computed
+    then."""
+    if a_vals.shape[2] == 1 or a_vals.shape[1] == 1:
+        return None, float(((a_vals - b_vals) ** 2).sum())
+    sigma, cost = match_rows(a_vals, b_vals)
+    if (sigma == np.arange(sigma.shape[1])).all():
+        sigma = None
+    return sigma, float(np.add.accumulate(cost)[-1])
 
 
 def dirichlet_energy(f: QGridFunction) -> float:
     """Edge sum of squared matching distances, weighted by delta^(m-2)."""
     d = f.domain
     ea, eb = d.edges[:, 0], d.edges[:, 1]
-    return d.delta ** (d.m - 2) * _paired_costs(f, f.values[ea], f.values[eb])
+    return d.delta ** (d.m - 2) * _paired(f.values[ea], f.values[eb])[1]
 
 
 def l2_distance_sq(f: QGridFunction, g: QGridFunction) -> float:
     """Node sum of squared matching distances, weighted by delta^m."""
     _check_same(f, g)
     d = f.domain
-    return d.delta**d.m * _paired_costs(f, f.values, g.values)
+    return d.delta**d.m * _paired(f.values, g.values)[1]
 
 
 def branch_mean_field(f: QGridFunction) -> np.ndarray:

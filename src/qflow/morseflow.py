@@ -5,10 +5,11 @@ over grid functions that agree with f_prev on the boundary.  The solver
 alternates between recomputing optimal branch pairings and a direct sparse
 (LU) solve of the resulting convex quadratic, one block solve over every
 value column per sweep, and stops when the pairings no longer change or a
-sweep no longer lowers the objective.  For n = 1 the canonical (sorted)
-storage makes every pairing the identity, so a single sweep is exact and
-no pairing is recomputed after it.  Two step size schedules are provided:
-a geometric one where step k uses tau = h / 2^k, and a uniform one with
+sweep no longer lowers the objective; the matchings that score a sweep
+are the pairings of the next one.  For n = 1 the canonical (sorted)
+storage makes every pairing the identity, so no matching is computed and
+a single sweep is exact.  Two step size schedules are provided: a
+geometric one where step k uses tau = h / 2^k, and a uniform one with
 tau = T / N.
 
 The interpolated trajectory crosses from state k-1 to state k over the
@@ -32,6 +33,7 @@ from scipy.sparse.linalg import splu
 from .grid import (
     GridDomain,
     QGridFunction,
+    _paired,
     branch_mean_residual,
     dirichlet_energy,
     l2_distance_sq,
@@ -187,8 +189,8 @@ class _ChainState:
     """Chain state of a run: the frozen-pairing system of one (domain, tau,
     edge pairings) with its LU factor and the boundary term of its
     right-hand side, which a new key replaces, so one run holds one factor;
-    and the last accepted state with its energy, which the next step takes
-    as its energy_before.  One chain holds one boundary: every state it
+    and the last accepted state with its edge pairing and energy, which the
+    next step starts from.  One chain holds one boundary: every state it
     steps from has the same boundary rows, bit for bit, so the boundary
     term is computed once per factorization."""
 
@@ -197,6 +199,7 @@ class _ChainState:
         self.key = None
         self.system = None
         self.state = None
+        self.edge_sigma = None
         self.energy = None
 
     def get(self, domain: GridDomain, key, build):
@@ -204,19 +207,6 @@ class _ChainState:
             self.system = build()
             self.domain, self.key = domain, key
         return self.system
-
-
-def _pairings(vals, prev_vals, domain: GridDomain):
-    """Optimal branch pairings across each edge, shape (edges, q), and from
-    each interior node to f_prev, shape (interior, q).  For n = 1 sorted
-    storage makes the identity optimal; it is returned as (None, None)
-    and no matching is computed."""
-    if vals.shape[2] == 1:
-        return None, None
-    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
-    inner = domain.interior
-    return (match_rows(vals[ea], vals[eb])[0],
-            match_rows(vals[inner], prev_vals[inner])[0])
 
 
 def _compressed(fmt, data, major, minor, shape):
@@ -282,20 +272,20 @@ def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
 
     Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at b;
     interior node interior[j] compares its branch i with branch
-    node_nu[j, i] of f_prev; None stands for the identity pairing.  The
-    objective is then a convex quadratic in the interior branch values,
-    solved directly by sparse LU.  The matrix depends on tau and the edge
-    pairings only.  When every edge pairing is the identity it is q copies
-    of one scalar block over the interior nodes and the right-hand side
-    has one column per (branch, coordinate); otherwise the columns are the
-    n coordinates of every branch lane.
+    node_nu[j, i] of f_prev; None, and only None, stands for the identity
+    pairing on every row.  The objective is then a convex quadratic in the
+    interior branch values, solved directly by sparse LU.  The matrix
+    depends on tau and the edge pairings only.  For the identity edge
+    pairing it is q copies of one scalar block over the interior nodes and
+    the right-hand side has one column per (branch, coordinate); otherwise
+    the columns are the n coordinates of every branch lane.
     Either way all columns go through one block solve, in which a negated
     column is solved with the same arithmetic, so +/- data (q = 2) stay
     exactly symmetric.  Returns the new node values and the largest
     residual of the block system.
     """
     qq, nn = prev_vals.shape[1:]
-    if edge_sigma is None or (edge_sigma == np.arange(qq)).all():
+    if edge_sigma is None:
         sigma, key = np.zeros((domain.num_edges, 1), dtype=np.int64), (tau, None)
         shape = (-1, qq * nn)
     else:
@@ -326,57 +316,62 @@ def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
     Alternates frozen-pairing solves with pairing updates until the
     pairings of the new iterate are the ones it was solved with, or a sweep
     no longer lowers the objective (its floating point floor); a step still
-    moving after _MAX_OUTER sweeps is flagged as not converged.  For n = 1
-    sorted storage makes the identity pairing optimal, so the first
-    accepted sweep ends the step without recomputing any pairing.  Returns
-    (f_next, report) with the boundary of f_prev preserved and objective
-    value never above the starting one, so the Dirichlet energy cannot
-    increase across the step.
+    moving after _MAX_OUTER sweeps is flagged as not converged.  A sweep's
+    iterate is matched once across the edges and once against f_prev at the
+    nodes, which gives its objective and the next sweep's pairings; the
+    first sweep uses f_prev's edge pairing and the identity at the nodes.
+    For n = 1 every pairing is the identity (None), so the first accepted
+    sweep ends the step.  Returns (f_next, report) with the boundary of f_prev preserved and
+    objective value never above the starting one, so the Dirichlet energy
+    cannot increase across the step.
     `_factor` lets a chain of steps share one factorization and hand each
-    step the energy of its starting state.
+    step the edge pairing and energy of its starting state.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     domain = f_prev.domain
+    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
+    w_e, w_p = domain.delta ** (domain.m - 2), domain.delta**domain.m
+    prev_vals = f_prev.values
     cache = _factor if _factor is not None else _ChainState()
     if cache.state is f_prev:
-        energy_before = cache.energy
+        edge_sigma, energy_before = cache.edge_sigma, cache.energy
     else:
-        energy_before = dirichlet_energy(f_prev)
+        edge_sigma, e = _paired(prev_vals[ea], prev_vals[eb])
+        energy_before = w_e * e
 
     if energy_before == 0.0:
         # constant data is a fixed point of every step
         report = StepReport(step_index, tau, 0.0, 0.0, 0.0, 0, True, (0.0,), 0.0)
-        cache.state, cache.energy = f_prev, 0.0
+        cache.state, cache.edge_sigma, cache.energy = f_prev, edge_sigma, 0.0
         return f_prev, report
 
-    prev_vals = f_prev.values
-    pairings = _pairings(prev_vals, prev_vals, domain)
+    pairings = (edge_sigma, None)
     trace = [energy_before]  # objective at f_prev: penalty vanishes
     current, energy_after, penalty = f_prev, energy_before, 0.0
     converged = True
     for outer in range(1, _MAX_OUTER + 1):
         vals, stationarity = _solve_frozen(prev_vals, domain, tau, *pairings, cache)
         candidate = QGridFunction(domain, vals)
-        energy = dirichlet_energy(candidate)
-        dist = l2_distance_sq(candidate, f_prev)
+        c = candidate.values
+        edge_sigma, e = _paired(c[ea], c[eb])
+        node_sigma, d = _paired(c, prev_vals)
+        energy, dist = w_e * e, w_p * d
         value = energy + dist / tau
         if value >= trace[-1]:
             # floating point floor reached; keep the last accepted iterate
             break
         current, energy_after, penalty = candidate, energy, dist
         trace.append(value)
-        if f_prev.n == 1:
-            # sorted storage keeps the identity pairing optimal
-            break
         solved_with = pairings
-        pairings = _pairings(candidate.values, prev_vals, domain)
-        if all(np.array_equal(p, s) for p, s in zip(pairings, solved_with)):
+        nu = None if node_sigma is None else node_sigma[domain.interior]
+        pairings = (edge_sigma, nu)
+        if all(p is s or np.array_equal(p, s) for p, s in zip(pairings, solved_with)):
             break
     else:
         converged = False
 
-    cache.state, cache.energy = current, energy_after
+    cache.state, cache.edge_sigma, cache.energy = current, pairings[0], energy_after
     report = StepReport(
         step_index,
         tau,

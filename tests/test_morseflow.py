@@ -14,11 +14,10 @@ from qflow.grid import (
     build_domain,
     branch_mean_field,
     branch_mean_residual,
-    dirichlet_energy,
     l2_distance_sq,
     sample_initial,
 )
-from qflow import morseflow, qspace
+from qflow import grid, morseflow, qspace
 from qflow.checks import check_boundary_trace, check_holder
 from qflow.morseflow import (
     FlowTrajectory,
@@ -153,44 +152,73 @@ def test_symmetric_step_keeps_the_mean_at_zero():
     assert max(np.max(np.abs(branch_mean_field(f))) for f in traj.snapshots) == 0.0
 
 
-def test_single_valued_step_takes_one_sweep(monkeypatch):
-    """For n = 1 the sorted identity pairing is optimal, so the first
-    frozen-pairing solve is already the pairing fixed point, and no
-    pairing is recomputed to confirm it."""
+def count_matchings(monkeypatch):
+    """Every `match_rows` call, through each module binding of it."""
     calls = []
-    pairings = morseflow._pairings
+    match_rows = qspace.match_rows
 
-    def counted(*args):
-        calls.append(args)
-        return pairings(*args)
+    def counted(a, b):
+        calls.append(a.shape)
+        return match_rows(a, b)
 
-    monkeypatch.setattr(morseflow, "_pairings", counted)
+    for module in (qspace, grid, morseflow):
+        monkeypatch.setattr(module, "match_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q, n", [(3, 1), (1, 2)])
+def test_identity_valued_step_matches_nothing_and_takes_one_sweep(
+        monkeypatch, q, n):
+    """For n = 1 (sorted storage) or q = 1 every pairing is the identity,
+    so the first frozen-pairing solve is already the pairing fixed point
+    and no matching is computed, to score it or to confirm it."""
+    calls = count_matchings(monkeypatch)
     rng = np.random.default_rng(39)
     d = build_domain(1, 31)
-    f = QGridFunction(d, rng.normal(0.0, 1.0, size=(31, 3, 1)))
+    f = QGridFunction(d, rng.normal(0.0, 1.0, size=(31, q, n)))
     _, report = minimize_step(f, 0.05)
     assert report.converged
     assert report.outer_iterations == 1
     assert len(report.objective_trace) == 2
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_vector_chain_matches_twice_per_sweep(monkeypatch):
+    """The two matchings that score a sweep, across the edges and against
+    f_prev at the nodes, are also the next sweep's pairings, and the chain
+    hands each step its start's edge pairing: one matching of the initial
+    edges, then two per sweep, discarded sweeps included."""
+    calls = count_matchings(monkeypatch)
+    rng = np.random.default_rng(6)
+    d = build_domain(2, 9)
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, 2, 2)))
+    traj = run_flow(f0, uniform_schedule(0.25, 6))
+    assert traj.converged
+    sweeps = sum(r.outer_iterations for r in traj.reports)
+    assert sweeps > traj.completed_steps
+    assert len(calls) == 1 + 2 * sweeps
+    assert calls.count((d.num_edges, 2, 2)) == 1 + sweeps
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
 def test_none_pairings_solve_as_the_identity_bit_for_bit(m, q, n):
-    """(None, None), what `_pairings` returns for n = 1, gives the same
-    bits as explicit identity pairing arrays."""
+    """None is the one form of the identity pairing: `grid._paired` gives
+    it for n = 1 or q = 1 and for a state matched with itself, which is
+    why a step's first sweep takes None at the nodes, and as a node
+    pairing it solves with the same bits as an explicit identity."""
     rng = np.random.default_rng(100 * m + 10 * q + n)
     d = build_domain(m, 9 if m == 2 else 15)
     f = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
-    if n == 1:
-        assert morseflow._pairings(f.values, f.values, d) == (None, None)
-    ident = (np.tile(np.arange(q), (d.num_edges, 1)),
-             np.tile(np.arange(q), (len(d.interior), 1)))
-    got = morseflow._solve_frozen(f.values, d, 0.05, None, None,
+    edge_sigma = grid._paired(f.values[d.edges[:, 0]], f.values[d.edges[:, 1]])[0]
+    if n == 1 or q == 1:
+        assert edge_sigma is None
+    assert grid._paired(f.values, f.values)[0] is None
+    ident = np.tile(np.arange(q), (len(d.interior), 1))
+    got = morseflow._solve_frozen(f.values, d, 0.05, edge_sigma, None,
                                   morseflow._ChainState())
-    want = morseflow._solve_frozen(f.values, d, 0.05, *ident,
+    want = morseflow._solve_frozen(f.values, d, 0.05, edge_sigma, ident,
                                    morseflow._ChainState())
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]
@@ -258,10 +286,10 @@ def test_chain_boundary_term_matches_a_fresh_factor_per_step():
 
 def _solve_by_column(prev_vals, domain, tau, edge_sigma, node_nu):
     """Reference for the block solve: one LU solve per (branch, coordinate)
-    column when every edge pairing is the identity, one per coordinate of
-    the lane-coupled system otherwise.  Returns the interior values."""
+    column for the identity edge pairing (None), one per coordinate of the
+    lane-coupled system otherwise.  Returns the interior values."""
     qq, nn = prev_vals.shape[1:]
-    if (edge_sigma == np.arange(qq)).all():
+    if edge_sigma is None:
         sigma = np.zeros((domain.num_edges, 1), dtype=np.int64)
         columns = [np.s_[:, i, c] for i in range(qq) for c in range(nn)]
     else:
@@ -293,7 +321,7 @@ def test_block_solve_matches_per_column_solves(m, q, n):
         return rng.permuted(np.tile(np.arange(q), (rows, 1)), axis=1)
 
     node_nu = perms(len(d.interior))
-    paths = [np.tile(np.arange(q), (d.num_edges, 1))]
+    paths = [None, np.tile(np.arange(q), (d.num_edges, 1))]
     if q > 1:
         paths.append(perms(d.num_edges))
         assert (paths[-1] != np.arange(q)).any()
@@ -305,6 +333,31 @@ def test_block_solve_matches_per_column_solves(m, q, n):
         assert np.max(np.abs(vals[d.interior] - want)) <= tol
         assert np.array_equal(vals[d.is_boundary], f.values[d.is_boundary])
         assert residual <= 1e-10
+
+
+def test_separated_vector_branches_follow_the_heat_chain():
+    """The paper's second construction for vector values: branches of R^2
+    that stay apart flow as independent heat equations, one per (branch,
+    coordinate) column, each step one sweep."""
+    d = build_domain(1, 41)
+    x = d.coords[:, 0]
+    vals = np.empty((d.num_nodes, 2, 2))
+    vals[:, 0] = np.column_stack([2 + 0.3 * np.cos(np.pi * x / 2),
+                                  0.5 * np.sin(np.pi * x)])
+    vals[:, 1] = np.column_stack([-2 - 0.2 * x**2, 0.1 * x])
+    sched = uniform_schedule(0.25, 64)
+    traj = run_flow(QGridFunction(d, vals), sched)
+    assert traj.converged and traj.completed_steps == 64
+    assert all(r.outer_iterations == 1 for r in traj.reports)
+    gap = 0.0
+    for b in range(2):
+        for c in range(2):
+            # the oracle steps each column from its own previous state
+            u = traj.snapshots[0].values[:, b, c]
+            for k in range(1, 65):
+                u = implicit_euler_chain(d, u, [sched.tau(k)])
+                gap = max(gap, np.max(np.abs(traj.snapshots[k].values[:, b, c] - u)))
+    assert gap <= 1e-12
 
 
 def test_single_valued_step_matches_direct_chain():
@@ -419,20 +472,22 @@ def test_vector_flow_builds_no_qpoints(monkeypatch):
 
 
 def test_flow_computes_each_start_energy_once(monkeypatch):
-    """Each step starts from the energy its predecessor accepted, so a
-    one-sweep (n = 1) chain evaluates the energy once per state."""
+    """Each step starts from the edge pairing and energy its predecessor
+    accepted, so a one-sweep (n = 1) chain pairs the edges of each state
+    once."""
     calls = []
+    paired = morseflow._paired
 
-    def counted(f):
-        calls.append(f)
-        return dirichlet_energy(f)
+    def counted(a, b):
+        calls.append(a.shape[0])
+        return paired(a, b)
 
-    monkeypatch.setattr(morseflow, "dirichlet_energy", counted)
+    monkeypatch.setattr(morseflow, "_paired", counted)
     d = build_domain(1, 21)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
     traj = run_flow(f0, uniform_schedule(0.25, 8))
     assert traj.converged
-    assert len(calls) == 8 + 1
+    assert calls.count(d.num_edges) == 8 + 1
     assert [r.energy_before for r in traj.reports[1:]] == \
         [r.energy_after for r in traj.reports[:-1]]
 

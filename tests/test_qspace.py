@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflow.grid import _paired
 from qflow.qspace import (
     QPoint,
     _canonical,
@@ -211,14 +212,13 @@ def test_vector_matching_is_bounded_in_q():
 
 
 @st.composite
-def row_pairs(draw):
-    """Two (rows, q, n) arrays of half integers, so ties are exact."""
+def row_pairs(draw, count=2):
+    """`count` (rows, q, n) arrays of half integers, so ties are exact."""
     rows, q, n = draw(st.tuples(st.integers(1, 3), st.integers(1, 8),
                                 st.integers(1, 3)))
-    size = 2 * rows * q * n
+    size = count * rows * q * n
     values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
-    a, b = 0.5 * np.array(values, dtype=float).reshape(2, rows, q, n)
-    return a, b
+    return tuple(0.5 * np.array(values, dtype=float).reshape(count, rows, q, n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,6 +226,41 @@ def row_pairs(draw):
 def test_match_rows_breaks_exact_ties_like_the_reference(pair):
     a, b = pair
     assert_matches_reference(_canonical(a), _canonical(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_pairs())
+def test_paired_reports_the_identity_as_none(pair):
+    """`grid._paired` returns None exactly when `match_rows` pairs every
+    row by the identity, its sigma otherwise, and the row costs added left
+    to right."""
+    a, b = map(_canonical, pair)
+    sigma, cost = match_rows(a, b)
+    got, total = _paired(a, b)
+    assert (got is None) == bool((sigma == np.arange(a.shape[1])).all())
+    assert got is None or np.array_equal(got, sigma)
+    want = 0.0
+    for c in cost:
+        want += float(c)
+    assert total == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_pairs(count=3), st.randoms(use_true_random=False))
+def test_matching_distance_is_a_metric(rows, rnd):
+    """The metric axioms of `check_metric_axioms`, over rows with exact
+    ties: symmetry to 1e-12, exactly zero on a permuted copy, and the
+    triangle inequality with 1e-10 slack."""
+    a, b, c = map(_canonical, rows)
+    order = list(range(a.shape[1]))
+    rnd.shuffle(order)
+    twin = _canonical(a[:, order])
+    cost = match_rows(np.concatenate([a, b, a, b, a]),
+                      np.concatenate([b, a, twin, c, c]))[1]
+    dab, dba, same, dbc, dac = np.sqrt(cost).reshape(5, -1)
+    assert np.all(np.abs(dab - dba) <= 1e-12)
+    assert np.all(same == 0.0)
+    assert np.all(dac <= dab + dbc + 1e-10)
 
 
 @settings(max_examples=100, deadline=None)
