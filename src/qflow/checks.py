@@ -4,7 +4,9 @@ Each check returns a CheckResult whose margin is the clearance to the
 failing boundary: nonnegative margins pass.  Value-level checks sample
 random inputs from a caller-supplied generator; trajectory-level checks
 read the per-step quantities FlowTrajectory computes from its snapshots,
-never the solver's own reports.
+never the solver's own reports.  They reduce their per-step clearances
+through one helper: the smallest clearance and its step, the first minimum
+on ties, and 0.0 at step 0 when there is none.
 """
 
 from __future__ import annotations
@@ -234,34 +236,29 @@ def check_translation_identity(rng, domain, q: int, pairs: int = 50) -> CheckRes
     )
 
 
+def _tightest(clearances) -> tuple:
+    """Smallest clearance and its 1-based index, the first on ties;
+    (0.0, 0) when there is none."""
+    c = np.asarray(clearances, dtype=float)
+    if c.size == 0:
+        return 0.0, 0
+    k = int(np.argmin(c))
+    return float(c[k]), k + 1
+
+
 def check_energy_monotonicity(traj: FlowTrajectory) -> CheckResult:
-    energies = traj.energies
-    margin = math.inf
-    worst_k = 0
-    for k in range(1, len(energies)):
-        allowed = energies[k - 1] + 1e-10 * max(1.0, energies[k - 1])
-        if allowed - energies[k] < margin:
-            margin = allowed - energies[k]
-            worst_k = k
-    if math.isinf(margin):
-        margin = 0.0
+    e = np.asarray(traj.energies)
+    margin, worst_k = _tightest(e[:-1] + 1e-10 * np.maximum(1.0, e[:-1]) - e[1:])
     return CheckResult(
         "energy_monotonicity",
         margin >= 0.0,
         margin,
-        f"{len(energies) - 1} steps, tightest clearance {margin:.3e} at step {worst_k}",
+        f"{len(e) - 1} steps, tightest clearance {margin:.3e} at step {worst_k}",
     )
 
 
 def check_step_estimate(traj: FlowTrajectory) -> CheckResult:
-    raw = math.inf
-    worst_k = 0
-    for k, slack in enumerate(traj.estimate_margins, start=1):
-        if slack < raw:
-            raw = slack
-            worst_k = k
-    if math.isinf(raw):
-        raw = 0.0
+    raw, worst_k = _tightest(traj.estimate_margins)
     margin = raw + 1e-10
     return CheckResult(
         "step_estimate",
@@ -274,22 +271,15 @@ def check_step_estimate(traj: FlowTrajectory) -> CheckResult:
 def check_eta_residual(traj: FlowTrajectory) -> CheckResult:
     """Branch-mean step equation residual at every converged step, against
     the threshold 1e-8 * (1 + max |branch mean|)."""
-    margin = math.inf
-    worst = ""
-    skipped = 0
-    for k, (report, res) in enumerate(zip(traj.reports, traj.eta_residuals),
-                                      start=1):
-        if not report.converged:
-            skipped += 1
-            continue
-        eta_max = float(np.max(np.abs(branch_mean_field(traj.snapshots[k]))))
-        clearance = 1e-8 * (1.0 + eta_max) - res
-        if clearance < margin:
-            margin = clearance
-            worst = f"residual {res:.3e} at step {k}"
-    if math.isinf(margin):
-        margin = 0.0
-        worst = "no converged steps"
+    paired = list(enumerate(zip(traj.reports, traj.eta_residuals), start=1))
+    steps = [(k, res) for k, (report, res) in paired if report.converged]
+    margin, i = _tightest([
+        1e-8 * (1.0 + float(np.max(np.abs(branch_mean_field(traj.snapshots[k]))))) - res
+        for k, res in steps
+    ])
+    worst = (f"residual {steps[i - 1][1]:.3e} at step {steps[i - 1][0]}"
+             if steps else "no converged steps")
+    skipped = len(paired) - len(steps)
     detail = worst + (f", {skipped} non-converged steps skipped" if skipped else "")
     return CheckResult("eta_residual", margin >= 0.0, margin, detail)
 
@@ -327,39 +317,29 @@ def check_positivity(traj: FlowTrajectory) -> CheckResult:
 
 def check_max_principle(trajs) -> CheckResult:
     """Max node norm non-increasing (within 1e-12) along every uniform run."""
-    margin = math.inf
-    counted = 0
-    for traj in trajs:
-        if traj.schedule.mode != "uniform":
-            continue
-        counted += 1
-        norms = traj.max_norms
-        for k in range(1, len(norms)):
-            margin = min(margin, norms[k - 1] + 1e-12 - norms[k])
-    if counted == 0:
+    uniform = [traj for traj in trajs if traj.schedule.mode == "uniform"]
+    if not uniform:
         return CheckResult("max_principle", False, -math.inf,
                            "no uniform-schedule run available")
-    if math.isinf(margin):
-        margin = 0.0
+    norms = [np.asarray(traj.max_norms) for traj in uniform]
+    margin = _tightest(np.concatenate([n[:-1] + 1e-12 - n[1:] for n in norms]))[0]
     return CheckResult(
         "max_principle",
         margin >= 0.0,
         margin,
-        f"{counted} uniform run(s), tightest monotonicity clearance {margin:.3e}",
+        f"{len(uniform)} uniform run(s), tightest monotonicity clearance {margin:.3e}",
     )
 
 
 def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResult:
+    """Boundary rows of every snapshot and of the interpolated trajectory at
+    `times` sampled times, against those of the initial snapshot."""
     bnd = traj.snapshots[0].domain.is_boundary
     ref = traj.snapshots[0].values[bnd]
-    dev = 0.0
-    for f in traj.snapshots[1:]:
-        if not np.array_equal(f.values[bnd], ref):
-            dev = max(dev, float(np.max(np.abs(f.values[bnd] - ref))))
-    for t in rng.uniform(0.0, traj.horizon, size=times):
-        g = evaluate_at_time(traj, float(t))
-        if not np.array_equal(g.values[bnd], ref):
-            dev = max(dev, float(np.max(np.abs(g.values[bnd] - ref))))
+    sampled = (evaluate_at_time(traj, float(t))
+               for t in rng.uniform(0.0, traj.horizon, size=times))
+    dev = max((float(np.max(np.abs(f.values[bnd] - ref)))
+               for f in itertools.chain(traj.snapshots[1:], sampled)), default=0.0)
     return CheckResult(
         "boundary_trace",
         dev == 0.0,
@@ -370,22 +350,16 @@ def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResu
 
 
 def check_holder(traj: FlowTrajectory, rng, pairs: int = 100) -> CheckResult:
-    raw = math.inf
-    used = 0
-    for _ in range(pairs):
-        t, s = np.sort(rng.uniform(0.0, traj.horizon, size=2))
-        if s - t < 1e-12:
-            continue
-        used += 1
-        raw = min(raw, holder_margin(traj, float(t), float(s)))
-    if math.isinf(raw):
-        raw = 0.0
+    draws = [np.sort(rng.uniform(0.0, traj.horizon, size=2)) for _ in range(pairs)]
+    slack = [holder_margin(traj, float(t), float(s))
+             for t, s in draws if s - t >= 1e-12]
+    raw = _tightest(slack)[0]
     margin = raw + 1e-8
     return CheckResult(
         "holder",
         margin >= 0.0,
         margin,
-        f"{used} sampled time pairs, smallest bound slack {raw:.3e}",
+        f"{len(slack)} sampled time pairs, smallest bound slack {raw:.3e}",
     )
 
 

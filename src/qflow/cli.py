@@ -149,6 +149,15 @@ def validate(config: RunConfig):
         raise ConfigError("total_time", "must be positive and finite")
     if config.steps < 1:
         raise ConfigError("steps", "must be at least 1")
+    # the node weight delta^m / tau must stay finite for run's smallest step
+    # and for verify's uniform one-branch run (delta as in build_domain)
+    delta = 2.0 / (config.resolution - 1)
+    taus = {"total_time": config.total_time / config.steps}
+    if config.mode == "geometric":
+        taus["steps"] = config.h * 0.5**config.steps
+    for key, tau in taus.items():
+        if not (tau > 0 and math.isfinite(delta**config.m / tau)):
+            raise ConfigError(key, f"step size {tau:.3g} too small for the lattice")
     if config.seed < 0:
         raise ConfigError("seed", "must be nonnegative")
     if config.checks not in (("all",), ("none",)):

@@ -1,8 +1,8 @@
 """Lattice discretization of the unit ball and grid functions with
 multiset values.
 
-Nodes carry a QPoint value stored canonically; edges connect axis
-neighbors at spacing delta.  The Dirichlet energy sums squared matching
+Node values are the rows of one canonical (num_nodes, q, n) array; edges
+connect axis neighbors at spacing delta.  The Dirichlet energy sums squared matching
 distances over edges with weight delta^(m-2); the squared L2 distance
 sums them over nodes with weight delta^m.  Boundary nodes are the lattice
 points touching the sphere (or the interval endpoints for m = 1) and are

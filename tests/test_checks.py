@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qflow import checks, qspace
+from qflow import checks, cli, morseflow, qspace
 from qflow.checks import (
     CHECK_NAMES,
     CheckResult,
@@ -27,10 +27,18 @@ from qflow.checks import (
     check_translation_identity,
     check_embedding_isometry,
 )
-from qflow.grid import InitialSpec, QGridFunction, build_domain, sample_initial
+from qflow.grid import (
+    InitialSpec,
+    QGridFunction,
+    branch_mean_field,
+    build_domain,
+    sample_initial,
+)
 from qflow.morseflow import (
     FlowTrajectory,
+    evaluate_at_time,
     geometric_schedule,
+    holder_margin,
     run_flow,
     uniform_schedule,
 )
@@ -271,6 +279,191 @@ def test_boundary_trace_detects_a_moved_boundary(healthy):
     res = check_boundary_trace(bad, rng)
     assert not res.passed
     assert res.margin < 0.0
+
+
+# --- per-step loop references for the trajectory checks ----------------------
+
+def energy_monotonicity_by_loop(traj):
+    energies = traj.energies
+    margin = math.inf
+    worst_k = 0
+    for k in range(1, len(energies)):
+        allowed = energies[k - 1] + 1e-10 * max(1.0, energies[k - 1])
+        if allowed - energies[k] < margin:
+            margin = allowed - energies[k]
+            worst_k = k
+    if math.isinf(margin):
+        margin = 0.0
+    return CheckResult(
+        "energy_monotonicity", margin >= 0.0, margin,
+        f"{len(energies) - 1} steps, tightest clearance {margin:.3e} at step {worst_k}",
+    )
+
+
+def step_estimate_by_loop(traj):
+    raw = math.inf
+    worst_k = 0
+    for k, slack in enumerate(traj.estimate_margins, start=1):
+        if slack < raw:
+            raw = slack
+            worst_k = k
+    if math.isinf(raw):
+        raw = 0.0
+    margin = raw + 1e-10
+    return CheckResult("step_estimate", margin >= 0.0, margin,
+                       f"smallest penalty-bound slack {raw:.3e} at step {worst_k}")
+
+
+def eta_residual_by_loop(traj):
+    margin = math.inf
+    worst = ""
+    skipped = 0
+    for k, (report, res) in enumerate(zip(traj.reports, traj.eta_residuals),
+                                      start=1):
+        if not report.converged:
+            skipped += 1
+            continue
+        eta_max = float(np.max(np.abs(branch_mean_field(traj.snapshots[k]))))
+        clearance = 1e-8 * (1.0 + eta_max) - res
+        if clearance < margin:
+            margin = clearance
+            worst = f"residual {res:.3e} at step {k}"
+    if math.isinf(margin):
+        margin = 0.0
+        worst = "no converged steps"
+    detail = worst + (f", {skipped} non-converged steps skipped" if skipped else "")
+    return CheckResult("eta_residual", margin >= 0.0, margin, detail)
+
+
+def max_principle_by_loop(trajs):
+    margin = math.inf
+    counted = 0
+    for traj in trajs:
+        if traj.schedule.mode != "uniform":
+            continue
+        counted += 1
+        norms = traj.max_norms
+        for k in range(1, len(norms)):
+            margin = min(margin, norms[k - 1] + 1e-12 - norms[k])
+    if counted == 0:
+        return CheckResult("max_principle", False, -math.inf,
+                           "no uniform-schedule run available")
+    if math.isinf(margin):
+        margin = 0.0
+    return CheckResult(
+        "max_principle", margin >= 0.0, margin,
+        f"{counted} uniform run(s), tightest monotonicity clearance {margin:.3e}",
+    )
+
+
+def boundary_trace_by_loops(traj, rng, times=8):
+    bnd = traj.snapshots[0].domain.is_boundary
+    ref = traj.snapshots[0].values[bnd]
+    dev = 0.0
+    for f in traj.snapshots[1:]:
+        if not np.array_equal(f.values[bnd], ref):
+            dev = max(dev, float(np.max(np.abs(f.values[bnd] - ref))))
+    for t in rng.uniform(0.0, traj.horizon, size=times):
+        g = evaluate_at_time(traj, float(t))
+        if not np.array_equal(g.values[bnd], ref):
+            dev = max(dev, float(np.max(np.abs(g.values[bnd] - ref))))
+    return CheckResult(
+        "boundary_trace", dev == 0.0, 0.0 if dev == 0.0 else -dev,
+        "boundary rows identical on every snapshot and sampled time"
+        if dev == 0.0 else f"largest boundary deviation {dev:.3e}",
+    )
+
+
+def holder_by_loop(traj, rng, pairs=100):
+    raw = math.inf
+    used = 0
+    for _ in range(pairs):
+        t, s = np.sort(rng.uniform(0.0, traj.horizon, size=2))
+        if s - t < 1e-12:
+            continue
+        used += 1
+        raw = min(raw, holder_margin(traj, float(t), float(s)))
+    if math.isinf(raw):
+        raw = 0.0
+    margin = raw + 1e-8
+    return CheckResult("holder", margin >= 0.0, margin,
+                       f"{used} sampled time pairs, smallest bound slack {raw:.3e}")
+
+
+def test_tightest_takes_the_first_minimum():
+    assert checks._tightest([3.0, -1.0, 2.0, -1.0]) == (-1.0, 2)
+    assert checks._tightest(np.array([0.5])) == (0.5, 1)
+    assert checks._tightest([]) == (0.0, 0)
+    assert checks._tightest(np.empty(0)) == (0.0, 0)
+
+
+def _truncated_vector_run():
+    """An n = 2 run whose first step cannot confirm its pairing fixed point
+    in one sweep, so the trajectory ends at that non-converged step."""
+    rng = np.random.default_rng(6)
+    f0 = QGridFunction(build_domain(1, 11), rng.normal(0.0, 1.0, size=(11, 2, 2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(morseflow, "_MAX_OUTER", 1)
+        return run_flow(f0, uniform_schedule(0.25, 4))
+
+
+@pytest.fixture(scope="module")
+def reference_trajectories(healthy):
+    d = build_domain(1, 31)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    injected = cli._apply_injection(run_flow(f0, uniform_schedule(0.25, 16)),
+                                    cli.RunConfig(inject="energy_monotonicity"))
+    geo = run_flow(sample_initial(InitialSpec("symmetric-cos"), build_domain(1, 11), 2),
+                   geometric_schedule(0.25, 4))
+    one_step = run_flow(f0, uniform_schedule(0.1, 1))
+    zero_step = FlowTrajectory(uniform_schedule(0.1, 2), (f0,), ())
+    return {"healthy": healthy, "geometric": geo, "injected": injected,
+            "one step": one_step, "truncated n = 2": _truncated_vector_run(),
+            "zero steps": zero_step}
+
+
+def test_trajectory_checks_match_their_loop_references(reference_trajectories):
+    """Each check equals its per-step loop, field for field, and draws the
+    same random numbers."""
+    for label, traj in reference_trajectories.items():
+        pairs = [
+            (check_energy_monotonicity(traj), energy_monotonicity_by_loop(traj)),
+            (check_step_estimate(traj), step_estimate_by_loop(traj)),
+            (check_eta_residual(traj), eta_residual_by_loop(traj)),
+            (check_max_principle([traj]), max_principle_by_loop([traj])),
+        ]
+        for times in (8, 7, 0):
+            rng, ref_rng = np.random.default_rng(89), np.random.default_rng(89)
+            pairs.append((check_boundary_trace(traj, rng, times),
+                          boundary_trace_by_loops(traj, ref_rng, times)))
+            assert rng.random() == ref_rng.random()
+        for count in (100, 7, 0):
+            rng, ref_rng = np.random.default_rng(97), np.random.default_rng(97)
+            pairs.append((check_holder(traj, rng, count),
+                          holder_by_loop(traj, ref_rng, count)))
+            assert rng.random() == ref_rng.random()
+        for res, ref in pairs:
+            assert res == ref, (label, res, ref)
+
+
+def test_reference_trajectories_reach_each_branch(reference_trajectories):
+    trajs = reference_trajectories
+    mono = check_energy_monotonicity(trajs["injected"])
+    assert not mono.passed and mono.detail.endswith("at step 8")
+    assert check_max_principle([trajs["geometric"]]).margin == -math.inf
+    assert check_eta_residual(trajs["truncated n = 2"]).detail == \
+        "no converged steps, 1 non-converged steps skipped"
+    zero = check_energy_monotonicity(trajs["zero steps"])
+    assert zero.margin == 0.0 and zero.detail.endswith("at step 0")
+
+
+def test_max_principle_matches_its_loop_on_a_mixed_list(reference_trajectories):
+    trajs = reference_trajectories
+    mixed = [trajs["geometric"], trajs["healthy"], trajs["geometric"],
+             trajs["injected"], trajs["zero steps"], trajs["one step"]]
+    for runs in (mixed, mixed[:1], mixed[::-1], []):
+        assert check_max_principle(runs) == max_principle_by_loop(runs)
+    assert check_max_principle(iter(mixed)) == max_principle_by_loop(mixed)
 
 
 def test_oracle_equivalence_requires_single_branch_uniform(healthy):

@@ -201,6 +201,12 @@ def test_parse_rejects_malformed_input():
         ({"h": float("inf")}, "h"),
         ({"total_time": float("nan")}, "total_time"),
         ({"total_time": float("inf")}, "total_time"),
+        # delta^m / tau overflows: run's last geometric step, tau = 0.0, and
+        # the uniform step verify's one-branch run takes
+        ({"mode": "geometric", "resolution": 11, "steps": 1025}, "steps"),
+        ({"mode": "geometric", "steps": 1100}, "steps"),
+        ({"mode": "geometric", "total_time": 1e-310, "steps": 4}, "total_time"),
+        ({"total_time": 1e-310, "steps": 4}, "total_time"),
     ],
 )
 def test_validate_names_the_offending_key(changes, key):
@@ -297,6 +303,31 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "resolution = 20\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "resolution" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("run", "mode = geometric\nresolution = 11\nsteps = 1025\n"),
+    ("verify", "mode = geometric\nresolution = 11\nsteps = 1025\n"),
+    ("run", "mode = uniform\nresolution = 11\ntotal_time = 1e-310\nsteps = 4\n"),
+])
+def test_a_step_too_small_for_the_lattice_is_a_config_error(tmp_path, command,
+                                                            text):
+    cfg = write_config(tmp_path, text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qflow", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert "too small for the lattice" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_smallest_representable_geometric_step_still_runs(tmp_path):
+    """At resolution 11, tau = h / 2^1024 keeps delta / tau finite."""
+    cfg = write_config(tmp_path, "mode = geometric\nresolution = 11\nsteps = 1024\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
