@@ -120,6 +120,17 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
+def _check_step_count(key: str, steps: int):
+    """A step size total / steps must be formable: steps is at least 1
+    and small enough to convert to a float."""
+    if steps < 1:
+        raise ConfigError(key, "must be at least 1")
+    try:
+        float(steps)
+    except OverflowError:
+        raise ConfigError(key, "too large to form a step size") from None
+
+
 def validate(config: RunConfig):
     if config.mode not in _MODES:
         raise ConfigError("mode", f"must be one of {_MODES}")
@@ -147,8 +158,7 @@ def validate(config: RunConfig):
         raise ConfigError("h", "must be positive and finite")
     if not 0 < config.total_time < math.inf:
         raise ConfigError("total_time", "must be positive and finite")
-    if config.steps < 1:
-        raise ConfigError("steps", "must be at least 1")
+    _check_step_count("steps", config.steps)
     # the node weight delta^m / tau must stay finite for run's smallest step
     # and for verify's uniform one-branch run (delta as in build_domain)
     delta = 2.0 / (config.resolution - 1)
@@ -176,10 +186,8 @@ def validate(config: RunConfig):
         if res < 3 or res % 2 == 0:
             raise ConfigError("sweep_resolutions", "entries must be odd and >= 3")
     for n in config.sweep_steps:
-        if n < 1:
-            raise ConfigError("sweep_steps", "entries must be at least 1")
-    if config.spatial_steps < 1:
-        raise ConfigError("spatial_steps", "must be at least 1")
+        _check_step_count("sweep_steps", n)
+    _check_step_count("spatial_steps", config.spatial_steps)
     if config.eigen_index < 1:
         raise ConfigError("eigen_index", "must be at least 1")
     if config.jobs < 1:
@@ -207,12 +215,10 @@ def _apply_injection(traj: FlowTrajectory, config: RunConfig) -> FlowTrajectory:
     if config.inject != "energy_monotonicity":
         return traj
     k = max(1, traj.completed_steps // 2)
-    f = traj.snapshots[k]
-    vals = f.values.copy()
-    vals[f.domain.interior] *= 2.0
-    snaps = list(traj.snapshots)
-    snaps[k] = QGridFunction(f.domain, vals)
-    return FlowTrajectory(traj.schedule, tuple(snaps), traj.reports)
+    states = traj.states.copy()
+    # doubling keeps every row in canonical order
+    states[k, traj.domain.interior] *= 2.0
+    return FlowTrajectory(traj.schedule, traj.domain, states, traj.reports)
 
 
 def _run_check_names(config: RunConfig) -> tuple:
@@ -420,7 +426,7 @@ def _heat_errors(config: RunConfig, resolution: int, steps: int):
                     uniform_schedule(config.total_time, steps))
     exact = exact_eigen_solution(EigenMode(config.eigen_index),
                                  config.total_time, domain)
-    return _rel_errors(traj.snapshots[-1].values[:, -1, 0], exact)
+    return _rel_errors(traj.states[-1, :, -1, 0], exact)
 
 
 def _flow_errors(config: RunConfig, cell):

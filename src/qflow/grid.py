@@ -163,6 +163,16 @@ class QGridFunction:
         return self.values.shape[2]
 
 
+def _view(domain: GridDomain, values: np.ndarray) -> QGridFunction:
+    """QGridFunction over values that are already canonical, finite and
+    read-only, such as a row of a trajectory's state array: no copy, no
+    check and no sort."""
+    f = object.__new__(QGridFunction)
+    object.__setattr__(f, "domain", domain)
+    object.__setattr__(f, "values", values)
+    return f
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     """Named initial datum.  Polynomials are in the radial coordinate |x|,

@@ -7,10 +7,13 @@ alternates between recomputing optimal branch pairings and a direct sparse
 value column per sweep, and stops when the pairings no longer change or a
 sweep no longer lowers the objective; the matchings that score a sweep
 are the pairings of the next one.  For n = 1 the canonical (sorted)
-storage makes every pairing the identity, so no matching is computed and
-a single sweep is exact.  Two step size schedules are provided: a
-geometric one where step k uses tau = h / 2^k, and a uniform one with
-tau = T / N.
+storage makes every pairing the identity, so a single sweep is exact:
+after its first step, an n = 1 chain is stepped by one loop over the rows
+of its state array that only solves, sorts and applies the floor guard,
+and builds no per-step objects.  Every run, n > 1 included, writes its
+states into one array, which its FlowTrajectory holds.  Two step size
+schedules are provided: a geometric one where step k uses tau = h / 2^k,
+and a uniform one with tau = T / N.
 
 The interpolated trajectory crosses from state k-1 to state k over the
 window `StepSchedule.window(k)`: all of step k's wall time for the uniform
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +38,12 @@ from .grid import (
     GridDomain,
     QGridFunction,
     _paired,
+    _view,
     branch_mean_residual,
     dirichlet_energy,
     l2_distance_sq,
 )
-from .qspace import match_rows
+from .qspace import _canonical, match_rows
 
 __all__ = [
     "StepSchedule",
@@ -120,15 +125,73 @@ class StepReport:
     stationarity: float
 
 
+class _ScalarReports(Sequence):
+    """StepReports of an n = 1 chain, built on demand from its per-step
+    lists: energy[k] is the energy the chain holds after step k (energy[0]
+    its start's), penalty and stationarity are those of each step.  A step
+    from zero energy took the constant-data short cut; a step that kept its
+    start's energy had its sweep rejected by the floor guard, since an
+    accepted sweep lowers E + P / tau below it and so lowers E.  They are
+    built on demand because a long chain's reports are mostly never read,
+    and building them all is a sizable share of its run time."""
+
+    def __init__(self, taus, energy, penalty, stationarity):
+        self.taus, self.energy = taus, energy
+        self.penalty, self.stationarity = penalty, stationarity
+
+    def __len__(self) -> int:
+        return len(self.taus)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        k = range(1, len(self) + 1)[i]
+        tau, before, after = self.taus[k - 1], self.energy[k - 1], self.energy[k]
+        if before == 0.0:
+            return StepReport(k, tau, 0.0, 0.0, 0.0, 0, True, (0.0,), 0.0)
+        penalty = self.penalty[k - 1]
+        trace = (before,) if after == before else (before, after + penalty / tau)
+        return StepReport(k, tau, before, after, penalty, 1, True, trace,
+                          self.stationarity[k - 1])
+
+
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """Snapshots of a run with the per-step quantities the paper's bounds
-    are stated in.  Each quantity is computed from the snapshots, not taken
-    from the solver's reports, once per trajectory on first use."""
+    """The states of a run with the per-step quantities the paper's bounds
+    are stated in.
+
+    `states` holds every state as one (completed_steps + 1, num_nodes, q, n)
+    array, checked finite and in canonical order and made read-only here,
+    and `snapshots` are QGridFunction views of its rows, built on first
+    use.  `reports` is the solver's log: a tuple of StepReports, or for an
+    n = 1 chain a sequence that builds them on demand.  Each quantity below
+    is computed from the snapshots, not taken from the reports, once per
+    trajectory on first use."""
 
     schedule: StepSchedule
-    snapshots: tuple
-    reports: tuple
+    domain: GridDomain
+    states: np.ndarray
+    reports: Sequence
+
+    def __post_init__(self):
+        states = self.states
+        if states.ndim != 4 or states.shape[1] != self.domain.num_nodes:
+            raise ValueError("states must have shape (steps + 1, num_nodes, q, n)")
+        # a NaN or an infinity reaches the minimum or the maximum
+        if not (np.isfinite(states.min()) and np.isfinite(states.max())):
+            raise ValueError("values must be finite")
+        if states.shape[3] == 1:
+            canonical = (states[:, :, 1:] >= states[:, :, :-1]).all()
+        else:
+            canonical = np.array_equal(_canonical(states), states)
+        if not canonical:
+            raise ValueError("states must be in canonical order")
+        states.flags.writeable = False
+
+    @functools.cached_property
+    def snapshots(self) -> tuple:
+        """QGridFunction views of the rows of states, without a copy."""
+        return tuple(_view(self.domain, row) for row in self.states)
 
     @property
     def converged(self) -> bool:
@@ -138,7 +201,7 @@ class FlowTrajectory:
 
     @property
     def completed_steps(self) -> int:
-        return len(self.snapshots) - 1
+        return len(self.states) - 1
 
     @functools.cached_property
     def energies(self) -> tuple:
@@ -189,8 +252,9 @@ class _ChainState:
     """Chain state of a run: the frozen-pairing system of one (domain, tau,
     edge pairings) with its LU factor and the boundary term of its
     right-hand side, which a new key replaces, so one run holds one factor;
-    and the last accepted state with its edge pairing and energy, which the
-    next step starts from.  One chain holds one boundary: every state it
+    and the last accepted state of minimize_step with its edge pairing and
+    energy, which the next step starts from (run_flow's n = 1 loop keeps
+    its energy itself).  One chain holds one boundary: every state it
     steps from has the same boundary rows, bit for bit, so the boundary
     term is computed once per factorization."""
 
@@ -266,6 +330,26 @@ def _frozen_system(domain: GridDomain, tau: float, sigma):
     return matrix, couple
 
 
+def _frozen_factor(prev_vals, domain: GridDomain, tau: float, edge_sigma,
+                   cache: _ChainState):
+    """The chain's frozen system for (tau, edge_sigma): (matrix, LU factor,
+    boundary term) from the cache, which builds it for a new key, and the
+    column shape of its right-hand side."""
+    qq, nn = prev_vals.shape[1:]
+    if edge_sigma is None:
+        sigma, key = np.zeros((domain.num_edges, 1), dtype=np.int64), (tau, None)
+        shape = (-1, qq * nn)
+    else:
+        sigma, key = edge_sigma, (tau, edge_sigma.tobytes())
+        shape = (-1, nn)
+
+    def build():
+        matrix, couple = _frozen_system(domain, tau, sigma)
+        return matrix, splu(matrix), couple @ prev_vals.reshape(shape)
+
+    return cache.get(domain, key, build), shape
+
+
 def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
                   edge_sigma, node_nu, cache: _ChainState):
     """Minimizer of the step objective with every branch pairing frozen.
@@ -284,19 +368,8 @@ def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
     exactly symmetric.  Returns the new node values and the largest
     residual of the block system.
     """
-    qq, nn = prev_vals.shape[1:]
-    if edge_sigma is None:
-        sigma, key = np.zeros((domain.num_edges, 1), dtype=np.int64), (tau, None)
-        shape = (-1, qq * nn)
-    else:
-        sigma, key = edge_sigma, (tau, edge_sigma.tobytes())
-        shape = (-1, nn)
-
-    def build():
-        matrix, couple = _frozen_system(domain, tau, sigma)
-        return matrix, splu(matrix), couple @ prev_vals.reshape(shape)
-
-    matrix, lu, boundary_rhs = cache.get(domain, key, build)
+    (matrix, lu, boundary_rhs), shape = _frozen_factor(
+        prev_vals, domain, tau, edge_sigma, cache)
     w_p = domain.delta**domain.m / tau
     if node_nu is None:
         matched = prev_vals[domain.interior]
@@ -386,21 +459,111 @@ def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
     return current, report
 
 
+# right-hand side values a block of steps holds before one sparse product
+# computes their residuals
+_RESIDUAL_BLOCK = 1 << 13
+
+
+def _residuals(factor, block, out, weight):
+    """Stationarity of the block's steps, which share `factor`: the largest
+    residual of each step's system over the node weight, written to out at
+    its step index.  One sparse product serves the block; each column of a
+    sparse product is computed on its own, so every step gets the bits of
+    its own `matrix @ sol - rhs`."""
+    if not block:
+        return
+    steps, rhs, sol = zip(*block)
+    res = np.abs(factor[0] @ np.concatenate(sol, axis=1)
+                 - np.concatenate(rhs, axis=1))
+    out[np.array(steps) - 1] = res.reshape(
+        res.shape[0], len(steps), -1).max(axis=(0, 2)) / weight
+
+
+def _as_slice(index: np.ndarray):
+    """index as a slice when it is a run of consecutive integers, as the
+    interior and edge ends of an interval are: a slice selects a view where
+    an index array copies."""
+    if index.size and (np.diff(index) == 1).all():
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _scalar_chain(states, domain: GridDomain, taus, cache: _ChainState,
+                  first: StepReport):
+    """Step an n = 1 chain in place from step 2 on: states[0] is its start,
+    states[1] the state of step 1, whose report is `first`, and step k
+    writes states[k], for the step sizes taus.  Returns its reports.
+
+    Each step builds its right-hand side, makes one frozen-pairing solve
+    (every pairing is the identity), writes the row and sorts it into
+    canonical order.  The floor guard then keeps the row only if it lowers
+    the objective, E_k + P_k / tau < E_{k-1}, and otherwise repeats the
+    start's; a start of zero energy is a fixed point of every step.  The
+    residuals of the steps that share a factor are computed in blocks of
+    up to _RESIDUAL_BLOCK right-hand side values."""
+    ea, eb, inner = (_as_slice(i) for i in (
+        domain.edges[:, 0], domain.edges[:, 1], domain.interior))
+    w_e, w_n = domain.delta ** (domain.m - 2), domain.delta**domain.m
+    energy = np.empty(len(taus) + 1)
+    penalty, stationarity = np.zeros(len(taus)), np.zeros(len(taus))
+    energy[0], energy[1] = first.energy_before, first.energy_after
+    penalty[0], stationarity[0] = first.penalty, first.stationarity
+    e = first.energy_after
+    block_steps = max(1, _RESIDUAL_BLOCK // states[0, inner].size)
+    factor, factor_tau, block = None, None, []
+    for k, tau in enumerate(taus[1:], start=2):
+        prev, row = states[k - 1], states[k]
+        row[...] = prev
+        if e != 0.0:
+            if tau != factor_tau or len(block) == block_steps:
+                _residuals(factor, block, stationarity, w_n)
+                factor, shape = _frozen_factor(prev, domain, tau, None, cache)
+                factor_tau, block = tau, []
+            matched = prev[inner]
+            rhs = w_n / tau * matched.reshape(shape) + factor[2]
+            sol = factor[1].solve(rhs)
+            block.append((k, rhs, sol))
+            row[inner] = sol.reshape(matched.shape)
+            row.sort(axis=1)
+            e_k = w_e * _paired(row[ea], row[eb])[1]
+            p_k = w_n * _paired(row, prev)[1]
+            if e_k + p_k / tau >= e and np.isfinite(row).all():
+                # floating point floor reached: keep the start (a non-finite
+                # sweep stays for the trajectory's finiteness check)
+                row[...] = prev
+            else:
+                e, penalty[k - 1] = e_k, p_k
+        energy[k] = e
+    _residuals(factor, block, stationarity, w_n)
+    return _ScalarReports(taus, energy.tolist(), penalty.tolist(),
+                          stationarity.tolist())
+
+
 def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
-    """Run the full chain of implicit steps.  A step that fails to converge
-    truncates the trajectory; its best iterate is kept and flagged."""
+    """Run the full chain of implicit steps into one state array.  The
+    first step is minimize_step's; an n = 1 chain continues from its state,
+    report and factor in `_scalar_chain`, an n > 1 chain takes
+    minimize_step's sweeps step by step, and a step that fails to converge
+    truncates it, its best iterate kept and flagged."""
     chain = _ChainState()
-    snapshots = [f0]
-    reports = []
-    current = f0
-    for k in range(1, schedule.steps + 1):
-        current, report = minimize_step(current, schedule.tau(k),
-                                        step_index=k, _factor=chain)
-        snapshots.append(current)
-        reports.append(report)
-        if not report.converged:
-            break
-    return FlowTrajectory(schedule, tuple(snapshots), tuple(reports))
+    taus = [schedule.tau(k) for k in range(1, schedule.steps + 1)]
+    states = np.empty((len(taus) + 1,) + f0.values.shape)
+    states[0] = f0.values
+    current, report = minimize_step(f0, taus[0], step_index=1, _factor=chain)
+    states[1] = current.values
+    if f0.n == 1:
+        reports = _scalar_chain(states, f0.domain, taus, chain, report)
+    else:
+        reports = [report]
+        for k, tau in enumerate(taus[1:], start=2):
+            if not report.converged:
+                break
+            current, report = minimize_step(current, tau, step_index=k,
+                                            _factor=chain)
+            states[k] = current.values
+            reports.append(report)
+        states, reports = states[:len(reports) + 1], tuple(reports)
+    return FlowTrajectory(schedule, f0.domain, states, reports)
 
 
 def _blend(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:

@@ -52,6 +52,12 @@ def healthy():
     return run_flow(f0, uniform_schedule(0.25, 8))
 
 
+def trajectory_of(schedule, snapshots, reports):
+    """A trajectory whose state array stacks the given snapshots."""
+    return FlowTrajectory(schedule, snapshots[0].domain,
+                          np.stack([f.values for f in snapshots]), reports)
+
+
 def corrupt_middle(traj):
     """Double the interior values of one snapshot, boundary intact."""
     k = traj.completed_steps // 2
@@ -60,7 +66,7 @@ def corrupt_middle(traj):
     vals[f.domain.interior] *= 2.0
     snaps = list(traj.snapshots)
     snaps[k] = QGridFunction(f.domain, vals)
-    return FlowTrajectory(traj.schedule, tuple(snaps), traj.reports)
+    return trajectory_of(traj.schedule, snaps, traj.reports)
 
 
 def test_check_names_are_unique_and_ordered():
@@ -219,7 +225,7 @@ def test_positivity_check_rejects_negative_branches():
     res = check_positivity(traj)
     assert not res.passed
 
-    lone = FlowTrajectory(uniform_schedule(0.1, 2), (traj.snapshots[0],), ())
+    lone = trajectory_of(uniform_schedule(0.1, 2), (traj.snapshots[0],), ())
     assert not check_positivity(lone).passed
 
 
@@ -228,7 +234,7 @@ def test_eta_residual_skips_unconverged_steps():
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
     run = run_flow(f0, uniform_schedule(0.25, 4))
     reports = run.reports[:-1] + (replace(run.reports[-1], converged=False),)
-    traj = FlowTrajectory(run.schedule, run.snapshots, reports)
+    traj = trajectory_of(run.schedule, run.snapshots, reports)
     assert not traj.converged
     res = check_eta_residual(traj)
     assert "skipped" in res.detail
@@ -251,7 +257,7 @@ def test_eta_residual_holds_for_vector_values():
     vals[d.interior[4], :, 1] += 1e-3
     snaps = list(traj.snapshots)
     snaps[3] = QGridFunction(d, vals)
-    bad = FlowTrajectory(traj.schedule, tuple(snaps), traj.reports)
+    bad = trajectory_of(traj.schedule, snaps, traj.reports)
     assert not check_eta_residual(bad).passed
 
 
@@ -274,7 +280,7 @@ def test_boundary_trace_detects_a_moved_boundary(healthy):
     vals[0] += 0.5  # first node is boundary on the interval
     snaps = list(healthy.snapshots)
     snaps[2] = QGridFunction(f.domain, vals)
-    bad = FlowTrajectory(healthy.schedule, tuple(snaps), healthy.reports)
+    bad = trajectory_of(healthy.schedule, snaps, healthy.reports)
     rng = np.random.default_rng(83)
     res = check_boundary_trace(bad, rng)
     assert not res.passed
@@ -416,7 +422,7 @@ def reference_trajectories(healthy):
     geo = run_flow(sample_initial(InitialSpec("symmetric-cos"), build_domain(1, 11), 2),
                    geometric_schedule(0.25, 4))
     one_step = run_flow(f0, uniform_schedule(0.1, 1))
-    zero_step = FlowTrajectory(uniform_schedule(0.1, 2), (f0,), ())
+    zero_step = trajectory_of(uniform_schedule(0.1, 2), (f0,), ())
     return {"healthy": healthy, "geometric": geo, "injected": injected,
             "one step": one_step, "truncated n = 2": _truncated_vector_run(),
             "zero steps": zero_step}
@@ -500,7 +506,7 @@ def test_oracle_equivalence_detects_a_moved_value():
     vals[d.interior[5], 0, 0] += 1e-6
     snaps = list(good.snapshots)
     snaps[2] = QGridFunction(d, vals)
-    bad = FlowTrajectory(good.schedule, tuple(snaps), good.reports)
+    bad = trajectory_of(good.schedule, snaps, good.reports)
     res = check_oracle_equivalence(bad)
     assert not res.passed
     assert res.margin < 0.0

@@ -42,6 +42,12 @@ def write_config(tmp_path, text, name="run.cfg"):
     return path
 
 
+def trajectory_of(schedule, snapshots, reports):
+    """A trajectory whose state array stacks the given snapshots."""
+    return FlowTrajectory(schedule, snapshots[0].domain,
+                          np.stack([f.values for f in snapshots]), reports)
+
+
 # --- configuration ---------------------------------------------------------
 
 def test_config_error_carries_the_key():
@@ -207,6 +213,11 @@ def test_parse_rejects_malformed_input():
         ({"mode": "geometric", "steps": 1100}, "steps"),
         ({"mode": "geometric", "total_time": 1e-310, "steps": 4}, "total_time"),
         ({"total_time": 1e-310, "steps": 4}, "total_time"),
+        # step counts too large for a float: no step size can be formed
+        ({"steps": 10**400}, "steps"),
+        ({"mode": "geometric", "steps": 10**400}, "steps"),
+        ({"sweep_steps": (16, 10**400)}, "sweep_steps"),
+        ({"spatial_steps": 10**400}, "spatial_steps"),
     ],
 )
 def test_validate_names_the_offending_key(changes, key):
@@ -324,6 +335,27 @@ def test_a_step_too_small_for_the_lattice_is_a_config_error(tmp_path, command,
     assert "Traceback" not in proc.stderr
 
 
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command, key, text", [
+    ("run", "steps", f"mode = uniform\nsteps = {HUGE}\n"),
+    ("run", "steps", f"mode = geometric\nsteps = {HUGE}\n"),
+    ("sweep", "spatial_steps", f"spatial_steps = {HUGE}\n"),
+    ("sweep", "sweep_steps", f"sweep_steps = 16,{HUGE}\n"),
+])
+def test_a_step_count_too_large_for_a_float_is_a_config_error(
+        tmp_path, command, key, text):
+    cfg = write_config(tmp_path, text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qflow", command, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: {key}: too large to form a step size\n"
+
+
 def test_the_smallest_representable_geometric_step_still_runs(tmp_path):
     """At resolution 11, tau = h / 2^1024 keeps delta / tau finite."""
     cfg = write_config(tmp_path, "mode = geometric\nresolution = 11\nsteps = 1024\n")
@@ -410,7 +442,7 @@ def test_truncation_is_reported_before_the_failed_checks(tmp_path,
     def truncated(f0, schedule):
         traj = run_flow(f0, schedule)
         first = dataclasses.replace(traj.reports[0], converged=False)
-        return morseflow.FlowTrajectory(schedule, traj.snapshots[:2], (first,))
+        return trajectory_of(schedule, traj.snapshots[:2], (first,))
 
     monkeypatch.setattr(cli, "run_flow", truncated)
     cfg = write_config(tmp_path, SMALL + "inject = energy_monotonicity\n")
@@ -516,7 +548,7 @@ def test_verify_eta_residual_fails_on_a_moved_one_branch_value(
         vals = snaps[2].values.copy()
         vals[f0.domain.interior[0], 0, 0] += 1e-6
         snaps[2] = QGridFunction(f0.domain, vals)
-        return FlowTrajectory(traj.schedule, tuple(snaps), traj.reports)
+        return trajectory_of(traj.schedule, snaps, traj.reports)
 
     monkeypatch.setattr(cli, "run_flow", moved_run_flow)
     cfg = write_config(tmp_path, SMALL)

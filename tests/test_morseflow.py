@@ -14,11 +14,16 @@ from qflow.grid import (
     build_domain,
     branch_mean_field,
     branch_mean_residual,
+    dirichlet_energy,
     l2_distance_sq,
     sample_initial,
 )
-from qflow import grid, morseflow, qspace
-from qflow.checks import check_boundary_trace, check_holder
+from qflow import cli, grid, morseflow, qspace
+from qflow.checks import (
+    check_boundary_trace,
+    check_energy_monotonicity,
+    check_holder,
+)
 from qflow.morseflow import (
     FlowTrajectory,
     StepReport,
@@ -509,6 +514,114 @@ def test_flow_matches_stepping_by_hand(n):
         assert report == traj.reports[k - 1]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("mode", ["uniform", "geometric"])
+def test_scalar_flow_matches_stepping_by_hand(monkeypatch, m, q, mode):
+    """From step 2 on, an n = 1 chain is stepped by run_flow's loop, which
+    computes its residuals per block, here of four steps; independent
+    minimize_step calls take one sweep each and compute each residual on
+    its own.  Snapshots and reports, stationarity included, must be
+    bit-identical, through the geometric tail at resolution 11, where the
+    floor guard rejects steps."""
+    d = build_domain(m, 11)
+    monkeypatch.setattr(morseflow, "_RESIDUAL_BLOCK", 4 * len(d.interior) * q)
+    rng = np.random.default_rng(10 * m + q)
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))
+    if mode == "uniform":
+        sched = uniform_schedule(0.25, 10)
+    else:
+        sched = geometric_schedule(0.25, 64)
+    traj = run_flow(f0, sched)
+    assert traj.converged
+    if mode == "geometric":
+        assert any(len(r.objective_trace) == 1 for r in traj.reports)
+    current = f0
+    for k in range(1, sched.steps + 1):
+        current, report = minimize_step(current, sched.tau(k), step_index=k)
+        assert np.array_equal(current.values, traj.snapshots[k].values)
+        assert report == traj.reports[k - 1]
+
+
+def test_scalar_flow_builds_no_grid_function_per_step(monkeypatch):
+    """An n = 1 chain writes its states into one array and its snapshots
+    are views of its rows: the QGridFunctions it builds, snapshots and
+    quantities included, do not grow with the number of steps."""
+    built = []
+    post_init = QGridFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    d = build_domain(1, 21)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    monkeypatch.setattr(QGridFunction, "__post_init__", counted)
+    counts = []
+    for steps in (4, 64):
+        built.clear()
+        traj = run_flow(f0, uniform_schedule(0.25, steps))
+        assert len(traj.snapshots) == len(traj.energies) == steps + 1
+        assert len(traj.reports) == len(traj.penalties) == steps
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_trajectory_quantities_are_those_of_the_states(n):
+    """Energies and penalties come from the stored states, not from the
+    solver's guard, bit for bit; doubling one state's interior still fails
+    the energy check."""
+    rng = np.random.default_rng(71)
+    d = build_domain(1, 15)
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(15, 2, n)))
+    traj = run_flow(f0, uniform_schedule(0.25, 6))
+    assert traj.converged
+    fresh = [QGridFunction(d, state) for state in traj.states]
+    assert traj.energies == tuple(dirichlet_energy(f) for f in fresh)
+    assert traj.penalties == tuple(
+        l2_distance_sq(a, b) for a, b in zip(fresh, fresh[1:]))
+    assert not traj.states.flags.writeable
+    assert check_energy_monotonicity(traj).passed
+    injected = cli._apply_injection(
+        traj, cli.RunConfig(inject="energy_monotonicity"))
+    assert not check_energy_monotonicity(injected).passed
+
+
+def test_trajectory_rejects_non_finite_states():
+    d = build_domain(1, 5)
+    states = np.zeros((2, 5, 1, 1))
+    states[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        FlowTrajectory(uniform_schedule(0.1, 1), d, states, ())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_trajectory_rejects_states_out_of_canonical_order(n):
+    d = build_domain(1, 5)
+    states = np.zeros((2, 5, 2, n))
+    states[1, 2, 0, 0] = 1.0  # branch 0 above branch 1
+    with pytest.raises(ValueError, match="canonical"):
+        FlowTrajectory(uniform_schedule(0.1, 1), d, states, ())
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_scalar_flow_of_constant_data_takes_the_short_cut(q):
+    """Constant data has zero energy, so every step of an n = 1 chain is
+    the short cut, as in independent minimize_step calls."""
+    d = build_domain(1, 11)
+    f0 = QGridFunction(d, np.full((11, q, 1), 0.5))
+    sched = uniform_schedule(0.25, 5)
+    traj = run_flow(f0, sched)
+    current = f0
+    for k in range(1, sched.steps + 1):
+        current, report = minimize_step(current, sched.tau(k), step_index=k)
+        assert np.array_equal(current.values, traj.snapshots[k].values)
+        assert report == traj.reports[k - 1]
+        assert report.objective_trace == (0.0,)
+        assert report.outer_iterations == 0
+
+
 def test_geometric_effective_time_is_the_exact_partial_sum():
     d = build_domain(1, 11)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
@@ -538,10 +651,18 @@ def fake_report(k, tau):
     return StepReport(k, tau, 1.0, 0.5, 0.1, 1, True, (1.0, 0.5), 0.0)
 
 
+def trajectory_of(schedule, snapshots, reports):
+    """A trajectory whose state array stacks the given snapshots; returns
+    it with its own snapshots, the views of its rows."""
+    traj = FlowTrajectory(schedule, snapshots[0].domain,
+                          np.stack([f.values for f in snapshots]), reports)
+    return traj, traj.snapshots
+
+
 def test_uniform_interpolation_blends_sorted_values():
     fa, fb = boundary_pinned_pair([0.0, 2.0], [2.0, 4.0])
     sched = uniform_schedule(1.0, 1)
-    traj = FlowTrajectory(sched, (fa, fb), (fake_report(1, 1.0),))
+    traj, (fa, fb) = trajectory_of(sched, (fa, fb), (fake_report(1, 1.0),))
     assert evaluate_at_time(traj, 0.0) is fa
     assert evaluate_at_time(traj, 1.0) is fb
     mid = evaluate_at_time(traj, 0.5)
@@ -558,7 +679,7 @@ def test_geometric_interpolation_has_plateaus_and_ramps():
     fa, fb = boundary_pinned_pair([0.0, 2.0], [2.0, 4.0])
     _, fc = boundary_pinned_pair([0.0, 0.0], [4.0, 6.0])
     sched = geometric_schedule(1.0, 2)  # tau_1 = 1/2, tau_2 = 1/4
-    traj = FlowTrajectory(
+    traj, (fa, fb, fc) = trajectory_of(
         sched, (fa, fb, fc), (fake_report(1, 0.5), fake_report(2, 0.25))
     )
     assert [sched.window(k) for k in (1, 2)] == [(0.5, 1.0), (1.75, 2.0)]
@@ -592,7 +713,7 @@ def test_interpolation_covers_only_the_completed_horizon():
     sched = uniform_schedule(0.25, 8)
     f1, _ = minimize_step(f0, sched.tau(1))
     unconverged = replace(fake_report(1, sched.tau(1)), converged=False)
-    traj = FlowTrajectory(sched, (f0, f1), (unconverged,))
+    traj, _ = trajectory_of(sched, (f0, f1), (unconverged,))
     assert traj.completed_steps == 1
     evaluate_at_time(traj, 0.25 / 8)  # end of the completed step is fine
     with pytest.raises(ValueError):
