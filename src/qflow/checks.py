@@ -6,7 +6,9 @@ random inputs from a caller-supplied generator; trajectory-level checks
 read the per-step quantities FlowTrajectory computes from its snapshots,
 never the solver's own reports.  They reduce their per-step clearances
 through one helper: the smallest clearance and its step, the first minimum
-on ties, and 0.0 at step 0 when there is none.
+on ties, and -inf at step 0 when there is none, so that a check with
+nothing to reduce fails as unable to apply (a null margin in the reports)
+instead of passing vacuously.
 """
 
 from __future__ import annotations
@@ -238,10 +240,10 @@ def check_translation_identity(rng, domain, q: int, pairs: int = 50) -> CheckRes
 
 def _tightest(clearances) -> tuple:
     """Smallest clearance and its 1-based index, the first on ties;
-    (0.0, 0) when there is none."""
+    (-inf, 0) when there is none."""
     c = np.asarray(clearances, dtype=float)
     if c.size == 0:
-        return 0.0, 0
+        return -math.inf, 0
     k = int(np.argmin(c))
     return float(c[k]), k + 1
 
@@ -334,12 +336,15 @@ def check_max_principle(trajs) -> CheckResult:
 def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResult:
     """Boundary rows of every snapshot and of the interpolated trajectory at
     `times` sampled times, against those of the initial snapshot."""
+    if traj.completed_steps == 0:
+        return CheckResult("boundary_trace", False, -math.inf,
+                           "needs at least one step")
     bnd = traj.snapshots[0].domain.is_boundary
     ref = traj.snapshots[0].values[bnd]
     sampled = (evaluate_at_time(traj, float(t))
                for t in rng.uniform(0.0, traj.horizon, size=times))
     dev = max((float(np.max(np.abs(f.values[bnd] - ref)))
-               for f in itertools.chain(traj.snapshots[1:], sampled)), default=0.0)
+               for f in itertools.chain(traj.snapshots[1:], sampled)))
     return CheckResult(
         "boundary_trace",
         dev == 0.0,

@@ -7,13 +7,12 @@ alternates between recomputing optimal branch pairings and a direct sparse
 value column per sweep, and stops when the pairings no longer change or a
 sweep no longer lowers the objective; the matchings that score a sweep
 are the pairings of the next one.  For n = 1 the canonical (sorted)
-storage makes every pairing the identity, so a single sweep is exact:
-after its first step, an n = 1 chain is stepped by one loop over the rows
-of its state array that only solves, sorts and applies the floor guard,
-and builds no per-step objects.  Every run, n > 1 included, writes its
-states into one array, which its FlowTrajectory holds.  Two step size
-schedules are provided: a geometric one where step k uses tau = h / 2^k,
-and a uniform one with tau = T / N.
+storage makes every pairing the identity, so a single sweep is exact.
+One loop, `_ChainState.run`, steps every chain in place over the rows of
+its state array, for every value shape: `minimize_step` is that loop run
+for one step, and `run_flow` runs it over a whole schedule, building no
+per-step objects.  Two step size schedules are provided: a geometric one
+where step k uses tau = h / 2^k, and a uniform one with tau = T / N.
 
 The interpolated trajectory crosses from state k-1 to state k over the
 window `StepSchedule.window(k)`: all of step k's wall time for the uniform
@@ -27,8 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -111,9 +111,22 @@ def uniform_schedule(total_time: float, steps: int) -> StepSchedule:
 # pairing sweeps a step may take before it is flagged as not converged
 _MAX_OUTER = 100
 
+# right-hand side values a block of solves holds before one sparse product
+# computes their residuals
+_RESIDUAL_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class StepReport:
+    """The solver's log of step k: the energies of its start and of the
+    state it keeps, that state's movement penalty, its pairing sweeps, the
+    objective at its start and after each kept sweep, and `stationarity`,
+    the largest absolute residual of its last solve over the node weight
+    delta^m.  That is not normalized: the system's diagonal carries
+    delta^m / tau, so it grows as tau shrinks, to 1.1e44 on the geometric
+    m = 1 run at resolution 41 over 200 steps.  Normalize it before
+    writing it anywhere."""
+
     k: int
     tau: float
     energy_before: float
@@ -125,34 +138,36 @@ class StepReport:
     stationarity: float
 
 
-class _ScalarReports(Sequence):
-    """StepReports of an n = 1 chain, built on demand from its per-step
-    lists: energy[k] is the energy the chain holds after step k (energy[0]
-    its start's), penalty and stationarity are those of each step.  A step
-    from zero energy took the constant-data short cut; a step that kept its
-    start's energy had its sweep rejected by the floor guard, since an
-    accepted sweep lowers E + P / tau below it and so lowers E.  They are
-    built on demand because a long chain's reports are mostly never read,
-    and building them all is a sizable share of its run time."""
+class _Reports(Sequence):
+    """A chain's per-step arrays, and the StepReports of its completed
+    steps built from them on demand: a long chain's reports are mostly
+    never read.  energy[k] is the energy of state k, trace the objective
+    of every kept sweep, step after step, and ends[k - 1] the end of step
+    k's entries in trace.  A chain stops at its first step that does not
+    converge, so only its last step can be flagged."""
 
-    def __init__(self, taus, energy, penalty, stationarity):
-        self.taus, self.energy = taus, energy
-        self.penalty, self.stationarity = penalty, stationarity
+    def __init__(self, taus):
+        steps = len(taus)
+        self.taus, self.steps, self.converged = taus, 0, True
+        self.energy = array("d", bytes(8 * (steps + 1)))
+        self.penalty, self.trace = array("d", bytes(8 * steps)), array("d")
+        self.outer = array("q", bytes(8 * steps))
+        self.ends = array("q", bytes(8 * steps))
+        self.stationarity = np.zeros(steps)
 
     def __len__(self) -> int:
-        return len(self.taus)
+        return self.steps
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        k = range(1, len(self) + 1)[i]
-        tau, before, after = self.taus[k - 1], self.energy[k - 1], self.energy[k]
-        if before == 0.0:
-            return StepReport(k, tau, 0.0, 0.0, 0.0, 0, True, (0.0,), 0.0)
-        penalty = self.penalty[k - 1]
-        trace = (before,) if after == before else (before, after + penalty / tau)
-        return StepReport(k, tau, before, after, penalty, 1, True, trace,
-                          self.stationarity[k - 1])
+            return tuple(self[j] for j in range(self.steps)[i])
+        k = range(1, self.steps + 1)[i]
+        before = self.energy[k - 1]
+        kept = self.trace[self.ends[k - 2] if k > 1 else 0:self.ends[k - 1]]
+        return StepReport(
+            k, self.taus[k - 1], before, self.energy[k], self.penalty[k - 1],
+            self.outer[k - 1], self.converged or k < self.steps,
+            (before, *kept), float(self.stationarity[k - 1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +178,8 @@ class FlowTrajectory:
     `states` holds every state as one (completed_steps + 1, num_nodes, q, n)
     array, checked finite and in canonical order and made read-only here,
     and `snapshots` are QGridFunction views of its rows, built on first
-    use.  `reports` is the solver's log: a tuple of StepReports, or for an
-    n = 1 chain a sequence that builds them on demand.  Each quantity below
+    use.  `reports` is the solver's log, a sequence of StepReports; a run
+    builds each on demand from its per-step arrays.  Each quantity below
     is computed from the snapshots, not taken from the reports, once per
     trajectory on first use."""
 
@@ -248,31 +263,6 @@ class FlowTrajectory:
         return math.fsum(r.tau for r in self.reports)
 
 
-class _ChainState:
-    """Chain state of a run: the frozen-pairing system of one (domain, tau,
-    edge pairings) with its LU factor and the boundary term of its
-    right-hand side, which a new key replaces, so one run holds one factor;
-    and the last accepted state of minimize_step with its edge pairing and
-    energy, which the next step starts from (run_flow's n = 1 loop keeps
-    its energy itself).  One chain holds one boundary: every state it
-    steps from has the same boundary rows, bit for bit, so the boundary
-    term is computed once per factorization."""
-
-    def __init__(self):
-        self.domain = None
-        self.key = None
-        self.system = None
-        self.state = None
-        self.edge_sigma = None
-        self.energy = None
-
-    def get(self, domain: GridDomain, key, build):
-        if self.domain is not domain or self.key != key:
-            self.system = build()
-            self.domain, self.key = domain, key
-        return self.system
-
-
 def _compressed(fmt, data, major, minor, shape):
     """CSC (major = column) or CSR (major = row) matrix from entries
     sorted by (major, minor) index."""
@@ -330,155 +320,6 @@ def _frozen_system(domain: GridDomain, tau: float, sigma):
     return matrix, couple
 
 
-def _frozen_factor(prev_vals, domain: GridDomain, tau: float, edge_sigma,
-                   cache: _ChainState):
-    """The chain's frozen system for (tau, edge_sigma): (matrix, LU factor,
-    boundary term) from the cache, which builds it for a new key, and the
-    column shape of its right-hand side."""
-    qq, nn = prev_vals.shape[1:]
-    if edge_sigma is None:
-        sigma, key = np.zeros((domain.num_edges, 1), dtype=np.int64), (tau, None)
-        shape = (-1, qq * nn)
-    else:
-        sigma, key = edge_sigma, (tau, edge_sigma.tobytes())
-        shape = (-1, nn)
-
-    def build():
-        matrix, couple = _frozen_system(domain, tau, sigma)
-        return matrix, splu(matrix), couple @ prev_vals.reshape(shape)
-
-    return cache.get(domain, key, build), shape
-
-
-def _solve_frozen(prev_vals, domain: GridDomain, tau: float,
-                  edge_sigma, node_nu, cache: _ChainState):
-    """Minimizer of the step objective with every branch pairing frozen.
-
-    Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at b;
-    interior node interior[j] compares its branch i with branch
-    node_nu[j, i] of f_prev; None, and only None, stands for the identity
-    pairing on every row.  The objective is then a convex quadratic in the
-    interior branch values, solved directly by sparse LU.  The matrix
-    depends on tau and the edge pairings only.  For the identity edge
-    pairing it is q copies of one scalar block over the interior nodes and
-    the right-hand side has one column per (branch, coordinate); otherwise
-    the columns are the n coordinates of every branch lane.
-    Either way all columns go through one block solve, in which a negated
-    column is solved with the same arithmetic, so +/- data (q = 2) stay
-    exactly symmetric.  Returns the new node values and the largest
-    residual of the block system.
-    """
-    (matrix, lu, boundary_rhs), shape = _frozen_factor(
-        prev_vals, domain, tau, edge_sigma, cache)
-    w_p = domain.delta**domain.m / tau
-    if node_nu is None:
-        matched = prev_vals[domain.interior]
-    else:
-        matched = prev_vals[domain.interior[:, None], node_nu]
-    rhs = w_p * matched.reshape(shape) + boundary_rhs
-    sol = lu.solve(rhs)
-    vals = prev_vals.copy()
-    vals[domain.interior] = sol.reshape(matched.shape)
-    return vals, float(np.max(np.abs(matrix @ sol - rhs)))
-
-
-def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
-                  *, _factor: _ChainState | None = None):
-    """One implicit step from f_prev.
-
-    Alternates frozen-pairing solves with pairing updates until the
-    pairings of the new iterate are the ones it was solved with, or a sweep
-    no longer lowers the objective (its floating point floor); a step still
-    moving after _MAX_OUTER sweeps is flagged as not converged.  A sweep's
-    iterate is matched once across the edges and once against f_prev at the
-    nodes, which gives its objective and the next sweep's pairings; the
-    first sweep uses f_prev's edge pairing and the identity at the nodes.
-    For n = 1 every pairing is the identity (None), so the first accepted
-    sweep ends the step.  Returns (f_next, report) with the boundary of f_prev preserved and
-    objective value never above the starting one, so the Dirichlet energy
-    cannot increase across the step.
-    `_factor` lets a chain of steps share one factorization and hand each
-    step the edge pairing and energy of its starting state.
-    """
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
-    domain = f_prev.domain
-    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
-    w_e, w_p = domain.delta ** (domain.m - 2), domain.delta**domain.m
-    prev_vals = f_prev.values
-    cache = _factor if _factor is not None else _ChainState()
-    if cache.state is f_prev:
-        edge_sigma, energy_before = cache.edge_sigma, cache.energy
-    else:
-        edge_sigma, e = _paired(prev_vals[ea], prev_vals[eb])
-        energy_before = w_e * e
-
-    if energy_before == 0.0:
-        # constant data is a fixed point of every step
-        report = StepReport(step_index, tau, 0.0, 0.0, 0.0, 0, True, (0.0,), 0.0)
-        cache.state, cache.edge_sigma, cache.energy = f_prev, edge_sigma, 0.0
-        return f_prev, report
-
-    pairings = (edge_sigma, None)
-    trace = [energy_before]  # objective at f_prev: penalty vanishes
-    current, energy_after, penalty = f_prev, energy_before, 0.0
-    converged = True
-    for outer in range(1, _MAX_OUTER + 1):
-        vals, stationarity = _solve_frozen(prev_vals, domain, tau, *pairings, cache)
-        candidate = QGridFunction(domain, vals)
-        c = candidate.values
-        edge_sigma, e = _paired(c[ea], c[eb])
-        node_sigma, d = _paired(c, prev_vals)
-        energy, dist = w_e * e, w_p * d
-        value = energy + dist / tau
-        if value >= trace[-1]:
-            # floating point floor reached; keep the last accepted iterate
-            break
-        current, energy_after, penalty = candidate, energy, dist
-        trace.append(value)
-        solved_with = pairings
-        nu = None if node_sigma is None else node_sigma[domain.interior]
-        pairings = (edge_sigma, nu)
-        if all(p is s or np.array_equal(p, s) for p, s in zip(pairings, solved_with)):
-            break
-    else:
-        converged = False
-
-    cache.state, cache.edge_sigma, cache.energy = current, pairings[0], energy_after
-    report = StepReport(
-        step_index,
-        tau,
-        energy_before,
-        energy_after,
-        penalty,
-        outer,
-        converged,
-        tuple(trace),
-        stationarity / domain.delta**domain.m,
-    )
-    return current, report
-
-
-# right-hand side values a block of steps holds before one sparse product
-# computes their residuals
-_RESIDUAL_BLOCK = 1 << 13
-
-
-def _residuals(factor, block, out, weight):
-    """Stationarity of the block's steps, which share `factor`: the largest
-    residual of each step's system over the node weight, written to out at
-    its step index.  One sparse product serves the block; each column of a
-    sparse product is computed on its own, so every step gets the bits of
-    its own `matrix @ sol - rhs`."""
-    if not block:
-        return
-    steps, rhs, sol = zip(*block)
-    res = np.abs(factor[0] @ np.concatenate(sol, axis=1)
-                 - np.concatenate(rhs, axis=1))
-    out[np.array(steps) - 1] = res.reshape(
-        res.shape[0], len(steps), -1).max(axis=(0, 2)) / weight
-
-
 def _as_slice(index: np.ndarray):
     """index as a slice when it is a run of consecutive integers, as the
     interior and edge ends of an interval are: a slice selects a view where
@@ -488,82 +329,187 @@ def _as_slice(index: np.ndarray):
     return index
 
 
-def _scalar_chain(states, domain: GridDomain, taus, cache: _ChainState,
-                  first: StepReport):
-    """Step an n = 1 chain in place from step 2 on: states[0] is its start,
-    states[1] the state of step 1, whose report is `first`, and step k
-    writes states[k], for the step sizes taus.  Returns its reports.
+class _ChainState:
+    """A chain of implicit steps from f0 over one state array: states[0]
+    is f0's values, and step k, of size taus[k - 1], writes states[k].
 
-    Each step builds its right-hand side, makes one frozen-pairing solve
-    (every pairing is the identity), writes the row and sorts it into
-    canonical order.  The floor guard then keeps the row only if it lowers
-    the objective, E_k + P_k / tau < E_{k-1}, and otherwise repeats the
-    start's; a start of zero energy is a fixed point of every step.  The
-    residuals of the steps that share a factor are computed in blocks of
-    up to _RESIDUAL_BLOCK right-hand side values."""
-    ea, eb, inner = (_as_slice(i) for i in (
-        domain.edges[:, 0], domain.edges[:, 1], domain.interior))
-    w_e, w_n = domain.delta ** (domain.m - 2), domain.delta**domain.m
-    energy = np.empty(len(taus) + 1)
-    penalty, stationarity = np.zeros(len(taus)), np.zeros(len(taus))
-    energy[0], energy[1] = first.energy_before, first.energy_after
-    penalty[0], stationarity[0] = first.penalty, first.stationarity
-    e = first.energy_after
-    block_steps = max(1, _RESIDUAL_BLOCK // states[0, inner].size)
-    factor, factor_tau, block = None, None, []
-    for k, tau in enumerate(taus[1:], start=2):
-        prev, row = states[k - 1], states[k]
-        row[...] = prev
-        if e != 0.0:
-            if tau != factor_tau or len(block) == block_steps:
-                _residuals(factor, block, stationarity, w_n)
-                factor, shape = _frozen_factor(prev, domain, tau, None, cache)
-                factor_tau, block = tau, []
-            matched = prev[inner]
-            rhs = w_n / tau * matched.reshape(shape) + factor[2]
-            sol = factor[1].solve(rhs)
-            block.append((k, rhs, sol))
-            row[inner] = sol.reshape(matched.shape)
-            row.sort(axis=1)
-            e_k = w_e * _paired(row[ea], row[eb])[1]
-            p_k = w_n * _paired(row, prev)[1]
-            if e_k + p_k / tau >= e and np.isfinite(row).all():
-                # floating point floor reached: keep the start (a non-finite
-                # sweep stays for the trajectory's finiteness check)
-                row[...] = prev
+    It holds the frozen-pairing system of one (tau, edge pairing) key, with
+    its LU factor and the boundary term of its right-hand side, which a new
+    key replaces; the edge pairing of its last state; its per-step log;
+    and the queued solves of the current factor, whose residuals one
+    sparse product computes per block of up to _RESIDUAL_BLOCK right-hand
+    side values.
+    Every state has the boundary rows of states[0], bit for bit, so the
+    boundary term is computed once per factorization."""
+
+    def __init__(self, f0: QGridFunction, taus):
+        if not 0.0 < min(taus) <= max(taus) < math.inf:
+            raise ValueError("tau must be positive and finite")
+        self.domain = domain = f0.domain
+        self.log = _Reports(taus)
+        self.states = states = np.empty((len(taus) + 1,) + f0.values.shape)
+        states[0] = f0.values
+        self.ea, self.eb, self.inner = (_as_slice(i) for i in (
+            domain.edges[:, 0], domain.edges[:, 1], domain.interior))
+        self.w_e, self.w_n = domain.delta ** (domain.m - 2), domain.delta**domain.m
+        self.tau, self.key, self.block = None, None, []
+        self.block_steps = max(1, _RESIDUAL_BLOCK // states[0, self.inner].size)
+        self.edge_sigma, e = _paired(states[0][self.ea], states[0][self.eb])
+        self.log.energy[0] = self.w_e * e
+
+    def solve(self, k: int, tau: float, prev, edge_sigma, node_nu):
+        """Interior values minimizing step k's objective from prev with every
+        branch pairing frozen, queued for their residual in place of a
+        queued solve of step k, which is dropped unscored.
+
+        Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at
+        b; interior node j compares its branch i with branch node_nu[j, i]
+        of prev; None, and only None, stands for the identity pairing on
+        every row.  For the identity edge pairing the matrix is q copies of
+        one scalar block over the interior nodes and the right-hand side
+        has one column per (branch, coordinate); otherwise the columns are
+        the n coordinates of every branch lane.  Either way all columns go
+        through one block solve, in which a negated column is solved with
+        the same arithmetic, so +/- data (q = 2) stay exactly symmetric."""
+        block = self.block
+        if block and block[-1][0] == k:
+            block.pop()
+        key = None if edge_sigma is None else edge_sigma.tobytes()
+        if tau != self.tau or key != self.key:
+            self.flush()
+            if edge_sigma is None:
+                sigma = np.zeros((self.domain.num_edges, 1), dtype=np.int64)
+                self.shape = (-1, prev.shape[1] * prev.shape[2])
             else:
-                e, penalty[k - 1] = e_k, p_k
-        energy[k] = e
-    _residuals(factor, block, stationarity, w_n)
-    return _ScalarReports(taus, energy.tolist(), penalty.tolist(),
-                          stationarity.tolist())
+                sigma, self.shape = edge_sigma, (-1, prev.shape[2])
+            self.matrix, couple = _frozen_system(self.domain, tau, sigma)
+            self.lu, self.tau, self.key = splu(self.matrix), tau, key
+            self.boundary = couple @ prev.reshape(self.shape)
+        elif len(block) == self.block_steps:
+            self.flush()
+        matched = prev[self.inner]
+        if node_nu is not None:
+            matched = np.take_along_axis(matched, node_nu[:, :, None], axis=1)
+        rhs = self.w_n / tau * matched.reshape(self.shape) + self.boundary
+        sol = self.lu.solve(rhs)
+        block.append((k, rhs, sol))
+        return sol.reshape(matched.shape)
+
+    def flush(self):
+        """Stationarity of the queued solves into the log.  One sparse
+        product serves them all; each column of a sparse product is computed
+        on its own, so every solve gets the bits of its own
+        `matrix @ sol - rhs`."""
+        if self.block:
+            steps, rhs, sol = zip(*self.block)
+            res = np.abs(self.matrix @ np.concatenate(sol, axis=1)
+                         - np.concatenate(rhs, axis=1))
+            self.log.stationarity[np.array(steps) - 1] = res.reshape(
+                res.shape[0], len(steps), -1).max(axis=(0, 2)) / self.w_n
+            self.block.clear()
+
+    def run(self, last: int):
+        """Take the steps up to `last` from where the chain stands, and
+        compute the stationarity of every queued solve.
+
+        Each sweep solves the frozen system into a reused candidate row,
+        puts it in canonical order (a sort for n = 1) and matches it once
+        across the edges and once against the step's start, which gives its
+        objective and the next sweep's pairings; the first sweep takes the
+        start's edge pairing and the identity at the nodes.  The floor
+        guard keeps a candidate only if it lowers the objective below the
+        last kept value; otherwise the step ends, as it does at the pairing
+        fixed point, which for n = 1 or q = 1 is the first kept sweep.  A
+        step still moving after _MAX_OUTER sweeps is flagged as not
+        converged and ends the chain.  A start of zero energy is a fixed
+        point of every step."""
+        log, states = self.log, self.states
+        if not log.converged:
+            return
+        taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
+        ea, eb, inner, w_e, w_n = self.ea, self.eb, self.inner, self.w_e, self.w_n
+        scalar, sweeps = states.shape[3] == 1, range(1, _MAX_OUTER + 1)
+        cand = states[log.steps].copy()
+        edge, e = self.edge_sigma, energy[log.steps]
+        outers, ends, k = log.outer, log.ends, log.steps
+        for k, tau in enumerate(taus[k:last], start=k + 1):
+            prev, row, best = states[k - 1], states[k], e
+            edge_in, nu_in = edge, None
+            if e == 0.0:
+                row[...], outer = prev, 0
+            else:
+                for outer in sweeps:
+                    cand[inner] = self.solve(k, tau, prev, edge_in, nu_in)
+                    if scalar:
+                        cand.sort(axis=1)
+                        c = cand
+                    elif np.isfinite(cand).all():
+                        c = _canonical(cand)
+                    else:
+                        raise ValueError("values must be finite")
+                    edge_out, en = _paired(c[ea], c[eb])
+                    node_sigma, dist = _paired(c, prev)
+                    en, dist = w_e * en, w_n * dist
+                    value = en + dist / tau
+                    if not value < best:
+                        # floating point floor reached
+                        if not np.isfinite(c).all():
+                            raise ValueError("values must be finite")
+                        if outer == 1:
+                            row[...] = prev  # no sweep kept
+                        break
+                    row[...] = c
+                    trace.append(value)
+                    best, e = value, en
+                    edge, penalty[k - 1] = edge_out, dist
+                    nu_out = None if node_sigma is None else node_sigma[inner]
+                    if ((edge_out is edge_in or np.array_equal(edge_out, edge_in))
+                            and (nu_out is nu_in or np.array_equal(nu_out, nu_in))):
+                        break
+                    edge_in, nu_in = edge_out, nu_out
+                else:
+                    log.converged = False
+            energy[k], outers[k - 1], ends[k - 1] = e, outer, len(trace)
+            if not log.converged:
+                break
+        log.steps, self.edge_sigma = k, edge
+        self.flush()
+
+
+def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
+                  *, _factor: _ChainState | None = None):
+    """One implicit step from f_prev: the chain loop, `_ChainState.run`,
+    for one step.  It alternates frozen-pairing solves with pairing
+    updates until the pairings of the new iterate are the ones it was
+    solved with, or a sweep no longer lowers the objective.
+
+    Returns (f_next, report) with the boundary of f_prev preserved and
+    objective value never above the starting one, so the Dirichlet energy
+    cannot increase across the step; f_next is f_prev itself when no sweep
+    is kept.  `_factor` is the chain of a run whose first step this is,
+    with f_prev its start and tau its first step size: the run's later
+    steps share its factorization and state array.
+    """
+    chain = _factor or _ChainState(f_prev, [tau])
+    chain.run(1)
+    report = replace(chain.log[0], k=step_index)
+    if len(report.objective_trace) == 1:
+        return f_prev, report
+    return QGridFunction(f_prev.domain, chain.states[1]), report
 
 
 def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
     """Run the full chain of implicit steps into one state array.  The
-    first step is minimize_step's; an n = 1 chain continues from its state,
-    report and factor in `_scalar_chain`, an n > 1 chain takes
-    minimize_step's sweeps step by step, and a step that fails to converge
-    truncates it, its best iterate kept and flagged."""
-    chain = _ChainState()
+    first step is minimize_step's, so that a profile of the run sees one
+    call per chain, and the rest continue in the same loop; a step that
+    fails to converge truncates the chain, its best iterate kept and
+    flagged."""
     taus = [schedule.tau(k) for k in range(1, schedule.steps + 1)]
-    states = np.empty((len(taus) + 1,) + f0.values.shape)
-    states[0] = f0.values
-    current, report = minimize_step(f0, taus[0], step_index=1, _factor=chain)
-    states[1] = current.values
-    if f0.n == 1:
-        reports = _scalar_chain(states, f0.domain, taus, chain, report)
-    else:
-        reports = [report]
-        for k, tau in enumerate(taus[1:], start=2):
-            if not report.converged:
-                break
-            current, report = minimize_step(current, tau, step_index=k,
-                                            _factor=chain)
-            states[k] = current.values
-            reports.append(report)
-        states, reports = states[:len(reports) + 1], tuple(reports)
-    return FlowTrajectory(schedule, f0.domain, states, reports)
+    chain = _ChainState(f0, taus)
+    minimize_step(f0, taus[0], step_index=1, _factor=chain)
+    chain.run(len(taus))
+    return FlowTrajectory(schedule, f0.domain,
+                          chain.states[:chain.log.steps + 1], chain.log)
 
 
 def _blend(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:

@@ -16,7 +16,6 @@ rows, in O(rows * 2^q * q) time for q <= 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,21 +103,6 @@ def make_qpoint(values, n: int | None = None) -> QPoint:
 _MATCH_MAX_Q = 8
 
 
-@lru_cache(maxsize=None)
-def _subset_tables(q: int) -> tuple:
-    """Read-only tables of the subset DP over q columns, built once per q:
-    nxt[s, j] is the set s plus column j, or the infinite entry 2^q if j is
-    in s, and sets[i] lists the sets of size i."""
-    full = 1 << q
-    taken = (np.arange(full)[:, None] >> np.arange(q)) & 1
-    nxt = np.where(taken, full, np.arange(full)[:, None] | 1 << np.arange(q))
-    size = taken.sum(axis=1)
-    sets = tuple(np.flatnonzero(size == i) for i in range(q))
-    for table in (nxt, *sets):
-        table.flags.writeable = False
-    return nxt, sets
-
-
 def match_rows(a: np.ndarray, b: np.ndarray):
     """Best branch pairing of every row of two canonical (rows, q, n)
     arrays: branch i of a[r] goes to branch sigma[r, i] of b[r].  Returns
@@ -145,11 +129,15 @@ def match_rows(a: np.ndarray, b: np.ndarray):
     at, bt = a.transpose(2, 1, 0), b.transpose(2, 1, 0)
     cost = sum((at[k][:, None] - bt[k][None]) ** 2 for k in range(n))
     full = 1 << q
-    nxt, sets = _subset_tables(q)
+    taken = (np.arange(full)[:, None] >> np.arange(q)) & 1
+    # nxt[s, j]: the set s plus column j, or the infinite entry if j is in s
+    nxt = np.where(taken, full, np.arange(full)[:, None] | 1 << np.arange(q))
     rest = np.zeros((full + 1, rows))
     rest[full] = np.inf
+    size = taken.sum(axis=1)
     for i in range(q - 1, -1, -1):
-        rest[sets[i]] = (cost[i] + rest[nxt[sets[i]]]).min(axis=1)
+        sets = np.flatnonzero(size == i)
+        rest[sets] = (cost[i] + rest[nxt[sets]]).min(axis=1)
     limit = rest[0] + 1e-9 * (1.0 + np.abs(rest[0]))
     r = np.arange(rows)
     sigma = np.zeros((rows, q), dtype=np.int64)

@@ -299,7 +299,7 @@ def energy_monotonicity_by_loop(traj):
             margin = allowed - energies[k]
             worst_k = k
     if math.isinf(margin):
-        margin = 0.0
+        margin = -math.inf  # no step: the check cannot apply
     return CheckResult(
         "energy_monotonicity", margin >= 0.0, margin,
         f"{len(energies) - 1} steps, tightest clearance {margin:.3e} at step {worst_k}",
@@ -314,7 +314,7 @@ def step_estimate_by_loop(traj):
             raw = slack
             worst_k = k
     if math.isinf(raw):
-        raw = 0.0
+        raw = -math.inf  # no step: the check cannot apply
     margin = raw + 1e-10
     return CheckResult("step_estimate", margin >= 0.0, margin,
                        f"smallest penalty-bound slack {raw:.3e} at step {worst_k}")
@@ -335,7 +335,7 @@ def eta_residual_by_loop(traj):
             margin = clearance
             worst = f"residual {res:.3e} at step {k}"
     if math.isinf(margin):
-        margin = 0.0
+        margin = -math.inf  # no converged step: the check cannot apply
         worst = "no converged steps"
     detail = worst + (f", {skipped} non-converged steps skipped" if skipped else "")
     return CheckResult("eta_residual", margin >= 0.0, margin, detail)
@@ -355,7 +355,7 @@ def max_principle_by_loop(trajs):
         return CheckResult("max_principle", False, -math.inf,
                            "no uniform-schedule run available")
     if math.isinf(margin):
-        margin = 0.0
+        margin = -math.inf  # no uniform run with a step: cannot apply
     return CheckResult(
         "max_principle", margin >= 0.0, margin,
         f"{counted} uniform run(s), tightest monotonicity clearance {margin:.3e}",
@@ -363,6 +363,9 @@ def max_principle_by_loop(trajs):
 
 
 def boundary_trace_by_loops(traj, rng, times=8):
+    if traj.completed_steps == 0:
+        return CheckResult("boundary_trace", False, -math.inf,
+                           "needs at least one step")
     bnd = traj.snapshots[0].domain.is_boundary
     ref = traj.snapshots[0].values[bnd]
     dev = 0.0
@@ -390,7 +393,7 @@ def holder_by_loop(traj, rng, pairs=100):
         used += 1
         raw = min(raw, holder_margin(traj, float(t), float(s)))
     if math.isinf(raw):
-        raw = 0.0
+        raw = -math.inf  # no sampled pair: the check cannot apply
     margin = raw + 1e-8
     return CheckResult("holder", margin >= 0.0, margin,
                        f"{used} sampled time pairs, smallest bound slack {raw:.3e}")
@@ -399,8 +402,8 @@ def holder_by_loop(traj, rng, pairs=100):
 def test_tightest_takes_the_first_minimum():
     assert checks._tightest([3.0, -1.0, 2.0, -1.0]) == (-1.0, 2)
     assert checks._tightest(np.array([0.5])) == (0.5, 1)
-    assert checks._tightest([]) == (0.0, 0)
-    assert checks._tightest(np.empty(0)) == (0.0, 0)
+    assert checks._tightest([]) == (-math.inf, 0)
+    assert checks._tightest(np.empty(0)) == (-math.inf, 0)
 
 
 def _truncated_vector_run():
@@ -457,10 +460,27 @@ def test_reference_trajectories_reach_each_branch(reference_trajectories):
     mono = check_energy_monotonicity(trajs["injected"])
     assert not mono.passed and mono.detail.endswith("at step 8")
     assert check_max_principle([trajs["geometric"]]).margin == -math.inf
-    assert check_eta_residual(trajs["truncated n = 2"]).detail == \
-        "no converged steps, 1 non-converged steps skipped"
+    truncated = check_eta_residual(trajs["truncated n = 2"])
+    assert truncated.detail == "no converged steps, 1 non-converged steps skipped"
+    assert not truncated.passed and truncated.margin == -math.inf
     zero = check_energy_monotonicity(trajs["zero steps"])
-    assert zero.margin == 0.0 and zero.detail.endswith("at step 0")
+    assert zero.margin == -math.inf and zero.detail.endswith("at step 0")
+    assert not zero.passed
+
+
+def test_checks_with_nothing_to_reduce_cannot_apply(reference_trajectories):
+    """A trajectory check with no step, no converged step, no uniform run
+    with a step, no sampled time pair or nothing to compare fails with a
+    -inf margin (null in the reports) instead of passing vacuously."""
+    zero = reference_trajectories["zero steps"]
+    healthy = reference_trajectories["healthy"]
+    rng = np.random.default_rng(5)
+    for res in (check_energy_monotonicity(zero), check_step_estimate(zero),
+                check_eta_residual(zero),
+                check_eta_residual(reference_trajectories["truncated n = 2"]),
+                check_max_principle([zero]), check_boundary_trace(zero, rng),
+                check_holder(zero, rng), check_holder(healthy, rng, 0)):
+        assert not res.passed and res.margin == -math.inf, res
 
 
 def test_max_principle_matches_its_loop_on_a_mixed_list(reference_trajectories):

@@ -110,6 +110,17 @@ def test_step_rejects_non_finite_tau(tau):
         minimize_step(f, tau)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_step_whose_solve_overflows_raises(n):
+    """A finite tau so small that delta^m / tau overflows makes a
+    non-finite candidate: the step raises, for every value shape, instead
+    of keeping it or matching it."""
+    d = build_domain(1, 7)
+    f = QGridFunction(d, np.random.default_rng(1).normal(size=(7, 2, n)))
+    with pytest.raises(ValueError, match="values must be finite"):
+        minimize_step(f, 1e-320)
+
+
 def test_constant_data_short_circuits():
     d = build_domain(1, 9)
     f = QGridFunction(d, np.full((9, 2, 1), 1.5))
@@ -205,6 +216,16 @@ def test_vector_chain_matches_twice_per_sweep(monkeypatch):
     assert calls.count((d.num_edges, 2, 2)) == 1 + sweeps
 
 
+def frozen_solve(f, tau, edge_sigma, node_nu):
+    """One frozen-pairing solve of the chain loop from f: the interior
+    values and the largest absolute residual `|matrix @ sol - rhs|` of its
+    system, taken back from the stationarity (residual over delta^m)."""
+    chain = morseflow._ChainState(f, [tau])
+    vals = chain.solve(1, tau, f.values, edge_sigma, node_nu)
+    chain.flush()
+    return vals, chain.log.stationarity[0] * f.domain.delta**f.domain.m
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2])
@@ -221,10 +242,7 @@ def test_none_pairings_solve_as_the_identity_bit_for_bit(m, q, n):
         assert edge_sigma is None
     assert grid._paired(f.values, f.values)[0] is None
     ident = np.tile(np.arange(q), (len(d.interior), 1))
-    got = morseflow._solve_frozen(f.values, d, 0.05, edge_sigma, None,
-                                  morseflow._ChainState())
-    want = morseflow._solve_frozen(f.values, d, 0.05, edge_sigma, ident,
-                                   morseflow._ChainState())
+    got, want = (frozen_solve(f, 0.05, edge_sigma, nu) for nu in (None, ident))
     assert np.array_equal(got[0], want[0])
     assert got[1] == want[1]
 
@@ -331,12 +349,11 @@ def test_block_solve_matches_per_column_solves(m, q, n):
         paths.append(perms(d.num_edges))
         assert (paths[-1] != np.arange(q)).any()
     for edge_sigma in paths:
-        vals, residual = morseflow._solve_frozen(
-            f.values, d, 0.05, edge_sigma, node_nu, morseflow._ChainState())
+        vals, residual = frozen_solve(f, 0.05, edge_sigma, node_nu)
         want = _solve_by_column(f.values, d, 0.05, edge_sigma, node_nu)
         tol = 8 * np.spacing(np.max(np.abs(want)))
-        assert np.max(np.abs(vals[d.interior] - want)) <= tol
-        assert np.array_equal(vals[d.is_boundary], f.values[d.is_boundary])
+        assert vals.shape == want.shape
+        assert np.max(np.abs(vals - want)) <= tol
         assert residual <= 1e-10
 
 
@@ -543,10 +560,105 @@ def test_scalar_flow_matches_stepping_by_hand(monkeypatch, m, q, mode):
         assert report == traj.reports[k - 1]
 
 
-def test_scalar_flow_builds_no_grid_function_per_step(monkeypatch):
-    """An n = 1 chain writes its states into one array and its snapshots
-    are views of its rows: the QGridFunctions it builds, snapshots and
-    quantities included, do not grow with the number of steps."""
+def scalar_chain_by_loop(f0, taus, residual_block):
+    """The loop that stepped n = 1 chains on their own before every value
+    shape shared one loop, kept as a bit-for-bit reference.  Each step
+    builds its right-hand side, makes one frozen-pairing solve (every
+    pairing is the identity), writes the row and sorts it; the floor guard
+    keeps the row only if E_k + P_k / tau < E_{k-1} and otherwise repeats
+    the start, and a start of zero energy is a fixed point.  The residuals
+    of the steps sharing a factor are computed per block of up to
+    `residual_block` right-hand side values.  Returns the states and the
+    StepReports."""
+    d = f0.domain
+    ea, eb, inner = d.edges[:, 0], d.edges[:, 1], d.interior
+    w_e, w_n = d.delta ** (d.m - 2), d.delta**d.m
+    states = np.empty((len(taus) + 1,) + f0.values.shape)
+    states[0] = f0.values
+    energy = np.empty(len(taus) + 1)
+    penalty, stationarity = np.zeros(len(taus)), np.zeros(len(taus))
+    e = energy[0] = w_e * grid._paired(f0.values[ea], f0.values[eb])[1]
+    block_steps = max(1, residual_block // states[0, inner].size)
+    factor, factor_tau, block = None, None, []
+
+    def residuals():
+        if block:
+            steps, rhs, sol = zip(*block)
+            res = np.abs(factor[0] @ np.concatenate(sol, axis=1)
+                         - np.concatenate(rhs, axis=1))
+            stationarity[np.array(steps) - 1] = res.reshape(
+                res.shape[0], len(steps), -1).max(axis=(0, 2)) / w_n
+            block.clear()
+
+    for k, tau in enumerate(taus, start=1):
+        prev, row = states[k - 1], states[k]
+        row[...] = prev
+        if e != 0.0:
+            if tau != factor_tau or len(block) == block_steps:
+                residuals()
+            if tau != factor_tau:
+                matrix, couple = morseflow._frozen_system(
+                    d, tau, np.zeros((d.num_edges, 1), dtype=np.int64))
+                factor = matrix, splu(matrix), couple @ prev.reshape(-1, f0.q)
+                factor_tau = tau
+            matched = prev[inner]
+            rhs = w_n / tau * matched.reshape(-1, f0.q) + factor[2]
+            sol = factor[1].solve(rhs)
+            block.append((k, rhs, sol))
+            row[inner] = sol.reshape(matched.shape)
+            row.sort(axis=1)
+            e_k = w_e * grid._paired(row[ea], row[eb])[1]
+            p_k = w_n * grid._paired(row, prev)[1]
+            if e_k + p_k / tau >= e and np.isfinite(row).all():
+                row[...] = prev
+            else:
+                e, penalty[k - 1] = e_k, p_k
+        energy[k] = e
+    residuals()
+    energy, penalty, stationarity = (
+        a.tolist() for a in (energy, penalty, stationarity))
+    reports = []
+    for k, tau in enumerate(taus, start=1):
+        before, after = energy[k - 1], energy[k]
+        if before == 0.0:
+            reports.append(StepReport(k, tau, 0.0, 0.0, 0.0, 0, True, (0.0,), 0.0))
+            continue
+        trace = (before,) if after == before else (
+            before, after + penalty[k - 1] / tau)
+        reports.append(StepReport(k, tau, before, after, penalty[k - 1], 1,
+                                  True, trace, stationarity[k - 1]))
+    return states, reports
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("mode", ["uniform", "geometric"])
+def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(monkeypatch, m, q, mode):
+    """Every value shape steps through one loop; for n = 1 its states and
+    the repr of every report, stationarity included, are those of the
+    loop that only solved, sorted and guarded, with residual blocks of
+    four steps, through a geometric tail whose floor guard rejects
+    steps."""
+    d = build_domain(m, 11)
+    block = 4 * len(d.interior) * q
+    monkeypatch.setattr(morseflow, "_RESIDUAL_BLOCK", block)
+    rng = np.random.default_rng(10 * m + q)
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))
+    if mode == "uniform":
+        sched = uniform_schedule(0.25, 10)
+    else:
+        sched = geometric_schedule(0.25, 64)
+    traj = run_flow(f0, sched)
+    taus = [sched.tau(k) for k in range(1, sched.steps + 1)]
+    states, reports = scalar_chain_by_loop(f0, taus, block)
+    assert np.array_equal(traj.states, states)
+    assert repr(list(traj.reports)) == repr(reports)
+    if mode == "geometric":
+        assert any(len(r.objective_trace) == 1 for r in reports)
+
+
+def count_grid_functions(monkeypatch):
+    """Every QGridFunction built from here on."""
     built = []
     post_init = QGridFunction.__post_init__
 
@@ -554,9 +666,63 @@ def test_scalar_flow_builds_no_grid_function_per_step(monkeypatch):
         built.append(self)
         post_init(self)
 
+    monkeypatch.setattr(QGridFunction, "__post_init__", counted)
+    return built
+
+
+def test_vector_flow_builds_no_grid_function_per_sweep(monkeypatch):
+    """An n = 2 chain solves every sweep into one reused candidate row: the
+    QGridFunctions a run builds do not grow with its steps or sweeps."""
+    rng = np.random.default_rng(6)
+    d = build_domain(1, 11)
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
+    built = count_grid_functions(monkeypatch)
+    counts, sweeps = [], []
+    for steps in (2, 8):
+        built.clear()
+        traj = run_flow(f0, uniform_schedule(0.25, steps))
+        assert traj.converged
+        counts.append(len(built))
+        sweeps.append(sum(r.outer_iterations for r in traj.reports))
+    assert sweeps[1] > sweeps[0] > 2
+    assert counts[0] == counts[1] <= 1
+
+
+def test_superseded_solves_get_no_residual_product(monkeypatch):
+    """Only the last solve of a step is queued for its stationarity: a
+    solve that a later sweep of the same step supersedes is dropped before
+    any residual product, so every step is scored once, however many
+    sweeps it takes."""
+    solved, scored = [], []
+    solve, flush = morseflow._ChainState.solve, morseflow._ChainState.flush
+
+    def counted_solve(self, k, *args):
+        solved.append(k)
+        return solve(self, k, *args)
+
+    def counted_flush(self):
+        scored.extend(k for k, _, _ in self.block)
+        flush(self)
+
+    monkeypatch.setattr(morseflow._ChainState, "solve", counted_solve)
+    monkeypatch.setattr(morseflow._ChainState, "flush", counted_flush)
+    rng = np.random.default_rng(6)
+    d = build_domain(2, 9)
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, 2, 2)))
+    traj = run_flow(f0, uniform_schedule(0.25, 6))
+    assert traj.converged
+    assert len(solved) == sum(r.outer_iterations for r in traj.reports) > 6
+    assert sorted(scored) == list(range(1, 7))
+    assert all(r.stationarity > 0.0 for r in traj.reports)
+
+
+def test_scalar_flow_builds_no_grid_function_per_step(monkeypatch):
+    """An n = 1 chain writes its states into one array and its snapshots
+    are views of its rows: the QGridFunctions it builds, snapshots and
+    quantities included, do not grow with the number of steps."""
     d = build_domain(1, 21)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
-    monkeypatch.setattr(QGridFunction, "__post_init__", counted)
+    built = count_grid_functions(monkeypatch)
     counts = []
     for steps in (4, 64):
         built.clear()
