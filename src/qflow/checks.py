@@ -1,10 +1,11 @@
 """Named verification checks with pass/fail margins.
 
 Each check returns a CheckResult whose margin is the clearance to the
-failing boundary: nonnegative margins pass.  Value-level checks sample
-random inputs from a caller-supplied generator; trajectory-level checks
-read the per-step quantities FlowTrajectory computes from its snapshots,
-never the solver's own reports.  They reduce their per-step clearances
+failing boundary: a result passes exactly when its margin is nonnegative,
+and a structural failure, which has no clearance, has margin -inf.
+Value-level checks sample random inputs from a caller-supplied generator;
+trajectory-level checks read the per-step quantities FlowTrajectory
+computes from its snapshots, never the solver's own reports.  They reduce their per-step clearances
 through one helper: the smallest clearance and its step, the first minimum
 on ties, and -inf at step 0 when there is none, so that a check with
 nothing to reduce fails as unable to apply (a null margin in the reports)
@@ -126,7 +127,8 @@ def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
     worst = ""
     if nonzero.size:
         worst = f"nonzero distance {same[nonzero[-1]]:g} on a permuted copy"
-    passed = not nonzero.size and margin >= 0.0
+        margin = -math.inf
+    passed = margin >= 0.0
     detail = worst or (
         f"{samples} samples, q<=6, n<=3; smallest clearance {margin:.3e}"
     )
@@ -151,7 +153,8 @@ def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
     detail = f"{samples} samples, largest identity-vs-exhaustive gap {worst:.3e}"
     if not identity_ok:
         detail = "non-identity pairing returned for canonical operands"
-    return CheckResult("sorted_matching", passed, -worst, detail)
+    return CheckResult("sorted_matching", passed,
+                       -worst if identity_ok else -math.inf, detail)
 
 
 def check_embedding_isometry(rng, samples: int = 200) -> CheckResult:
@@ -300,7 +303,8 @@ def check_symmetry(traj: FlowTrajectory) -> CheckResult:
 
 
 def check_positivity(traj: FlowTrajectory) -> CheckResult:
-    """Top branch strictly above 1e-12 at interior nodes from step 1 on."""
+    """Top branch strictly above 1e-12 at interior nodes from step 1 on;
+    a value at the threshold fails by one ulp of it."""
     interior = traj.snapshots[0].domain.interior
     if len(traj.snapshots) < 2 or len(interior) == 0:
         return CheckResult("positivity", False, -math.inf,
@@ -308,7 +312,7 @@ def check_positivity(traj: FlowTrajectory) -> CheckResult:
     low = min(
         float(np.min(f.values[interior, -1, 0])) for f in traj.snapshots[1:]
     )
-    margin = low - 1e-12
+    margin = low - 1e-12 if low != 1e-12 else -math.ulp(1e-12)
     return CheckResult(
         "positivity",
         margin > 0.0,

@@ -11,8 +11,11 @@ storage makes every pairing the identity, so a single sweep is exact.
 One loop, `_ChainState.run`, steps every chain in place over the rows of
 its state array, for every value shape: `minimize_step` is that loop run
 for one step, and `run_flow` runs it over a whole schedule, building no
-per-step objects.  Two step size schedules are provided: a geometric one
-where step k uses tau = h / 2^k, and a uniform one with tau = T / N.
+per-step objects.  The solver only solves: its log records each step's
+energies, penalty and sweeps, and the quantities the paper's bounds are
+stated in come from the states, through `FlowTrajectory`.  Two step size
+schedules are provided: a geometric one where step k uses tau = h / 2^k,
+and a uniform one with tau = T / N.
 
 The interpolated trajectory crosses from state k-1 to state k over the
 window `StepSchedule.window(k)`: all of step k's wall time for the uniform
@@ -111,21 +114,12 @@ def uniform_schedule(total_time: float, steps: int) -> StepSchedule:
 # pairing sweeps a step may take before it is flagged as not converged
 _MAX_OUTER = 100
 
-# right-hand side values a block of solves holds before one sparse product
-# computes their residuals
-_RESIDUAL_BLOCK = 1 << 13
-
 
 @dataclass(frozen=True)
 class StepReport:
     """The solver's log of step k: the energies of its start and of the
-    state it keeps, that state's movement penalty, its pairing sweeps, the
-    objective at its start and after each kept sweep, and `stationarity`,
-    the largest absolute residual of its last solve over the node weight
-    delta^m.  That is not normalized: the system's diagonal carries
-    delta^m / tau, so it grows as tau shrinks, to 1.1e44 on the geometric
-    m = 1 run at resolution 41 over 200 steps.  Normalize it before
-    writing it anywhere."""
+    state it keeps, that state's movement penalty, its pairing sweeps, and
+    the objective at its start and after each kept sweep."""
 
     k: int
     tau: float
@@ -135,7 +129,6 @@ class StepReport:
     outer_iterations: int
     converged: bool
     objective_trace: tuple
-    stationarity: float
 
 
 class _Reports(Sequence):
@@ -153,7 +146,6 @@ class _Reports(Sequence):
         self.penalty, self.trace = array("d", bytes(8 * steps)), array("d")
         self.outer = array("q", bytes(8 * steps))
         self.ends = array("q", bytes(8 * steps))
-        self.stationarity = np.zeros(steps)
 
     def __len__(self) -> int:
         return self.steps
@@ -167,7 +159,7 @@ class _Reports(Sequence):
         return StepReport(
             k, self.taus[k - 1], before, self.energy[k], self.penalty[k - 1],
             self.outer[k - 1], self.converged or k < self.steps,
-            (before, *kept), float(self.stationarity[k - 1]))
+            (before, *kept))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,12 +325,9 @@ class _ChainState:
     """A chain of implicit steps from f0 over one state array: states[0]
     is f0's values, and step k, of size taus[k - 1], writes states[k].
 
-    It holds the frozen-pairing system of one (tau, edge pairing) key, with
-    its LU factor and the boundary term of its right-hand side, which a new
-    key replaces; the edge pairing of its last state; its per-step log;
-    and the queued solves of the current factor, whose residuals one
-    sparse product computes per block of up to _RESIDUAL_BLOCK right-hand
-    side values.
+    It holds the LU factor of the frozen-pairing system of one (tau, edge
+    pairing) key and the boundary term of its right-hand side, which a new
+    key replaces; the edge pairing of its last state; and its per-step log.
     Every state has the boundary rows of states[0], bit for bit, so the
     boundary term is computed once per factorization."""
 
@@ -352,15 +341,15 @@ class _ChainState:
         self.ea, self.eb, self.inner = (_as_slice(i) for i in (
             domain.edges[:, 0], domain.edges[:, 1], domain.interior))
         self.w_e, self.w_n = domain.delta ** (domain.m - 2), domain.delta**domain.m
-        self.tau, self.key, self.block = None, None, []
-        self.block_steps = max(1, _RESIDUAL_BLOCK // states[0, self.inner].size)
+        self.tau, self.key = None, None
         self.edge_sigma, e = _paired(states[0][self.ea], states[0][self.eb])
         self.log.energy[0] = self.w_e * e
 
-    def solve(self, k: int, tau: float, prev, edge_sigma, node_nu):
-        """Interior values minimizing step k's objective from prev with every
-        branch pairing frozen, queued for their residual in place of a
-        queued solve of step k, which is dropped unscored.
+    def solve(self, tau: float, prev, edge_sigma, node_nu):
+        """Interior values minimizing the step objective of size tau from
+        prev with every branch pairing frozen, from the factor and boundary
+        term of the last solve when tau and the edge pairing are the same,
+        from new ones otherwise.
 
         Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at
         b; interior node j compares its branch i with branch node_nu[j, i]
@@ -371,46 +360,24 @@ class _ChainState:
         the n coordinates of every branch lane.  Either way all columns go
         through one block solve, in which a negated column is solved with
         the same arithmetic, so +/- data (q = 2) stay exactly symmetric."""
-        block = self.block
-        if block and block[-1][0] == k:
-            block.pop()
         key = None if edge_sigma is None else edge_sigma.tobytes()
         if tau != self.tau or key != self.key:
-            self.flush()
             if edge_sigma is None:
                 sigma = np.zeros((self.domain.num_edges, 1), dtype=np.int64)
                 self.shape = (-1, prev.shape[1] * prev.shape[2])
             else:
                 sigma, self.shape = edge_sigma, (-1, prev.shape[2])
-            self.matrix, couple = _frozen_system(self.domain, tau, sigma)
-            self.lu, self.tau, self.key = splu(self.matrix), tau, key
+            matrix, couple = _frozen_system(self.domain, tau, sigma)
+            self.lu, self.tau, self.key = splu(matrix), tau, key
             self.boundary = couple @ prev.reshape(self.shape)
-        elif len(block) == self.block_steps:
-            self.flush()
         matched = prev[self.inner]
         if node_nu is not None:
             matched = np.take_along_axis(matched, node_nu[:, :, None], axis=1)
         rhs = self.w_n / tau * matched.reshape(self.shape) + self.boundary
-        sol = self.lu.solve(rhs)
-        block.append((k, rhs, sol))
-        return sol.reshape(matched.shape)
-
-    def flush(self):
-        """Stationarity of the queued solves into the log.  One sparse
-        product serves them all; each column of a sparse product is computed
-        on its own, so every solve gets the bits of its own
-        `matrix @ sol - rhs`."""
-        if self.block:
-            steps, rhs, sol = zip(*self.block)
-            res = np.abs(self.matrix @ np.concatenate(sol, axis=1)
-                         - np.concatenate(rhs, axis=1))
-            self.log.stationarity[np.array(steps) - 1] = res.reshape(
-                res.shape[0], len(steps), -1).max(axis=(0, 2)) / self.w_n
-            self.block.clear()
+        return self.lu.solve(rhs).reshape(matched.shape)
 
     def run(self, last: int):
-        """Take the steps up to `last` from where the chain stands, and
-        compute the stationarity of every queued solve.
+        """Take the steps up to `last` from where the chain stands.
 
         Each sweep solves the frozen system into a reused candidate row,
         puts it in canonical order (a sort for n = 1) and matches it once
@@ -439,14 +406,12 @@ class _ChainState:
                 row[...], outer = prev, 0
             else:
                 for outer in sweeps:
-                    cand[inner] = self.solve(k, tau, prev, edge_in, nu_in)
+                    cand[inner] = self.solve(tau, prev, edge_in, nu_in)
                     if scalar:
                         cand.sort(axis=1)
                         c = cand
-                    elif np.isfinite(cand).all():
-                        c = _canonical(cand)
                     else:
-                        raise ValueError("values must be finite")
+                        c = _canonical(cand)
                     edge_out, en = _paired(c[ea], c[eb])
                     node_sigma, dist = _paired(c, prev)
                     en, dist = w_e * en, w_n * dist
@@ -473,7 +438,6 @@ class _ChainState:
             if not log.converged:
                 break
         log.steps, self.edge_sigma = k, edge
-        self.flush()
 
 
 def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,

@@ -114,11 +114,14 @@ def match_rows(a: np.ndarray, b: np.ndarray):
     from the full set down; sigma is then read off branch by branch, each
     time the smallest free column through which the minimum is still met
     within the tolerance.  That costs O(rows * 2^q * q) time and
-    rows * 2^q floats, so n > 1 requires q <= 8 (ValueError beyond).
+    rows * 2^q floats, so n > 1 requires q <= 8 (ValueError beyond).  A
+    NaN or infinite entry raises ValueError, for every q and n.
     """
     rows, q, n = a.shape
     if b.shape != a.shape:
         raise ValueError(f"incompatible operands: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("values must be finite")
     if n == 1:
         sigma = np.zeros((rows, q), dtype=np.int64) + np.arange(q)
         return sigma, ((a - b) ** 2).sum(axis=(1, 2))

@@ -106,11 +106,12 @@ def metric_axioms_by_loop(rng, samples=200):
         tri = matching_distance(pa, pb) + matching_distance(pb, pc) \
             + 1e-10 - matching_distance(pa, pc)
         margin = min(margin, sym, distinct, tri)
-    passed = ok and margin >= 0.0
+    if not ok:
+        margin = -math.inf
     detail = worst or (
         f"{samples} samples, q<=6, n<=3; smallest clearance {margin:.3e}"
     )
-    return CheckResult("metric_axioms", passed, margin, detail)
+    return CheckResult("metric_axioms", margin >= 0.0, margin, detail)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 11, 123, 999])
@@ -120,19 +121,21 @@ def test_metric_axioms_agrees_with_a_per_sample_loop(seed):
             == metric_axioms_by_loop(np.random.default_rng(seed), samples)
 
 
+def charging(a, b):
+    """`match_rows` that charges equal multisets by their first value."""
+    sigma, cost = match_rows(a, b)
+    equal = (a == b).all(axis=(1, 2))
+    return sigma, cost + np.abs(a[:, 0, 0]) * equal
+
+
 def test_metric_axioms_names_the_last_failing_sample(monkeypatch):
     """A matching that charges equal multisets, by their first value, makes
     the permuted-copy axiom fail on every sample; both paths name the same
     (last) one."""
-    def charging(a, b):
-        sigma, cost = match_rows(a, b)
-        equal = (a == b).all(axis=(1, 2))
-        return sigma, cost + np.abs(a[:, 0, 0]) * equal
-
     monkeypatch.setattr(qspace, "match_rows", charging)
     monkeypatch.setattr(checks, "match_rows", charging)
     res = check_metric_axioms(np.random.default_rng(3), 40)
-    assert not res.passed
+    assert not res.passed and res.margin < 0.0
     assert res.detail.startswith("nonzero distance")
     assert res == metric_axioms_by_loop(np.random.default_rng(3), 40)
 
@@ -155,7 +158,8 @@ def sorted_matching_by_loop(rng, samples=200):
     detail = f"{samples} samples, largest identity-vs-exhaustive gap {worst:.3e}"
     if not identity_ok:
         detail = "non-identity pairing returned for canonical operands"
-    return identity_ok and worst == 0.0, -worst, detail
+    return (identity_ok and worst == 0.0,
+            -worst if identity_ok else -math.inf, detail)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -165,14 +169,29 @@ def test_sorted_matching_agrees_with_a_permutation_loop(seed):
     assert (res.passed, res.margin, res.detail) == ref
 
 
-def test_sorted_matching_rejects_a_cost_one_ulp_high(monkeypatch):
-    def one_ulp_high(a, b):
-        match = optimal_matching(a, b)
-        return replace(match, cost=float(np.nextafter(match.cost, np.inf)))
+def one_ulp_high(a, b):
+    match = optimal_matching(a, b)
+    return replace(match, cost=float(np.nextafter(match.cost, np.inf)))
 
+
+def reversed_pairing(a, b):
+    match = optimal_matching(a, b)
+    return replace(match, sigma=match.sigma[::-1])
+
+
+def test_sorted_matching_rejects_a_cost_one_ulp_high(monkeypatch):
     monkeypatch.setattr(checks, "optimal_matching", one_ulp_high)
     res = check_sorted_matching(np.random.default_rng(3), 20)
-    assert not res.passed
+    assert not res.passed and res.margin < 0.0
+
+
+def test_sorted_matching_rejects_a_reversed_pairing_at_zero_gap(monkeypatch):
+    """A non-identity pairing at the exhaustive minimum's cost has no gap,
+    yet fails: with margin -inf, not -0.0."""
+    monkeypatch.setattr(checks, "optimal_matching", reversed_pairing)
+    res = check_sorted_matching(np.random.default_rng(3), 20)
+    assert not res.passed and res.margin == -math.inf
+    assert res.detail == "non-identity pairing returned for canonical operands"
     assert res.margin < 0.0
 
 
@@ -223,10 +242,30 @@ def test_positivity_check_rejects_negative_branches():
     spec = InitialSpec("branches", branch_coeffs=((-1.0,), (-0.5,)))
     traj = run_flow(sample_initial(spec, d, 2), uniform_schedule(0.1, 2))
     res = check_positivity(traj)
-    assert not res.passed
+    assert not res.passed and res.margin < 0.0
 
     lone = trajectory_of(uniform_schedule(0.1, 2), (traj.snapshots[0],), ())
-    assert not check_positivity(lone).passed
+    res = check_positivity(lone)
+    assert not res.passed and res.margin < 0.0
+
+
+def positivity_at(low):
+    """check_positivity of a one-step run whose smallest interior top
+    branch is `low`."""
+    d = build_domain(1, 5)
+    vals = np.ones((2, d.num_nodes, 2, 1))
+    vals[:, :, 0] = -1.0
+    vals[1, d.interior[1], 1] = low
+    return check_positivity(FlowTrajectory(uniform_schedule(0.1, 1), d, vals, ()))
+
+
+def test_positivity_fails_at_the_threshold_with_a_negative_margin():
+    """The threshold is strict: a smallest top branch of exactly 1e-12
+    fails with margin -ulp(1e-12), and one ulp above it passes."""
+    for low, passed in ((1e-12, False), (math.nextafter(1e-12, 1.0), True)):
+        res = positivity_at(low)
+        assert res.passed is passed
+        assert res.margin == (math.ulp(1e-12) if passed else -math.ulp(1e-12))
 
 
 def test_eta_residual_skips_unconverged_steps():
@@ -258,7 +297,8 @@ def test_eta_residual_holds_for_vector_values():
     snaps = list(traj.snapshots)
     snaps[3] = QGridFunction(d, vals)
     bad = trajectory_of(traj.schedule, snaps, traj.reports)
-    assert not check_eta_residual(bad).passed
+    res = check_eta_residual(bad)
+    assert not res.passed and res.margin < 0.0
 
 
 def test_max_principle_check_needs_a_uniform_run(healthy):
@@ -266,7 +306,7 @@ def test_max_principle_check_needs_a_uniform_run(healthy):
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
     geo = run_flow(f0, geometric_schedule(0.25, 4))
     res = check_max_principle([geo])
-    assert not res.passed
+    assert not res.passed and res.margin < 0.0
     assert "no uniform" in res.detail
     # geometric runs are ignored, not counted
     both = check_max_principle([geo, healthy])
@@ -458,7 +498,8 @@ def test_trajectory_checks_match_their_loop_references(reference_trajectories):
 def test_reference_trajectories_reach_each_branch(reference_trajectories):
     trajs = reference_trajectories
     mono = check_energy_monotonicity(trajs["injected"])
-    assert not mono.passed and mono.detail.endswith("at step 8")
+    assert not mono.passed and mono.margin < 0.0
+    assert mono.detail.endswith("at step 8")
     assert check_max_principle([trajs["geometric"]]).margin == -math.inf
     truncated = check_eta_residual(trajs["truncated n = 2"])
     assert truncated.detail == "no converged steps, 1 non-converged steps skipped"
@@ -494,7 +535,7 @@ def test_max_principle_matches_its_loop_on_a_mixed_list(reference_trajectories):
 
 def test_oracle_equivalence_requires_single_branch_uniform(healthy):
     res = check_oracle_equivalence(healthy)  # q = 2
-    assert not res.passed
+    assert not res.passed and res.margin < 0.0
     d = build_domain(1, 21)
     f0 = sample_initial(
         InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),)), d, 1
@@ -530,3 +571,61 @@ def test_oracle_equivalence_detects_a_moved_value():
     res = check_oracle_equivalence(bad)
     assert not res.passed
     assert res.margin < 0.0
+
+
+ACCEPTANCE_CONFIG = """\
+mode = uniform
+m = 1
+resolution = 201
+q = 2
+preset = symmetric-cos
+total_time = 0.25
+steps = 64
+"""
+
+
+def test_a_result_passes_exactly_when_its_margin_is_nonnegative(
+        monkeypatch, tmp_path, healthy, reference_trajectories):
+    """Every result of `verify` on the acceptance config, healthy and with
+    its injected negative control, and of each negative control above,
+    passes if and only if its margin is nonnegative."""
+    results = []
+    evaluate = cli._evaluate
+
+    def recorded(name, ctx):
+        results.append(evaluate(name, ctx))
+        return results[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_evaluate", recorded)
+        for inject, code in (("", 0), ("inject = energy_monotonicity\n", 1)):
+            cfg = tmp_path / "verify.cfg"
+            cfg.write_text(ACCEPTANCE_CONFIG + inject)
+            assert cli.main(["verify", "--config", str(cfg), "--seed", "9",
+                             "--out", str(tmp_path / "out")]) == code
+    assert len(results) == 2 * len(CHECK_NAMES)
+    assert all(r.passed for r in results[:len(CHECK_NAMES)])
+    assert "energy_monotonicity" in [r.name for r in results if not r.passed]
+
+    controls = []
+    rng = np.random.default_rng(3)
+    for target, name, fake, check in (
+            (checks, "match_rows", charging, check_metric_axioms),
+            (checks, "optimal_matching", one_ulp_high, check_sorted_matching),
+            (checks, "optimal_matching", reversed_pairing, check_sorted_matching)):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fake)
+            controls.append(check(rng, 20))
+    bad = corrupt_middle(healthy)
+    zero = reference_trajectories["zero steps"]
+    controls += [
+        positivity_at(1e-12), positivity_at(-1.0),
+        check_energy_monotonicity(bad), check_step_estimate(bad),
+        check_oracle_equivalence(healthy),
+        check_max_principle([reference_trajectories["geometric"]]),
+        check_eta_residual(zero), check_boundary_trace(zero, rng),
+        check_holder(zero, rng),
+    ]
+    assert not any(r.passed for r in controls), controls
+    for res in results + controls:
+        assert res.passed == (res.margin >= 0.0), res

@@ -218,12 +218,22 @@ def test_vector_chain_matches_twice_per_sweep(monkeypatch):
 
 def frozen_solve(f, tau, edge_sigma, node_nu):
     """One frozen-pairing solve of the chain loop from f: the interior
-    values and the largest absolute residual `|matrix @ sol - rhs|` of its
-    system, taken back from the stationarity (residual over delta^m)."""
-    chain = morseflow._ChainState(f, [tau])
-    vals = chain.solve(1, tau, f.values, edge_sigma, node_nu)
-    chain.flush()
-    return vals, chain.log.stationarity[0] * f.domain.delta**f.domain.m
+    values, and the largest `|matrix @ sol - rhs|` over the node weight
+    delta^m, with the system and right-hand side built here."""
+    d, (q, n) = f.domain, f.values.shape[1:]
+    vals = morseflow._ChainState(f, [tau]).solve(tau, f.values, edge_sigma,
+                                                 node_nu)
+    if edge_sigma is None:
+        sigma, shape = np.zeros((d.num_edges, 1), dtype=np.int64), (-1, q * n)
+    else:
+        sigma, shape = edge_sigma, (-1, n)
+    matrix, couple = morseflow._frozen_system(d, tau, sigma)
+    matched = f.values[d.interior]
+    if node_nu is not None:
+        matched = np.take_along_axis(matched, node_nu[:, :, None], axis=1)
+    w_n = d.delta**d.m
+    rhs = w_n / tau * matched.reshape(shape) + couple @ f.values.reshape(shape)
+    return vals, np.abs(matrix @ vals.reshape(shape) - rhs).max() / w_n
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -534,15 +544,13 @@ def test_flow_matches_stepping_by_hand(n):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("q", [1, 3])
 @pytest.mark.parametrize("mode", ["uniform", "geometric"])
-def test_scalar_flow_matches_stepping_by_hand(monkeypatch, m, q, mode):
+def test_scalar_flow_matches_stepping_by_hand(m, q, mode):
     """From step 2 on, an n = 1 chain is stepped by run_flow's loop, which
-    computes its residuals per block, here of four steps; independent
-    minimize_step calls take one sweep each and compute each residual on
-    its own.  Snapshots and reports, stationarity included, must be
-    bit-identical, through the geometric tail at resolution 11, where the
-    floor guard rejects steps."""
+    reuses one factor across steps of equal tau; independent minimize_step
+    calls take one sweep each with a factor of their own.  Snapshots and
+    reports must be bit-identical, through the geometric tail at
+    resolution 11, where the floor guard rejects steps."""
     d = build_domain(m, 11)
-    monkeypatch.setattr(morseflow, "_RESIDUAL_BLOCK", 4 * len(d.interior) * q)
     rng = np.random.default_rng(10 * m + q)
     f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))
     if mode == "uniform":
@@ -560,52 +568,35 @@ def test_scalar_flow_matches_stepping_by_hand(monkeypatch, m, q, mode):
         assert report == traj.reports[k - 1]
 
 
-def scalar_chain_by_loop(f0, taus, residual_block):
+def scalar_chain_by_loop(f0, taus):
     """The loop that stepped n = 1 chains on their own before every value
     shape shared one loop, kept as a bit-for-bit reference.  Each step
     builds its right-hand side, makes one frozen-pairing solve (every
     pairing is the identity), writes the row and sorts it; the floor guard
     keeps the row only if E_k + P_k / tau < E_{k-1} and otherwise repeats
-    the start, and a start of zero energy is a fixed point.  The residuals
-    of the steps sharing a factor are computed per block of up to
-    `residual_block` right-hand side values.  Returns the states and the
-    StepReports."""
+    the start, and a start of zero energy is a fixed point.  Returns the
+    states and the StepReports."""
     d = f0.domain
     ea, eb, inner = d.edges[:, 0], d.edges[:, 1], d.interior
     w_e, w_n = d.delta ** (d.m - 2), d.delta**d.m
     states = np.empty((len(taus) + 1,) + f0.values.shape)
     states[0] = f0.values
     energy = np.empty(len(taus) + 1)
-    penalty, stationarity = np.zeros(len(taus)), np.zeros(len(taus))
+    penalty = np.zeros(len(taus))
     e = energy[0] = w_e * grid._paired(f0.values[ea], f0.values[eb])[1]
-    block_steps = max(1, residual_block // states[0, inner].size)
-    factor, factor_tau, block = None, None, []
-
-    def residuals():
-        if block:
-            steps, rhs, sol = zip(*block)
-            res = np.abs(factor[0] @ np.concatenate(sol, axis=1)
-                         - np.concatenate(rhs, axis=1))
-            stationarity[np.array(steps) - 1] = res.reshape(
-                res.shape[0], len(steps), -1).max(axis=(0, 2)) / w_n
-            block.clear()
-
+    factor_tau = None
     for k, tau in enumerate(taus, start=1):
         prev, row = states[k - 1], states[k]
         row[...] = prev
         if e != 0.0:
-            if tau != factor_tau or len(block) == block_steps:
-                residuals()
             if tau != factor_tau:
                 matrix, couple = morseflow._frozen_system(
                     d, tau, np.zeros((d.num_edges, 1), dtype=np.int64))
-                factor = matrix, splu(matrix), couple @ prev.reshape(-1, f0.q)
+                lu, boundary = splu(matrix), couple @ prev.reshape(-1, f0.q)
                 factor_tau = tau
             matched = prev[inner]
-            rhs = w_n / tau * matched.reshape(-1, f0.q) + factor[2]
-            sol = factor[1].solve(rhs)
-            block.append((k, rhs, sol))
-            row[inner] = sol.reshape(matched.shape)
+            rhs = w_n / tau * matched.reshape(-1, f0.q) + boundary
+            row[inner] = lu.solve(rhs).reshape(matched.shape)
             row.sort(axis=1)
             e_k = w_e * grid._paired(row[ea], row[eb])[1]
             p_k = w_n * grid._paired(row, prev)[1]
@@ -614,34 +605,29 @@ def scalar_chain_by_loop(f0, taus, residual_block):
             else:
                 e, penalty[k - 1] = e_k, p_k
         energy[k] = e
-    residuals()
-    energy, penalty, stationarity = (
-        a.tolist() for a in (energy, penalty, stationarity))
+    energy, penalty = energy.tolist(), penalty.tolist()
     reports = []
     for k, tau in enumerate(taus, start=1):
         before, after = energy[k - 1], energy[k]
         if before == 0.0:
-            reports.append(StepReport(k, tau, 0.0, 0.0, 0.0, 0, True, (0.0,), 0.0))
+            reports.append(StepReport(k, tau, 0.0, 0.0, 0.0, 0, True, (0.0,)))
             continue
         trace = (before,) if after == before else (
             before, after + penalty[k - 1] / tau)
         reports.append(StepReport(k, tau, before, after, penalty[k - 1], 1,
-                                  True, trace, stationarity[k - 1]))
+                                  True, trace))
     return states, reports
 
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("q", [1, 3])
 @pytest.mark.parametrize("mode", ["uniform", "geometric"])
-def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(monkeypatch, m, q, mode):
+def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(m, q, mode):
     """Every value shape steps through one loop; for n = 1 its states and
-    the repr of every report, stationarity included, are those of the
-    loop that only solved, sorted and guarded, with residual blocks of
-    four steps, through a geometric tail whose floor guard rejects
+    the repr of every report are those of the loop that only solved,
+    sorted and guarded, through a geometric tail whose floor guard rejects
     steps."""
     d = build_domain(m, 11)
-    block = 4 * len(d.interior) * q
-    monkeypatch.setattr(morseflow, "_RESIDUAL_BLOCK", block)
     rng = np.random.default_rng(10 * m + q)
     f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))
     if mode == "uniform":
@@ -650,7 +636,7 @@ def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(monkeypatch, m, q, mo
         sched = geometric_schedule(0.25, 64)
     traj = run_flow(f0, sched)
     taus = [sched.tau(k) for k in range(1, sched.steps + 1)]
-    states, reports = scalar_chain_by_loop(f0, taus, block)
+    states, reports = scalar_chain_by_loop(f0, taus)
     assert np.array_equal(traj.states, states)
     assert repr(list(traj.reports)) == repr(reports)
     if mode == "geometric":
@@ -686,34 +672,6 @@ def test_vector_flow_builds_no_grid_function_per_sweep(monkeypatch):
         sweeps.append(sum(r.outer_iterations for r in traj.reports))
     assert sweeps[1] > sweeps[0] > 2
     assert counts[0] == counts[1] <= 1
-
-
-def test_superseded_solves_get_no_residual_product(monkeypatch):
-    """Only the last solve of a step is queued for its stationarity: a
-    solve that a later sweep of the same step supersedes is dropped before
-    any residual product, so every step is scored once, however many
-    sweeps it takes."""
-    solved, scored = [], []
-    solve, flush = morseflow._ChainState.solve, morseflow._ChainState.flush
-
-    def counted_solve(self, k, *args):
-        solved.append(k)
-        return solve(self, k, *args)
-
-    def counted_flush(self):
-        scored.extend(k for k, _, _ in self.block)
-        flush(self)
-
-    monkeypatch.setattr(morseflow._ChainState, "solve", counted_solve)
-    monkeypatch.setattr(morseflow._ChainState, "flush", counted_flush)
-    rng = np.random.default_rng(6)
-    d = build_domain(2, 9)
-    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, 2, 2)))
-    traj = run_flow(f0, uniform_schedule(0.25, 6))
-    assert traj.converged
-    assert len(solved) == sum(r.outer_iterations for r in traj.reports) > 6
-    assert sorted(scored) == list(range(1, 7))
-    assert all(r.stationarity > 0.0 for r in traj.reports)
 
 
 def test_scalar_flow_builds_no_grid_function_per_step(monkeypatch):
@@ -814,7 +772,7 @@ def boundary_pinned_pair(values_a, values_b):
 
 
 def fake_report(k, tau):
-    return StepReport(k, tau, 1.0, 0.5, 0.1, 1, True, (1.0, 0.5), 0.0)
+    return StepReport(k, tau, 1.0, 0.5, 0.1, 1, True, (1.0, 0.5))
 
 
 def trajectory_of(schedule, snapshots, reports):

@@ -335,6 +335,20 @@ def test_incompatible_operands_raise():
             optimal_matching(a, other)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_match_rows_refuses_non_finite_values(q, n, bad):
+    """A NaN or an infinity in either operand raises, for every q and n,
+    rather than giving a NaN cost or an index error."""
+    rng = np.random.default_rng(10 * q + n)
+    for side in (0, 1):
+        rows = rng.normal(size=(2, 3, q, n))
+        rows[side, 1, q // 2, n - 1] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            match_rows(*rows)
+
+
 def test_bad_inputs_raise():
     with pytest.raises(ValueError):
         make_qpoint([1.0, np.nan])
