@@ -1,8 +1,8 @@
 """Named verification checks with pass/fail margins.
 
-Each check returns a CheckResult whose margin is the clearance to the
-failing boundary: a result passes exactly when its margin is nonnegative,
-and a structural failure, which has no clearance, has margin -inf.
+Each check returns a CheckResult of its margin, the clearance to the
+failing boundary, from which CheckResult derives the verdict: a result passes
+exactly when its margin is nonnegative.  A structural failure has margin -inf.
 Value-level checks sample random inputs from a caller-supplied generator;
 trajectory-level checks read the per-step quantities FlowTrajectory
 computes from its snapshots, never the solver's own reports.  They reduce their per-step clearances
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,10 +69,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's margin and the verdict derived from it: passed exactly
+    when margin >= 0, a zero margin stored as +0.0."""
+
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     margin: float
     detail: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "margin", self.margin + 0.0)
+        object.__setattr__(self, "passed", self.margin >= 0.0)
 
 
 # evaluation order used by the verify command
@@ -128,11 +135,10 @@ def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
     if nonzero.size:
         worst = f"nonzero distance {same[nonzero[-1]]:g} on a permuted copy"
         margin = -math.inf
-    passed = margin >= 0.0
     detail = worst or (
         f"{samples} samples, q<=6, n<=3; smallest clearance {margin:.3e}"
     )
-    return CheckResult("metric_axioms", passed, margin, detail)
+    return CheckResult("metric_axioms", margin, detail)
 
 
 def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
@@ -149,12 +155,11 @@ def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
         identity_ok &= match.sigma == tuple(range(q))
         best = float(((a - b[perms[q]]) ** 2).sum(axis=1).min())
         worst = max(worst, abs(match.cost - best))
-    passed = identity_ok and worst == 0.0
     detail = f"{samples} samples, largest identity-vs-exhaustive gap {worst:.3e}"
     if not identity_ok:
         detail = "non-identity pairing returned for canonical operands"
-    return CheckResult("sorted_matching", passed,
-                       -worst if identity_ok else -math.inf, detail)
+    margin = -worst if identity_ok else -math.inf
+    return CheckResult("sorted_matching", margin, detail)
 
 
 def check_embedding_isometry(rng, samples: int = 200) -> CheckResult:
@@ -168,7 +173,6 @@ def check_embedding_isometry(rng, samples: int = 200) -> CheckResult:
     margin = 1e-12 - gap
     return CheckResult(
         "embedding_isometry",
-        margin >= 0.0,
         margin,
         f"{samples} samples, largest embedding-vs-metric gap {gap:.3e}",
     )
@@ -176,7 +180,6 @@ def check_embedding_isometry(rng, samples: int = 200) -> CheckResult:
 
 def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
     margin = math.inf
-    ok = True
     detail = ""
     for _ in range(samples):
         q = int(rng.integers(2, 9))
@@ -187,20 +190,16 @@ def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
         px, py = ascending_projection(x), ascending_projection(y)
         if not (np.array_equal(ascending_projection(px), px)
                 and np.all(np.diff(px) >= 0.0)):
-            ok = False
             detail = "projection output not a fixed ascending point"
         xs = np.sort(x)
         if not np.array_equal(ascending_projection(xs), xs):
-            ok = False
             detail = "projection moved an already ascending input"
         lip = float(np.linalg.norm(x - y)) + 1e-12 \
             - float(np.linalg.norm(px - py))
         margin = min(margin, lip)
-    passed = ok and margin >= 0.0
     return CheckResult(
         "ascending_projection",
-        passed,
-        margin if ok else -math.inf,
+        -math.inf if detail else margin,
         detail or f"{samples} samples, smallest Lipschitz clearance {margin:.3e}",
     )
 
@@ -235,7 +234,6 @@ def check_translation_identity(rng, domain, q: int, pairs: int = 50) -> CheckRes
     margin = 1e-10 - worst
     return CheckResult(
         "translation_identity",
-        margin >= 0.0,
         margin,
         f"{pairs} scalar + 8 vector pairs, largest relative gap {worst:.3e}",
     )
@@ -256,7 +254,6 @@ def check_energy_monotonicity(traj: FlowTrajectory) -> CheckResult:
     margin, worst_k = _tightest(e[:-1] + 1e-10 * np.maximum(1.0, e[:-1]) - e[1:])
     return CheckResult(
         "energy_monotonicity",
-        margin >= 0.0,
         margin,
         f"{len(e) - 1} steps, tightest clearance {margin:.3e} at step {worst_k}",
     )
@@ -267,7 +264,6 @@ def check_step_estimate(traj: FlowTrajectory) -> CheckResult:
     margin = raw + 1e-10
     return CheckResult(
         "step_estimate",
-        margin >= 0.0,
         margin,
         f"smallest penalty-bound slack {raw:.3e} at step {worst_k}",
     )
@@ -286,7 +282,7 @@ def check_eta_residual(traj: FlowTrajectory) -> CheckResult:
              if steps else "no converged steps")
     skipped = len(paired) - len(steps)
     detail = worst + (f", {skipped} non-converged steps skipped" if skipped else "")
-    return CheckResult("eta_residual", margin >= 0.0, margin, detail)
+    return CheckResult("eta_residual", margin, detail)
 
 
 def check_symmetry(traj: FlowTrajectory) -> CheckResult:
@@ -296,7 +292,6 @@ def check_symmetry(traj: FlowTrajectory) -> CheckResult:
     margin = 1e-10 - worst
     return CheckResult(
         "symmetry",
-        margin >= 0.0,
         margin,
         f"largest |branch mean| over all nodes and steps {worst:.3e}",
     )
@@ -307,7 +302,7 @@ def check_positivity(traj: FlowTrajectory) -> CheckResult:
     a value at the threshold fails by one ulp of it."""
     interior = traj.snapshots[0].domain.interior
     if len(traj.snapshots) < 2 or len(interior) == 0:
-        return CheckResult("positivity", False, -math.inf,
+        return CheckResult("positivity", -math.inf,
                            "needs at least one step and an interior node")
     low = min(
         float(np.min(f.values[interior, -1, 0])) for f in traj.snapshots[1:]
@@ -315,7 +310,6 @@ def check_positivity(traj: FlowTrajectory) -> CheckResult:
     margin = low - 1e-12 if low != 1e-12 else -math.ulp(1e-12)
     return CheckResult(
         "positivity",
-        margin > 0.0,
         margin,
         f"smallest interior top-branch value after step 1 is {low:.3e}",
     )
@@ -325,13 +319,12 @@ def check_max_principle(trajs) -> CheckResult:
     """Max node norm non-increasing (within 1e-12) along every uniform run."""
     uniform = [traj for traj in trajs if traj.schedule.mode == "uniform"]
     if not uniform:
-        return CheckResult("max_principle", False, -math.inf,
+        return CheckResult("max_principle", -math.inf,
                            "no uniform-schedule run available")
     norms = [np.asarray(traj.max_norms) for traj in uniform]
     margin = _tightest(np.concatenate([n[:-1] + 1e-12 - n[1:] for n in norms]))[0]
     return CheckResult(
         "max_principle",
-        margin >= 0.0,
         margin,
         f"{len(uniform)} uniform run(s), tightest monotonicity clearance {margin:.3e}",
     )
@@ -341,7 +334,7 @@ def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResu
     """Boundary rows of every snapshot and of the interpolated trajectory at
     `times` sampled times, against those of the initial snapshot."""
     if traj.completed_steps == 0:
-        return CheckResult("boundary_trace", False, -math.inf,
+        return CheckResult("boundary_trace", -math.inf,
                            "needs at least one step")
     bnd = traj.snapshots[0].domain.is_boundary
     ref = traj.snapshots[0].values[bnd]
@@ -351,8 +344,7 @@ def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResu
                for f in itertools.chain(traj.snapshots[1:], sampled)))
     return CheckResult(
         "boundary_trace",
-        dev == 0.0,
-        0.0 if dev == 0.0 else -dev,
+        -dev,
         "boundary rows identical on every snapshot and sampled time"
         if dev == 0.0 else f"largest boundary deviation {dev:.3e}",
     )
@@ -366,7 +358,6 @@ def check_holder(traj: FlowTrajectory, rng, pairs: int = 100) -> CheckResult:
     margin = raw + 1e-8
     return CheckResult(
         "holder",
-        margin >= 0.0,
         margin,
         f"{len(slack)} sampled time pairs, smallest bound slack {raw:.3e}",
     )
@@ -391,7 +382,6 @@ def check_brute_force(rng, instances: int = 20) -> CheckResult:
     margin = min(1e-8 - worst, one_sided)
     return CheckResult(
         "brute_force",
-        margin >= 0.0,
         margin,
         f"{instances} instances, largest objective gap {worst:.3e}",
     )
@@ -403,7 +393,7 @@ def check_oracle_equivalence(traj: FlowTrajectory) -> CheckResult:
     takes one step from its own previous state per snapshot."""
     f0 = traj.snapshots[0]
     if (f0.domain.m, f0.q, f0.n, traj.schedule.mode) != (1, 1, 1, "uniform"):
-        return CheckResult("oracle_equivalence", False, -math.inf,
+        return CheckResult("oracle_equivalence", -math.inf,
                            "needs an m = 1, q = 1, n = 1 uniform run")
     tau = traj.schedule.h
     worst = 0.0
@@ -416,7 +406,6 @@ def check_oracle_equivalence(traj: FlowTrajectory) -> CheckResult:
     margin = 1e-8 - worst
     return CheckResult(
         "oracle_equivalence",
-        margin >= 0.0,
         margin,
         f"{traj.completed_steps} snapshots, largest max-norm gap {worst:.3e}",
     )

@@ -380,16 +380,18 @@ class _ChainState:
         """Take the steps up to `last` from where the chain stands.
 
         Each sweep solves the frozen system into a reused candidate row,
-        puts it in canonical order (a sort for n = 1) and matches it once
-        across the edges and once against the step's start, which gives its
-        objective and the next sweep's pairings; the first sweep takes the
-        start's edge pairing and the identity at the nodes.  The floor
-        guard keeps a candidate only if it lowers the objective below the
-        last kept value; otherwise the step ends, as it does at the pairing
-        fixed point, which for n = 1 or q = 1 is the first kept sweep.  A
-        step still moving after _MAX_OUTER sweeps is flagged as not
-        converged and ends the chain.  A start of zero energy is a fixed
-        point of every step."""
+        puts it in canonical order for n > 1 and matches it once across the
+        edges and once against the step's start, which gives its objective
+        and the next sweep's pairings; the first sweep takes the start's
+        edge pairing and the identity at the nodes.  For n = 1 the frozen
+        matrix is an M-matrix, so the solve keeps each node's branches in
+        order and the candidate is scored as solved; FlowTrajectory rejects
+        a state out of order.  The floor guard keeps a candidate only if it
+        lowers the objective below the last kept value; otherwise the step
+        ends, as it does at the pairing fixed point, which for n = 1 or
+        q = 1 is the first kept sweep.  A step still moving after
+        _MAX_OUTER sweeps is flagged as not converged and ends the chain.
+        A start of zero energy is a fixed point of every step."""
         log, states = self.log, self.states
         if not log.converged:
             return
@@ -407,11 +409,7 @@ class _ChainState:
             else:
                 for outer in sweeps:
                     cand[inner] = self.solve(tau, prev, edge_in, nu_in)
-                    if scalar:
-                        cand.sort(axis=1)
-                        c = cand
-                    else:
-                        c = _canonical(cand)
+                    c = cand if scalar else _canonical(cand)
                     edge_out, en = _paired(c[ea], c[eb])
                     node_sigma, dist = _paired(c, prev)
                     en, dist = w_e * en, w_n * dist

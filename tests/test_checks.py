@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -74,13 +75,31 @@ def test_check_names_are_unique_and_ordered():
     assert len(set(CHECK_NAMES)) == 15
 
 
+def test_a_check_result_derives_its_verdict_from_its_margin():
+    """CheckResult(name, margin, detail) sets passed = margin >= 0 itself
+    and stores a zero margin as +0.0, every other margin bit for bit."""
+    tiny = 5e-324
+    for margin, passed, stored in (
+            (-math.inf, False, -math.inf), (math.nan, False, math.nan),
+            (-0.0, True, 0.0), (0.0, True, 0.0), (tiny, True, tiny),
+            (-tiny, False, -tiny), (1.0, True, 1.0)):
+        res = CheckResult("x", margin, "detail")
+        assert res.passed is passed, margin
+        assert struct.pack("<d", res.margin) == struct.pack("<d", stored), margin
+    assert replace(CheckResult("x", 1.0, "detail"), margin=-1.0).passed is False
+    with pytest.raises(TypeError):
+        CheckResult("x", True, 1.0, "detail")
+    with pytest.raises(TypeError):
+        CheckResult("x", 1.0, "detail", passed=True)
+
+
 def test_value_space_checks_pass():
     rng = np.random.default_rng(71)
     for fn in (check_metric_axioms, check_sorted_matching,
                check_embedding_isometry, check_ascending_projection):
         res = fn(rng, 50)
         assert res.passed, res.detail
-        assert res.margin >= 0.0 or fn is check_sorted_matching
+        assert res.margin >= 0.0 and math.copysign(1.0, res.margin) == 1.0
 
 
 def metric_axioms_by_loop(rng, samples=200):
@@ -111,7 +130,7 @@ def metric_axioms_by_loop(rng, samples=200):
     detail = worst or (
         f"{samples} samples, q<=6, n<=3; smallest clearance {margin:.3e}"
     )
-    return CheckResult("metric_axioms", margin >= 0.0, margin, detail)
+    return CheckResult("metric_axioms", margin, detail)
 
 
 @pytest.mark.parametrize("seed", [1, 5, 11, 123, 999])
@@ -341,7 +360,7 @@ def energy_monotonicity_by_loop(traj):
     if math.isinf(margin):
         margin = -math.inf  # no step: the check cannot apply
     return CheckResult(
-        "energy_monotonicity", margin >= 0.0, margin,
+        "energy_monotonicity", margin,
         f"{len(energies) - 1} steps, tightest clearance {margin:.3e} at step {worst_k}",
     )
 
@@ -356,7 +375,7 @@ def step_estimate_by_loop(traj):
     if math.isinf(raw):
         raw = -math.inf  # no step: the check cannot apply
     margin = raw + 1e-10
-    return CheckResult("step_estimate", margin >= 0.0, margin,
+    return CheckResult("step_estimate", margin,
                        f"smallest penalty-bound slack {raw:.3e} at step {worst_k}")
 
 
@@ -378,7 +397,7 @@ def eta_residual_by_loop(traj):
         margin = -math.inf  # no converged step: the check cannot apply
         worst = "no converged steps"
     detail = worst + (f", {skipped} non-converged steps skipped" if skipped else "")
-    return CheckResult("eta_residual", margin >= 0.0, margin, detail)
+    return CheckResult("eta_residual", margin, detail)
 
 
 def max_principle_by_loop(trajs):
@@ -392,19 +411,19 @@ def max_principle_by_loop(trajs):
         for k in range(1, len(norms)):
             margin = min(margin, norms[k - 1] + 1e-12 - norms[k])
     if counted == 0:
-        return CheckResult("max_principle", False, -math.inf,
+        return CheckResult("max_principle", -math.inf,
                            "no uniform-schedule run available")
     if math.isinf(margin):
         margin = -math.inf  # no uniform run with a step: cannot apply
     return CheckResult(
-        "max_principle", margin >= 0.0, margin,
+        "max_principle", margin,
         f"{counted} uniform run(s), tightest monotonicity clearance {margin:.3e}",
     )
 
 
 def boundary_trace_by_loops(traj, rng, times=8):
     if traj.completed_steps == 0:
-        return CheckResult("boundary_trace", False, -math.inf,
+        return CheckResult("boundary_trace", -math.inf,
                            "needs at least one step")
     bnd = traj.snapshots[0].domain.is_boundary
     ref = traj.snapshots[0].values[bnd]
@@ -417,7 +436,7 @@ def boundary_trace_by_loops(traj, rng, times=8):
         if not np.array_equal(g.values[bnd], ref):
             dev = max(dev, float(np.max(np.abs(g.values[bnd] - ref))))
     return CheckResult(
-        "boundary_trace", dev == 0.0, 0.0 if dev == 0.0 else -dev,
+        "boundary_trace", 0.0 if dev == 0.0 else -dev,
         "boundary rows identical on every snapshot and sampled time"
         if dev == 0.0 else f"largest boundary deviation {dev:.3e}",
     )
@@ -435,7 +454,7 @@ def holder_by_loop(traj, rng, pairs=100):
     if math.isinf(raw):
         raw = -math.inf  # no sampled pair: the check cannot apply
     margin = raw + 1e-8
-    return CheckResult("holder", margin >= 0.0, margin,
+    return CheckResult("holder", margin,
                        f"{used} sampled time pairs, smallest bound slack {raw:.3e}")
 
 
@@ -629,3 +648,17 @@ def test_a_result_passes_exactly_when_its_margin_is_nonnegative(
     assert not any(r.passed for r in controls), controls
     for res in results + controls:
         assert res.passed == (res.margin >= 0.0), res
+
+
+def test_verify_prints_no_passing_margin_with_a_minus_sign(tmp_path, capsys):
+    """Every PASS line of `verify` on the acceptance config at --seed 9
+    prints a margin without a minus sign: a zero margin reads +0.0."""
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(ACCEPTANCE_CONFIG)
+    assert cli.main(["verify", "--config", str(cfg), "--seed", "9",
+                     "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    margins = [line.split(" margin=")[1] for line in lines
+               if line.startswith("check ") and ": PASS " in line]
+    assert len(margins) == len(CHECK_NAMES)
+    assert not [m for m in margins if m.startswith("-")], margins
