@@ -388,9 +388,10 @@ def check_brute_force(rng, instances: int = 20) -> CheckResult:
 
 
 def check_oracle_equivalence(traj: FlowTrajectory) -> CheckResult:
-    """Single-branch uniform flow on the interval against the banded-solver
-    reference chain, snapshot by snapshot, in the max norm.  The reference
-    takes one step from its own previous state per snapshot."""
+    """Single-branch uniform flow on the interval against the reference
+    heat chain, solved by its own scalar Thomas recursion, snapshot by
+    snapshot, in the max norm.  The reference takes one step from its own
+    previous state per snapshot."""
     f0 = traj.snapshots[0]
     if (f0.domain.m, f0.q, f0.n, traj.schedule.mode) != (1, 1, 1, "uniform"):
         return CheckResult("oracle_equivalence", -math.inf,

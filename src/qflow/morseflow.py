@@ -2,12 +2,13 @@
 
 Each step minimizes  dirichlet_energy(g) + l2_distance_sq(g, f_prev) / tau
 over grid functions that agree with f_prev on the boundary.  The solver
-alternates between recomputing optimal branch pairings and a direct sparse
-(LU) solve of the resulting convex quadratic, one block solve over every
-value column per sweep, and stops when the pairings no longer change or a
-sweep no longer lowers the objective; the matchings that score a sweep
-are the pairings of the next one.  For n = 1 the canonical (sorted)
-storage makes every pairing the identity, so a single sweep is exact.
+alternates between recomputing optimal branch pairings and a direct solve
+of the resulting convex quadratic, block tridiagonal over lattice rows,
+one solve over every value column per sweep, and stops when the pairings
+no longer change or a sweep no longer lowers the objective; the matchings
+that score a sweep are the pairings of the next one.  For n = 1 the
+canonical (sorted) storage makes every pairing the identity, so a single
+sweep is exact.
 One loop, `_ChainState.run`, steps every chain in place over the rows of
 its state array, for every value shape: `minimize_step` is that loop run
 for one step, and `run_flow` runs it over a whole schedule, building no
@@ -34,8 +35,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
-from scipy.sparse.linalg import splu
 
 from .grid import (
     GridDomain,
@@ -255,28 +254,32 @@ class FlowTrajectory:
         return math.fsum(r.tau for r in self.reports)
 
 
-def _compressed(fmt, data, major, minor, shape):
-    """CSC (major = column) or CSR (major = row) matrix from entries
-    sorted by (major, minor) index."""
-    count = shape[1] if fmt is csc_matrix else shape[0]
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(major, minlength=count), out=indptr[1:])
-    return fmt((data, minor, indptr), shape=shape)
+# lanes up to which consecutive node rows share one dense block of the
+# frozen system: a block's factor costs the cube of its lanes, and its solve
+# a few numpy calls, so coarse intervals stay one block and fine ones split
+_BLOCK_LANES = 64
 
 
 def _frozen_system(domain: GridDomain, tau: float, sigma):
-    """Normal equations of the frozen-pairing quadratic.
+    """Normal equations of the frozen-pairing quadratic, in row blocks.
 
     The unknowns are node lanes, lane i of node x at index x * w + i with
     w = sigma.shape[1]; edge e joins lane i of its first node with lane
-    sigma[e, i] of its second.  Returns the SPD matrix over the interior
-    lanes (CSC) and the coupling (CSR) that carries fixed boundary lanes
-    into the right-hand side.  Both are assembled straight from COO index
-    arrays: the matrix has w_e * degree + w_p on the diagonal and -w_e for
-    each pair of joined interior lanes, the coupling w_e for each interior
-    lane joined to a boundary lane.  Each row of the coupling lists its
-    boundary columns in descending order, so `couple @ x` adds them in
-    that order.
+    sigma[e, i] of its second.  The interior lanes are numbered node-major
+    and row by row (a node row: the nodes of one last coordinate, so a
+    lattice row on the disk and a single node on the interval), and every
+    edge stays in one node row or joins it to the next, so the SPD matrix
+    over them is block tridiagonal over blocks of consecutive whole node
+    rows.  A block packs node rows up to _BLOCK_LANES lanes, unless one
+    row is longer.
+    Returns the lane slice of each block, the diagonal blocks A_ii, the
+    upper blocks A_i,i+1, and the coupling that carries fixed boundary
+    lanes into the right-hand side as (interior lane, boundary lane) index
+    pairs, each entry of weight w_e.  The blocks are assembled straight
+    from COO index arrays, never as the full matrix: w_e * degree + w_p on
+    the diagonal and -w_e for each pair of joined interior lanes.  Each
+    interior lane lists its boundary lanes in descending order, the order
+    in which the boundary term adds them.
     """
     width = sigma.shape[1]
     lanes = np.arange(width)
@@ -295,21 +298,75 @@ def _frozen_system(domain: GridDomain, tau: float, sigma):
     w_p = domain.delta**domain.m / tau
     degree = np.bincount(rows, minlength=inner.size).astype(float)
 
+    # blocks of consecutive node rows, packed up to _BLOCK_LANES lanes
+    _, row_nodes = np.unique(domain.coords[domain.interior, -1],
+                             return_counts=True)
+    starts, end = [0], 0
+    for size in (width * row_nodes).tolist():
+        if end + size - starts[-1] > _BLOCK_LANES and end > starts[-1]:
+            starts.append(end)
+        end += size
+    starts.append(end)
+    sizes = np.diff(starts)
+    block = np.repeat(np.arange(sizes.size), sizes)
+    local = np.arange(inner.size) - np.asarray(starts)[block]
+    big = sizes.max()
+    diag = np.zeros((sizes.size, big, big))
+    upper = np.zeros((sizes.size - 1, big, big))
+    diag[block, local, local] = w_e * degree + w_p
     coupled = cols >= 0
-    diag = np.arange(inner.size)
-    m_rows = np.concatenate([diag, rows[coupled]])
-    m_cols = np.concatenate([diag, cols[coupled]])
-    m_data = np.concatenate([w_e * degree + w_p,
-                             np.full(coupled.sum(), -w_e)])
-    order = np.argsort(m_cols * inner.size + m_rows)
-    matrix = _compressed(csc_matrix, m_data[order], m_cols[order],
-                         m_rows[order], (inner.size, inner.size))
+    r, c = rows[coupled], cols[coupled]
+    for out, hit in ((diag, block[c] == block[r]),
+                     (upper, block[c] == block[r] + 1)):
+        out[block[r[hit]], local[r[hit]], local[c[hit]]] = -w_e
 
     c_rows, c_cols = rows[~coupled], dst[~coupled]
     order = np.argsort(c_rows * row_of.size - c_cols)
-    couple = _compressed(csr_matrix, np.full(c_rows.size, w_e), c_rows[order],
-                         c_cols[order], (inner.size, row_of.size))
-    return matrix, couple
+    return ([slice(a, b) for a, b in zip(starts[:-1], starts[1:])],
+            [d[:s, :s] for d, s in zip(diag, sizes)],
+            [u[:s, :t] for u, s, t in zip(upper, sizes, sizes[1:])],
+            (c_rows[order], c_cols[order]))
+
+
+class _BlockFactor:
+    """Block LDL^T factor of a frozen-pairing system, from one forward
+    sweep over its blocks: the inverse of every Schur complement
+    S_i = A_ii - A_i,i-1 G_i-1, with S_0 = A_00, and G_i = S_i^-1 A_i,i+1.
+    For the M-matrix of a frozen system every S_i^-1 is entrywise
+    nonnegative and every G_i nonpositive."""
+
+    def __init__(self, domain: GridDomain, tau: float, sigma):
+        self.blocks, diag, upper, self.couple = _frozen_system(
+            domain, tau, sigma)
+        self.w_e = domain.delta ** (domain.m - 2)
+        self.lower = [u.T for u in upper]
+        self.inv, self.g = [], []
+        for i, a in enumerate(diag):
+            s = a - self.lower[i - 1] @ self.g[i - 1] if i else a
+            self.inv.append(np.linalg.inv(s))
+            if i < len(upper):
+                self.g.append(self.inv[i] @ upper[i])
+
+    def boundary(self, values):
+        """Boundary term of the right-hand side, w_e times the fixed lanes
+        of `values` (one row per node lane) joined to each interior lane,
+        added in the coupling's order."""
+        rows, cols = self.couple
+        out = np.zeros((self.blocks[-1].stop, values.shape[1]))
+        np.add.at(out, rows, self.w_e * values[cols])
+        return out
+
+    def solve(self, rhs):
+        """A^-1 rhs, column by column with the same arithmetic: a forward
+        sweep z_i = S_i^-1 (rhs_i - A_i,i-1 z_i-1) and a back sweep
+        x_i = z_i - G_i x_i+1, three matrix products per block."""
+        x, z = np.empty_like(rhs), None
+        for i, blk in enumerate(self.blocks):
+            y = rhs[blk] - self.lower[i - 1] @ z if i else rhs[blk]
+            x[blk] = z = self.inv[i] @ y
+        for i in range(len(self.g) - 1, -1, -1):
+            x[self.blocks[i]] -= self.g[i] @ x[self.blocks[i + 1]]
+        return x
 
 
 def _as_slice(index: np.ndarray):
@@ -325,8 +382,8 @@ class _ChainState:
     """A chain of implicit steps from f0 over one state array: states[0]
     is f0's values, and step k, of size taus[k - 1], writes states[k].
 
-    It holds the LU factor of the frozen-pairing system of one (tau, edge
-    pairing) key and the boundary term of its right-hand side, which a new
+    It holds the block factor of the frozen-pairing system of one (tau,
+    edge pairing) key and the boundary term of its right-hand side, which a new
     key replaces; the edge pairing of its last state; and its per-step log.
     Every state has the boundary rows of states[0], bit for bit, so the
     boundary term is computed once per factorization."""
@@ -367,15 +424,18 @@ class _ChainState:
                 self.shape = (-1, prev.shape[1] * prev.shape[2])
             else:
                 sigma, self.shape = edge_sigma, (-1, prev.shape[2])
-            matrix, couple = _frozen_system(self.domain, tau, sigma)
-            self.lu, self.tau, self.key = splu(matrix), tau, key
-            self.boundary = couple @ prev.reshape(self.shape)
+            self.factor = _BlockFactor(self.domain, tau, sigma)
+            self.tau, self.key = tau, key
+            self.boundary = self.factor.boundary(prev.reshape(self.shape))
         matched = prev[self.inner]
         if node_nu is not None:
             matched = np.take_along_axis(matched, node_nu[:, :, None], axis=1)
         rhs = self.w_n / tau * matched.reshape(self.shape) + self.boundary
-        return self.lu.solve(rhs).reshape(matched.shape)
+        return self.factor.solve(rhs).reshape(matched.shape)
 
+    # a solve that overflows makes a non-finite candidate, which the floor
+    # guard turns into a ValueError: its invalid operations need no warning
+    @np.errstate(invalid="ignore")
     def run(self, last: int):
         """Take the steps up to `last` from where the chain stands.
 

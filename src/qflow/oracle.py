@@ -1,10 +1,11 @@
 """Independent reference solutions for checking the flow solver.
 
-Nothing here shares linear algebra with the direct sparse (SuperLU) path
-in `morseflow`: the heat chain below uses a LAPACK banded factorization, the
-step oracle enumerates every branch pairing and solves the frozen quadratics
-of all configurations in fixed-size blocks, each block by one batched dense
-solve, and the eigenmode solutions are closed form.
+Nothing here shares linear algebra with the block factor of `morseflow`:
+the heat chain below is a scalar tridiagonal LDL^T (Thomas) recursion over
+Python floats, the step oracle enumerates every branch pairing and solves
+the frozen quadratics of all configurations in fixed-size blocks, each
+block by one batched dense solve, and the eigenmode solutions are closed
+form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .grid import GridDomain, QGridFunction, dirichlet_energy, l2_distance_sq
 
@@ -64,8 +64,11 @@ def exact_eigen_solution(mode: EigenMode, t: float, domain: GridDomain) -> np.nd
 
 
 def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray:
-    """Backward Euler heat steps with frozen boundary values, solved by a
-    direct banded factorization at every step."""
+    """Backward Euler heat steps with frozen boundary values.  Step tau
+    solves (1 + 2r) u_i - r (u_i-1 + u_i+1) = u_prev_i at the interior
+    nodes, r = tau / delta^2, by a scalar LDL^T (Thomas) recursion over
+    Python floats: pivots d_i, multipliers l_i = r / d_i, a forward and a
+    back substitution."""
     if domain.m != 1:
         raise ValueError("the direct chain is implemented for m = 1")
     u = np.asarray(u0, dtype=float).copy()
@@ -74,17 +77,25 @@ def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray
     taus = [float(t) for t in taus]
     if any(t <= 0 for t in taus):
         raise ValueError("step sizes must be positive")
-    mm = domain.num_nodes - 2
     d2 = domain.delta**2
+    vals = u.tolist()
     for tau in taus:
         r = tau / d2
-        ab = np.zeros((2, mm))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        rhs = u[1:-1].copy()
-        rhs[0] += r * u[0]
-        rhs[-1] += r * u[-1]
-        u[1:-1] = solveh_banded(ab, rhs)
+        a = 1.0 + 2.0 * r
+        piv, mult = [a], [r / a]
+        for _ in range(len(vals) - 3):
+            piv.append(a - r * mult[-1])
+            mult.append(r / piv[-1])
+        z = vals[1:-1]
+        z[0] += r * vals[0]
+        z[-1] += r * vals[-1]
+        for i in range(1, len(z)):
+            z[i] += mult[i - 1] * z[i - 1]
+        z[-1] /= piv[-1]
+        for i in range(len(z) - 2, -1, -1):
+            z[i] = z[i] / piv[i] + mult[i] * z[i + 1]
+        vals[1:-1] = z
+    u[:] = vals
     return u
 
 

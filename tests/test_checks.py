@@ -577,6 +577,9 @@ def test_oracle_equivalence_cannot_apply_on_the_disk():
 
 
 def test_oracle_equivalence_detects_a_moved_value():
+    """One interior value of a middle snapshot moved by 1e-6: the reference
+    chain steps from its own states, so the check fails by that move less
+    its 1e-8 tolerance."""
     d = build_domain(1, 21)
     f0 = sample_initial(
         InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),)), d, 1
@@ -589,7 +592,7 @@ def test_oracle_equivalence_detects_a_moved_value():
     bad = trajectory_of(good.schedule, snaps, good.reports)
     res = check_oracle_equivalence(bad)
     assert not res.passed
-    assert res.margin < 0.0
+    assert res.margin == pytest.approx(1e-8 - 1e-6, rel=0.0, abs=1e-13)
 
 
 ACCEPTANCE_CONFIG = """\

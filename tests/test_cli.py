@@ -754,6 +754,29 @@ def test_module_entry_point(tmp_path):
     assert "converged=True" in proc.stdout
 
 
+def test_no_qflow_command_loads_scipy(tmp_path):
+    """`run` on a small disk config, `sweep`, `verify` and `oracle`, in one
+    fresh interpreter, never import any scipy module."""
+    disk = write_config(tmp_path, SMALL + "m = 2\nresolution = 11\nchecks = all\n",
+                        "disk.cfg")
+    sweep = write_config(tmp_path, SWEEP, "sweep.cfg")
+    small = write_config(tmp_path, SMALL)
+    argvs = [["run", "--config", str(disk)], ["sweep", "--config", str(sweep)],
+             ["verify", "--config", str(small)],
+             ["oracle", "--config", str(sweep)]]
+    script = (
+        "import sys\n"
+        "from qflow.cli import main\n"
+        f"codes = [main(argv + ['--out', {str(tmp_path)!r} + f'/out{{i}}'])\n"
+        f"         for i, argv in enumerate({argvs!r})]\n"
+        "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
 def test_no_qflow_path_loads_scipy_optimize(tmp_path):
     """Vector matching for q = 5..8 and a whole `verify` run, in a fresh
     interpreter, never import scipy.optimize."""

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import splu
+from scipy.sparse import bmat, csr_matrix, diags
+from scipy.sparse.linalg import spsolve
 
 from qflow.grid import (
     InitialSpec,
@@ -219,7 +219,8 @@ def test_vector_chain_matches_twice_per_sweep(monkeypatch):
 def frozen_solve(f, tau, edge_sigma, node_nu):
     """One frozen-pairing solve of the chain loop from f: the interior
     values, and the largest `|matrix @ sol - rhs|` over the node weight
-    delta^m, with the system and right-hand side built here."""
+    delta^m, with the system and right-hand side built here by the
+    csr-pipeline reference."""
     d, (q, n) = f.domain, f.values.shape[1:]
     vals = morseflow._ChainState(f, [tau]).solve(tau, f.values, edge_sigma,
                                                  node_nu)
@@ -227,7 +228,7 @@ def frozen_solve(f, tau, edge_sigma, node_nu):
         sigma, shape = np.zeros((d.num_edges, 1), dtype=np.int64), (-1, q * n)
     else:
         sigma, shape = edge_sigma, (-1, n)
-    matrix, couple = morseflow._frozen_system(d, tau, sigma)
+    matrix, couple = frozen_system_by_csr(d, tau, sigma)
     matched = f.values[d.interior]
     if node_nu is not None:
         matched = np.take_along_axis(matched, node_nu[:, :, None], axis=1)
@@ -276,12 +277,15 @@ def frozen_system_by_csr(domain, tau, sigma):
     return matrix.tocsc(), (w_e * rows @ fixed).tocsr()
 
 
-@pytest.mark.parametrize("m, res", [(1, 3), (1, 15), (2, 5), (2, 21)])
+@pytest.mark.parametrize("m, res", [(1, 3), (1, 15), (1, 41), (2, 5), (2, 21)])
 @pytest.mark.parametrize("q", [2, 3])
 def test_frozen_system_matches_the_csr_pipeline(m, res, q):
-    """The COO-assembled system has the reference's CSC arrays, and its
-    coupling the same rows in the same column order, so `couple @ x`
-    carries the same bits, for identity and non-identity pairings."""
+    """The COO-assembled blocks are the reference matrix: consecutive whole
+    rows of nodes (lattice rows on the disk, nodes on the interval) packed
+    up to _BLOCK_LANES lanes, diagonal and upper blocks equal entry for
+    entry and nothing outside the block tridiagonal band; and the boundary
+    term carries the bits of the reference coupling's `couple @ x`, for
+    identity and non-identity pairings."""
     rng = np.random.default_rng(10 * res + q)
     d = build_domain(m, res)
     sigmas = {
@@ -292,15 +296,28 @@ def test_frozen_system_matches_the_csr_pipeline(m, res, q):
     }
     assert (sigmas["permuted lanes"] != np.arange(q)).any()
     for sigma in sigmas.values():
-        matrix, couple = morseflow._frozen_system(d, 0.05, sigma)
+        blocks, diag, upper, _ = morseflow._frozen_system(d, 0.05, sigma)
         want, want_couple = frozen_system_by_csr(d, 0.05, sigma)
-        assert matrix.format == "csc" and couple.format == "csr"
-        for got, ref in ((matrix, want), (couple, want_couple)):
-            assert got.shape == ref.shape
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name))
-        x = rng.normal(size=(couple.shape[1], 3))
-        assert np.array_equal(couple @ x, want_couple @ x)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == want.shape[0]
+        row = np.repeat(d.coords[d.interior, -1], sigma.shape[1])
+        assert all(row[b.stop - 1] != row[b.stop] for b in blocks[:-1])
+        for b, nxt in zip(blocks, blocks[1:] + [None]):
+            fits = b.stop - b.start <= morseflow._BLOCK_LANES
+            assert fits or np.unique(row[b]).size == 1
+            # the next block's first row would not have fit
+            if nxt is not None:
+                first = (row[nxt] == row[nxt.start]).sum()
+                assert b.stop - b.start + first > morseflow._BLOCK_LANES
+        nb = len(blocks)
+        assembled = bmat([[csr_matrix(diag[i]) if j == i
+                           else csr_matrix(upper[i]) if j == i + 1
+                           else csr_matrix(upper[j].T) if j == i - 1 else None
+                           for j in range(nb)] for i in range(nb)])
+        assert np.array_equal(assembled.toarray(), want.toarray())
+        x = rng.normal(size=(want_couple.shape[1], 3))
+        factor = morseflow._BlockFactor(d, 0.05, sigma)
+        assert np.array_equal(factor.boundary(x), want_couple @ x)
 
 
 def test_chain_boundary_term_matches_a_fresh_factor_per_step():
@@ -318,9 +335,10 @@ def test_chain_boundary_term_matches_a_fresh_factor_per_step():
 
 
 def _solve_by_column(prev_vals, domain, tau, edge_sigma, node_nu):
-    """Reference for the block solve: one LU solve per (branch, coordinate)
+    """Reference for the block solve: one solve per (branch, coordinate)
     column for the identity edge pairing (None), one per coordinate of the
-    lane-coupled system otherwise.  Returns the interior values."""
+    lane-coupled system otherwise, each with its own boundary term.
+    Returns the interior values."""
     qq, nn = prev_vals.shape[1:]
     if edge_sigma is None:
         sigma = np.zeros((domain.num_edges, 1), dtype=np.int64)
@@ -328,14 +346,14 @@ def _solve_by_column(prev_vals, domain, tau, edge_sigma, node_nu):
     else:
         sigma = edge_sigma
         columns = [np.s_[:, :, c] for c in range(nn)]
-    matrix, couple = morseflow._frozen_system(domain, tau, sigma)
-    lu = splu(matrix)
+    factor = morseflow._BlockFactor(domain, tau, sigma)
     w_p = domain.delta**domain.m / tau
     matched = prev_vals[domain.interior[:, None], node_nu]
     x = np.empty_like(matched)
     for col in columns:
-        b = w_p * matched[col].ravel() + couple @ prev_vals[col].ravel()
-        x[col] = lu.solve(b).reshape(x[col].shape)
+        b = (w_p * matched[col].reshape(-1, 1)
+             + factor.boundary(prev_vals[col].reshape(-1, 1)))
+        x[col] = factor.solve(b).reshape(x[col].shape)
     return x
 
 
@@ -344,8 +362,8 @@ def _solve_by_column(prev_vals, domain, tau, edge_sigma, node_nu):
                                   (2, 2), (3, 2), (2, 3)])
 def test_block_solve_matches_per_column_solves(m, q, n):
     """The one block solve of a sweep agrees with solving each column on
-    its own.  Multi-column LU solves may round differently from single
-    ones, so the bound is a few ulps, not bit equality."""
+    its own.  Multi-column matrix products may round differently from
+    single-column ones, so the bound is a few ulps, not bit equality."""
     rng = np.random.default_rng(100 * m + 10 * q + n)
     d = build_domain(m, 9 if m == 2 else 15)
     f = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
@@ -365,6 +383,75 @@ def test_block_solve_matches_per_column_solves(m, q, n):
         assert vals.shape == want.shape
         assert np.max(np.abs(vals - want)) <= tol
         assert residual <= 1e-10
+
+
+def lane_pairing(d, width, rng):
+    """A random edge pairing of `width` lanes, not the identity for
+    width > 1."""
+    sigma = rng.permuted(np.tile(np.arange(width), (d.num_edges, 1)), axis=1)
+    assert width == 1 or (sigma != np.arange(width)).any()
+    return sigma
+
+
+@pytest.mark.parametrize("m, res", [(1, 21), (1, 201), (2, 21)])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_block_solve_matches_spsolve(m, res, width):
+    """The block factor solves the frozen system to a relative 1e-13 of
+    scipy's sparse direct solve of the csr-pipeline reference, with a
+    small true residual, on the interval (one block at resolution 21,
+    several at 201) and the disk at resolution 21, for the scalar block
+    and for non-identity lane pairings."""
+    rng = np.random.default_rng(10 * m + width)
+    d = build_domain(m, res)
+    sigma = lane_pairing(d, width, rng)
+    for tau in (1e-4, 0.05, 10.0):
+        matrix, _ = frozen_system_by_csr(d, tau, sigma)
+        rhs = rng.normal(size=(matrix.shape[0], 3))
+        x = morseflow._BlockFactor(d, tau, sigma).solve(rhs)
+        want = spsolve(matrix, rhs)
+        assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+        scale = abs(matrix).sum(axis=1).max() * np.abs(x).max()
+        assert np.abs(matrix @ x - rhs).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("m, res", [(1, 11), (1, 51), (1, 201), (2, 21),
+                                    (2, 61)])
+@pytest.mark.parametrize("width", [1, 2])
+def test_block_solve_keeps_negated_columns_antisymmetric(m, res, width):
+    """Every column goes through the same arithmetic, so right-hand side
+    columns [b, c, -b, -c] solve to exactly [x, y, -x, -y]."""
+    rng = np.random.default_rng(res + width)
+    d = build_domain(m, res)
+    sigma = lane_pairing(d, width, rng)
+    factor = morseflow._BlockFactor(d, 0.01, sigma)
+    half = rng.normal(size=(factor.blocks[-1].stop, 2))
+    x = factor.solve(np.concatenate([half, -half], axis=1))
+    assert np.array_equal(x[:, 2:], -x[:, :2])
+
+
+@pytest.mark.parametrize("m, res", [(1, 11), (1, 51), (1, 201), (2, 21)])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_scalar_solve_keeps_sorted_branches_sorted(m, res, q):
+    """For n = 1 the frozen matrix is an M-matrix: every S_i^-1 of its
+    factor is entrywise nonnegative and every G_i nonpositive, so a frozen
+    solve from sorted branches, random, exactly tied or tied to within
+    1e-9, leaves every node's branches in order."""
+    rng = np.random.default_rng(100 * m + res + q)
+    d = build_domain(m, res)
+    base = rng.normal(size=(d.num_nodes, q, 1))
+    data = {
+        "random": base,
+        "tied": base[:, [i // 2 for i in range(q)]],
+        "near-tied": base[:, :1] + 1e-9 * rng.normal(size=base.shape),
+    }
+    for vals in data.values():
+        vals = np.sort(vals, axis=1)
+        for tau in (1e-4, 0.05, 10.0):
+            chain = morseflow._ChainState(QGridFunction(d, vals), [tau])
+            sol = chain.solve(tau, vals, None, None)
+            assert (np.diff(sol, axis=1) >= 0.0).all()
+            assert all((s >= 0.0).all() for s in chain.factor.inv)
+            assert all((g <= 0.0).all() for g in chain.factor.g)
 
 
 def test_separated_vector_branches_follow_the_heat_chain():
@@ -590,13 +677,13 @@ def scalar_chain_by_loop(f0, taus):
         row[...] = prev
         if e != 0.0:
             if tau != factor_tau:
-                matrix, couple = morseflow._frozen_system(
+                factor = morseflow._BlockFactor(
                     d, tau, np.zeros((d.num_edges, 1), dtype=np.int64))
-                lu, boundary = splu(matrix), couple @ prev.reshape(-1, f0.q)
+                boundary = factor.boundary(prev.reshape(-1, f0.q))
                 factor_tau = tau
             matched = prev[inner]
             rhs = w_n / tau * matched.reshape(-1, f0.q) + boundary
-            row[inner] = lu.solve(rhs).reshape(matched.shape)
+            row[inner] = factor.solve(rhs).reshape(matched.shape)
             row.sort(axis=1)
             e_k = w_e * grid._paired(row[ea], row[eb])[1]
             p_k = w_n * grid._paired(row, prev)[1]

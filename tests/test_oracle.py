@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from qflow import checks, oracle
 from qflow.grid import QGridFunction, build_domain, dirichlet_energy, l2_distance_sq
@@ -86,6 +87,37 @@ def test_chain_steps_one_at_a_time_bit_for_bit():
     for k in range(1, 9):
         u = implicit_euler_chain(d, u, [0.03])
         assert np.array_equal(u, implicit_euler_chain(d, u0, [0.03] * k))
+
+
+def chain_by_banded_solve(d, u0, taus):
+    """The heat chain with every step solved by LAPACK's banded Cholesky
+    solver, as a reference for the scalar recursion."""
+    u = np.array(u0, dtype=float)
+    for tau in taus:
+        r = tau / d.delta**2
+        ab = np.zeros((2, d.num_nodes - 2))
+        ab[0, 1:] = -r
+        ab[1, :] = 1.0 + 2.0 * r
+        rhs = u[1:-1].copy()
+        rhs[0] += r * u[0]
+        rhs[-1] += r * u[-1]
+        u[1:-1] = solveh_banded(ab, rhs)
+    return u
+
+
+@pytest.mark.parametrize("res", [5, 41, 201])
+def test_chain_matches_a_banded_solve(res):
+    """Over random data and step sizes from 1e-6 to 10, the Thomas
+    recursion agrees with the banded reference to 1e-14, step by step."""
+    rng = np.random.default_rng(res)
+    d = build_domain(1, res)
+    for _ in range(10):
+        u = rng.normal(0.0, 1.0, size=d.num_nodes)
+        for tau in 10.0 ** rng.uniform(-6.0, 1.0, size=4):
+            got = implicit_euler_chain(d, u, [tau])
+            want = chain_by_banded_solve(d, u, [tau])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            u = got
 
 
 def test_chain_and_brute_force_solve_the_same_single_step():
