@@ -5,11 +5,11 @@ failing boundary, from which CheckResult derives the verdict: a result passes
 exactly when its margin is nonnegative.  A structural failure has margin -inf.
 Value-level checks sample random inputs from a caller-supplied generator;
 trajectory-level checks read the per-step quantities FlowTrajectory
-computes from its snapshots, never the solver's own reports.  They reduce their per-step clearances
-through one helper: the smallest clearance and its step, the first minimum
-on ties, and -inf at step 0 when there is none, so that a check with
-nothing to reduce fails as unable to apply (a null margin in the reports)
-instead of passing vacuously.
+computes from its snapshots, never the solver's own reports.  Both reduce
+their per-sample or per-step clearances through one helper: the smallest
+clearance and its index, the first minimum on ties, and -inf at index 0
+when there is none, so that a check with nothing to reduce fails as unable
+to apply (a null margin in the reports) instead of passing vacuously.
 """
 
 from __future__ import annotations
@@ -127,9 +127,8 @@ def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
                           np.concatenate([b, a, perm, c, c]))[1]
         dist[idx] = np.sqrt(cost).reshape(5, -1).T
     dab, dba, same, dbc, dac = dist.T
-    margin = float(np.min(np.concatenate([
-        1e-12 - np.abs(dab - dba), dab - 1e-12, dab + dbc + 1e-10 - dac]),
-        initial=math.inf))
+    margin = _tightest(np.concatenate([
+        1e-12 - np.abs(dab - dba), dab - 1e-12, dab + dbc + 1e-10 - dac]))[0]
     nonzero = np.flatnonzero(same != 0.0)
     worst = ""
     if nonzero.size:
@@ -144,7 +143,7 @@ def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
 def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
     """For n = 1 the identity pairing of the canonical (ascending) forms
     must equal the exhaustive minimum over all pairings exactly."""
-    worst = 0.0
+    gaps = []
     identity_ok = True
     perms = {q: np.array(list(itertools.permutations(range(q)))) for q in range(2, 7)}
     for _ in range(samples):
@@ -154,32 +153,33 @@ def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
         match = optimal_matching(make_qpoint(a), make_qpoint(b))
         identity_ok &= match.sigma == tuple(range(q))
         best = float(((a - b[perms[q]]) ** 2).sum(axis=1).min())
-        worst = max(worst, abs(match.cost - best))
-    detail = f"{samples} samples, largest identity-vs-exhaustive gap {worst:.3e}"
+        gaps.append(abs(match.cost - best))
+    margin = _tightest(-np.array(gaps))[0]
+    detail = f"{samples} samples, largest identity-vs-exhaustive gap {-margin:.3e}"
     if not identity_ok:
         detail = "non-identity pairing returned for canonical operands"
-    margin = -worst if identity_ok else -math.inf
+        margin = -math.inf
     return CheckResult("sorted_matching", margin, detail)
 
 
 def check_embedding_isometry(rng, samples: int = 200) -> CheckResult:
-    gap = 0.0
+    gaps = []
     for _ in range(samples):
         q = int(rng.integers(1, 7))
         pa = make_qpoint(rng.normal(size=q))
         pb = make_qpoint(rng.normal(size=q))
         emb = float(np.linalg.norm(sorted_embedding(pa) - sorted_embedding(pb)))
-        gap = max(gap, abs(emb - matching_distance(pa, pb)))
-    margin = 1e-12 - gap
+        gaps.append(abs(emb - matching_distance(pa, pb)))
     return CheckResult(
         "embedding_isometry",
-        margin,
-        f"{samples} samples, largest embedding-vs-metric gap {gap:.3e}",
+        _tightest(1e-12 - np.array(gaps))[0],
+        f"{samples} samples, largest embedding-vs-metric gap "
+        f"{max(gaps, default=0.0):.3e}",
     )
 
 
 def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
-    margin = math.inf
+    lips = []
     detail = ""
     for _ in range(samples):
         q = int(rng.integers(2, 9))
@@ -194,9 +194,9 @@ def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
         xs = np.sort(x)
         if not np.array_equal(ascending_projection(xs), xs):
             detail = "projection moved an already ascending input"
-        lip = float(np.linalg.norm(x - y)) + 1e-12 \
-            - float(np.linalg.norm(px - py))
-        margin = min(margin, lip)
+        lips.append(float(np.linalg.norm(x - y)) + 1e-12
+                    - float(np.linalg.norm(px - py)))
+    margin = _tightest(lips)[0]
     return CheckResult(
         "ascending_projection",
         -math.inf if detail else margin,
@@ -365,8 +365,7 @@ def check_holder(traj: FlowTrajectory, rng, pairs: int = 100) -> CheckResult:
 
 def check_brute_force(rng, instances: int = 20) -> CheckResult:
     """Solver objective vs exhaustive global minimum on tiny instances."""
-    worst = 0.0
-    one_sided = math.inf
+    gaps = []
     domains = {res: build_domain(1, res) for res in (3, 5)}
     for i in range(instances):
         domain = domains[3 if i % 4 == 0 else 5]
@@ -377,13 +376,13 @@ def check_brute_force(rng, instances: int = 20) -> CheckResult:
         f_loc, _ = minimize_step(f_prev, tau)
         loc = dirichlet_energy(f_loc) + l2_distance_sq(f_loc, f_prev) / tau
         _, glob = brute_force_step(f_prev, tau)
-        worst = max(worst, abs(loc - glob))
-        one_sided = min(one_sided, loc - glob + 1e-10)
-    margin = min(1e-8 - worst, one_sided)
+        gaps.append(loc - glob)
+    gaps = np.array(gaps)
     return CheckResult(
         "brute_force",
-        margin,
-        f"{instances} instances, largest objective gap {worst:.3e}",
+        _tightest(np.concatenate([1e-8 - np.abs(gaps), gaps + 1e-10]))[0],
+        f"{instances} instances, largest objective gap "
+        f"{np.max(np.abs(gaps), initial=0.0):.3e}",
     )
 
 

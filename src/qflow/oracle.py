@@ -2,10 +2,11 @@
 
 Nothing here shares linear algebra with the block factor of `morseflow`:
 the heat chain below is a scalar tridiagonal LDL^T (Thomas) recursion over
-Python floats, the step oracle enumerates every branch pairing and solves
-the frozen quadratics of all configurations in fixed-size blocks, each
-block by one batched dense solve, and the eigenmode solutions are closed
-form.
+Python floats, the step oracle enumerates every branch pairing, writes each
+configuration's frozen quadratic as a least-squares residual over a signed
+lane incidence and solves its normal equations, a fixed-size block of
+configurations per batched dense solve, and the eigenmode solutions are
+closed form.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray
     return u
 
 
-# configurations per batched dense solve; bounds a batch at (block, nu, nu)
+# configurations per batched dense solve; bounds a batch's incidence at
+# (block, live lanes, nu + 1)
 _CONFIG_BLOCK = 512
 
 
@@ -112,22 +114,23 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
 
     A configuration is one permutation per live edge (an edge with an
     interior end), then one per interior node, in `itertools.product`
-    order.  Lane i of edge (a, b) meets lane sigma[i] of b: a lane with two
-    interior ends couples them in the matrix, one with a fixed end adds a
-    diagonal, linear and constant term, and an edge with two fixed ends
-    only a constant, at the identity pairing.  The configurations are
-    assembled and solved in blocks of _CONFIG_BLOCK, each block by one
-    batched dense solve; `np.add.at` applies repeated indices in order, so
-    every entry is summed term by term in the same order for every block.
-    An instance of more than BRUTE_FORCE_MAX_CONFIGS configurations raises
+    order.  Its frozen quadratic is w_e |D z - c|^2 + w_p |z - p|^2 over
+    the interior lanes z.  The signed lane incidence D has one row per lane
+    i of a live edge (a, b): +1 at a's lane i, -1 at b's lane sigma[i]; a
+    fixed end points at a spare column, dropped, and its value moves into
+    c.  Node x with pairing nu draws p[x, i] = f_prev[x, nu[i]].  An edge
+    with two fixed ends adds the same constant to every configuration and
+    is left out.  The minimizer solves the normal equations
+    (w_e D^T D + w_p I) z = w_e D^T c + w_p p, one right-hand side per value
+    coordinate, so every n is handled alike.  The configurations are solved
+    in blocks of _CONFIG_BLOCK, each block by one batched dense solve.  An
+    instance of more than BRUTE_FORCE_MAX_CONFIGS configurations raises
     ValueError before anything is assembled.
     """
-    if f_prev.n != 1:
-        raise ValueError("brute force step supports n = 1 only")
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     d = f_prev.domain
-    qq = f_prev.q
+    qq, nn = f_prev.q, f_prev.n
     interior = d.interior
     int_of = -np.ones(d.num_nodes, dtype=int)
     int_of[interior] = np.arange(len(interior))
@@ -142,21 +145,15 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
     nu = len(interior) * qq
     w_e = d.delta ** (d.m - 2)
     w_p = d.delta**d.m / tau
-    vals = f_prev.values[:, :, 0]
+    vals = f_prev.values
     perms = np.array(list(permutations(range(qq))))
 
     ea, eb = d.edges[live].T
-    fa, fb = d.edges[~live].T
-    a_in, b_in = int_of[ea, None] >= 0, int_of[eb, None] >= 0
-    ua = int_of[ea, None] * qq + np.arange(qq)
-    # of the four entries a coupled lane adds, a lane with a fixed end
-    # keeps the diagonal of its interior end
-    quad = np.broadcast_to(
-        np.stack([a_in, b_in, a_in & b_in, a_in & b_in], axis=-1),
-        ua.shape + (4,))
-    quad_w = np.broadcast_to([w_e, w_e, -w_e, -w_e], quad.shape)[quad]
-    one_fixed = np.broadcast_to(a_in ^ b_in, ua.shape)
-    fixed_const = (w_e * (vals[fa] - vals[fb]) ** 2).ravel()
+    rows = np.arange(len(ea) * qq)
+    # a fixed end's lane points at the spare column nu, dropped after
+    a_fixed, b_fixed = int_of[ea, None] < 0, int_of[eb, None] < 0
+    col_a = np.where(a_fixed, nu, int_of[ea, None] * qq + np.arange(qq)).ravel()
+    c_a = np.where(a_fixed[..., None], vals[ea], 0.0)
 
     digits = len(perms) ** np.arange(slots - 1, -1, -1)
     best_value, best_z = math.inf, None
@@ -164,43 +161,27 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
         cfg = np.arange(start, min(start + _CONFIG_BLOCK, count))
         sigma = perms[cfg[:, None] // digits % len(perms)]
         edge_sigma, node_nu = sigma[:, :len(ea)], sigma[:, len(ea):]
-        size, batch = len(cfg), np.arange(len(cfg))[:, None]
-        ub = int_of[eb, None] * qq + edge_sigma
-        vb = vals[eb[:, None], edge_sigma]
-        ua_b = np.broadcast_to(ua, ub.shape)
-        nodes = np.broadcast_to(np.arange(nu), (size, nu))
-        rows = np.concatenate(
-            [np.stack([ua_b, ub, ua_b, ub], axis=-1)[:, quad], nodes], axis=1)
-        cols = np.concatenate(
-            [np.stack([ua_b, ub, ub, ua_b], axis=-1)[:, quad], nodes], axis=1)
-        mat = np.zeros((size, nu, nu))
-        np.add.at(mat, (batch, rows, cols),
-                  np.concatenate([quad_w, np.full(nu, w_p)]))
+        size = len(cfg)
+        col_b = np.where(b_fixed, nu, int_of[eb, None] * qq + edge_sigma)
+        dmat = np.zeros((size, len(rows), nu + 1))
+        dmat[:, rows, col_a] = 1.0
+        dmat[np.arange(size)[:, None], rows, col_b.reshape(size, -1)] = -1.0
+        dmat = dmat[:, :, :nu]
+        c = (np.where(b_fixed[..., None], vals[eb[:, None], edge_sigma], 0.0)
+             - c_a).reshape(size, -1, nn)
+        p = vals[interior[:, None], node_nu].reshape(size, nu, nn)
 
-        edge_c = np.where(a_in, vb, vals[ea])[:, one_fixed]
-        node_c = vals[interior[:, None], node_nu].reshape(size, nu)
-        edge_lin, node_lin = w_e * edge_c, w_p * node_c
-        lin = np.zeros((size, nu))
-        lin_rows = np.concatenate(
-            [np.where(a_in, ua_b, ub)[:, one_fixed], nodes], axis=1)
-        np.add.at(lin, (batch, lin_rows),
-                  np.concatenate([edge_lin, node_lin], axis=1))
-        const_terms = np.concatenate(
-            [edge_lin * edge_c,
-             np.broadcast_to(fixed_const, (size, fixed_const.size)),
-             node_lin * node_c], axis=1)
-        const = np.zeros(size)
-        np.add.at(const, np.broadcast_to(batch, const_terms.shape),
-                  const_terms)
-
-        z = np.linalg.solve(mat, lin[:, :, None])
-        value = const - (lin[:, None, :] @ z)[:, 0, 0]
+        dt = dmat.transpose(0, 2, 1)
+        z = np.linalg.solve(w_e * (dt @ dmat) + w_p * np.eye(nu),
+                            w_e * (dt @ c) + w_p * p)
+        value = (w_e * ((dmat @ z - c) ** 2).sum(axis=(1, 2))
+                 + w_p * ((z - p) ** 2).sum(axis=(1, 2)))
         first = int(np.argmin(value))
         if value[first] < best_value:
-            best_value, best_z = value[first], z[first, :, 0]
+            best_value, best_z = value[first], z[first]
 
     vals = f_prev.values.copy()
-    vals[interior, :, 0] = best_z.reshape(len(interior), qq)
+    vals[interior] = best_z.reshape(len(interior), qq, nn)
     minimizer = QGridFunction(d, vals)
     objective = dirichlet_energy(minimizer) + l2_distance_sq(minimizer, f_prev) / tau
     return minimizer, objective

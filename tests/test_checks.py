@@ -1,6 +1,7 @@
 """Check battery: positive runs and deliberate negative controls."""
 
 import itertools
+import json
 import math
 import struct
 from dataclasses import replace
@@ -104,7 +105,7 @@ def test_value_space_checks_pass():
 
 def metric_axioms_by_loop(rng, samples=200):
     """Per-sample reference for `check_metric_axioms`: one
-    `matching_distance` call per distance."""
+    `matching_distance` call per distance; no samples cannot apply."""
     margin = math.inf
     ok = True
     worst = ""
@@ -125,7 +126,7 @@ def metric_axioms_by_loop(rng, samples=200):
         tri = matching_distance(pa, pb) + matching_distance(pb, pc) \
             + 1e-10 - matching_distance(pa, pc)
         margin = min(margin, sym, distinct, tri)
-    if not ok:
+    if not ok or samples == 0:
         margin = -math.inf
     detail = worst or (
         f"{samples} samples, q<=6, n<=3; smallest clearance {margin:.3e}"
@@ -212,6 +213,28 @@ def test_sorted_matching_rejects_a_reversed_pairing_at_zero_gap(monkeypatch):
     assert not res.passed and res.margin == -math.inf
     assert res.detail == "non-identity pairing returned for canonical operands"
     assert res.margin < 0.0
+
+
+@pytest.mark.parametrize("check", [
+    check_metric_axioms, check_sorted_matching, check_embedding_isometry,
+    check_ascending_projection, check_brute_force])
+def test_value_level_check_without_samples_cannot_apply(check, tmp_path):
+    """With nothing sampled a value-level check fails with margin -inf,
+    which a report writes as null, instead of passing vacuously."""
+    res = check(np.random.default_rng(3), 0)
+    assert not res.passed and res.margin == -math.inf
+    cli._write_report(tmp_path / "report.json", {}, [res])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checks"][0]["margin"] is None
+
+
+def test_brute_force_rejects_a_step_that_does_not_move(monkeypatch):
+    """A solver that returns f_prev unmoved stays above the global minimum
+    of every random instance by far more than the tolerance."""
+    monkeypatch.setattr(checks, "minimize_step",
+                        lambda f_prev, tau: (f_prev, None))
+    res = check_brute_force(np.random.default_rng(3))
+    assert not res.passed and res.margin < 0.0
 
 
 def test_translation_identity_check_passes():

@@ -9,6 +9,7 @@ from scipy.linalg import solveh_banded
 
 from qflow import checks, oracle
 from qflow.grid import QGridFunction, build_domain, dirichlet_energy, l2_distance_sq
+from qflow.morseflow import minimize_step
 from qflow.oracle import (
     EigenMode,
     brute_force_step,
@@ -157,16 +158,13 @@ def test_symmetric_two_branch_step_splits_the_hat():
     )
 
 
-def test_brute_force_rejects_large_or_vector_instances():
+def test_brute_force_rejects_large_instances_and_zero_tau():
     # 8 live edges and 7 interior nodes: 2**15 pairing configurations
     big = build_domain(1, 9)
     f_big = QGridFunction(big, np.zeros((big.num_nodes, 2, 1)))
     with pytest.raises(ValueError, match="32768 pairing configurations"):
         brute_force_step(f_big, 0.1)
     d = build_domain(1, 3)
-    f_vec = QGridFunction(d, np.zeros((3, 1, 2)))
-    with pytest.raises(ValueError):
-        brute_force_step(f_vec, 0.1)
     f = QGridFunction(d, np.zeros((3, 1, 1)))
     with pytest.raises(ValueError):
         brute_force_step(f, 0.0)
@@ -294,8 +292,9 @@ def test_batched_step_matches_the_loop_across_blocks(res, q):
 
 
 def test_batched_step_matches_the_loop_with_ties_and_fixed_edges():
-    """Symmetric data (many exactly tied configurations), and a disk whose
-    boundary-to-boundary edges add only constants."""
+    """Symmetric data (many exactly tied configurations), a disk whose
+    boundary-to-boundary edges add only constants, and a q = 2 disk whose
+    one interior node sums four fixed ends into its right-hand side."""
     d = build_domain(1, 5)
     vals = np.zeros((5, 2, 1))
     vals[1:4, 0, 0], vals[1:4, 1, 0] = -1.0, 1.0
@@ -304,6 +303,44 @@ def test_batched_step_matches_the_loop_with_ties_and_fixed_edges():
     rng = np.random.default_rng(3)
     assert_same_minimum(
         QGridFunction(disk, rng.normal(size=(disk.num_nodes, 1, 1))), 0.2)
+    # one interior node with four fixed neighbours, lanes crossing: 2**5
+    small = build_domain(2, 3)
+    assert_same_minimum(
+        QGridFunction(small, rng.normal(size=(small.num_nodes, 2, 1))), 0.2)
+
+
+@pytest.mark.parametrize("res, q", [(3, 3), (5, 2), (7, 2)])
+def test_vector_step_with_a_zero_coordinate_is_the_scalar_step(res, q):
+    """n = 2 data whose second coordinate is 0 decouple into the n = 1
+    step and a zero column: the same minimizer and objective up to the
+    rounding of a second right-hand side."""
+    d = build_domain(1, res)
+    rng = np.random.default_rng(res * q)
+    for _ in range(4):
+        scalar = rng.normal(size=(d.num_nodes, q, 1))
+        tau = float(10.0 ** rng.uniform(-1.0, 0.0))
+        want, want_obj = brute_force_step(QGridFunction(d, scalar), tau)
+        got, got_obj = brute_force_step(
+            QGridFunction(d, np.concatenate([scalar, 0.0 * scalar], axis=2)),
+            tau)
+        assert np.max(np.abs(got.values[:, :, 0] - want.values[:, :, 0])) \
+            <= 1e-12
+        assert np.all(got.values[:, :, 1] == 0.0)
+        assert abs(got_obj - want_obj) <= 1e-12 * abs(want_obj)
+
+
+def test_vector_step_is_a_global_minimum_below_the_solver():
+    """On q = 2, n = 2 instances at resolution 5 the alternating solver
+    reaches a local minimum only; the enumerated step is never above it."""
+    d = build_domain(1, 5)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        f_prev = QGridFunction(d, rng.normal(size=(d.num_nodes, 2, 2)))
+        tau = float(10.0 ** rng.uniform(-1.0, 0.0))
+        f_loc, _ = minimize_step(f_prev, tau)
+        local = dirichlet_energy(f_loc) + l2_distance_sq(f_loc, f_prev) / tau
+        _, glob = brute_force_step(f_prev, tau)
+        assert glob <= local + 1e-10
 
 
 def test_max_principle_check_controls():
