@@ -755,9 +755,8 @@ def test_module_entry_point(tmp_path):
 
 
 def test_no_qflow_command_loads_scipy(tmp_path):
-    """Vector matching for q = 5..8, then `run` on a small disk config,
-    `sweep`, `verify` and `oracle`, in one fresh interpreter, never import
-    any scipy module."""
+    """`run` on a small disk config, `sweep`, `verify` and `oracle`, in one
+    fresh interpreter, never import any scipy module."""
     disk = write_config(tmp_path, SMALL + "m = 2\nresolution = 11\nchecks = all\n",
                         "disk.cfg")
     sweep = write_config(tmp_path, SWEEP, "sweep.cfg")
@@ -767,12 +766,7 @@ def test_no_qflow_command_loads_scipy(tmp_path):
              ["oracle", "--config", str(sweep)]]
     script = (
         "import sys\n"
-        "import numpy as np\n"
         "from qflow.cli import main\n"
-        "from qflow.qspace import _canonical, match_rows\n"
-        "rng = np.random.default_rng(5)\n"
-        "for q in range(5, 9):\n"
-        "    match_rows(*_canonical(rng.normal(size=(2, 4, q, 2))))\n"
         f"codes = [main(argv + ['--out', {str(tmp_path)!r} + f'/out{{i}}'])\n"
         f"         for i, argv in enumerate({argvs!r})]\n"
         "print(codes, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
@@ -781,3 +775,26 @@ def test_no_qflow_command_loads_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+def test_no_qflow_path_loads_scipy_optimize(tmp_path):
+    """Vector matching for q = 5..8 and a whole `verify` run, in a fresh
+    interpreter, never import scipy.optimize nor any other scipy module."""
+    cfg = write_config(tmp_path, SMALL)
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from qflow.cli import main\n"
+        "from qflow.qspace import _canonical, match_rows\n"
+        "rng = np.random.default_rng(5)\n"
+        "for q in range(5, 9):\n"
+        "    match_rows(*_canonical(rng.normal(size=(2, 4, q, 2))))\n"
+        f"code = main(['verify', '--config', {str(cfg)!r},"
+        f" '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules,\n"
+        "      [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False []"
