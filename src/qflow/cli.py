@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -461,6 +460,8 @@ def _ladder(config: RunConfig, name: str, label: str, errors_fn) -> list:
 
     workers = min(config.jobs, len(cells))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(errors_fn, cells))
     else:

@@ -8,9 +8,11 @@ sums them over nodes with weight delta^m.  Boundary nodes are the lattice
 points touching the sphere (or the interval endpoints for m = 1) and are
 treated as hard constraints by every solver in this package.
 
-Snapshot files are formatted with one `%.17e` pass over each function's
-values; the `node_index,x0[,x1]` cells are formatted once per domain.  The
-bytes equal a per-cell `format(c, ".17e")`, the same CPython routine.
+Snapshot files are formatted by one exact vectorized pass over each
+function's values, `_format_cells`, which gives the bytes of `'%.17e' % c`
+for every double c: values in [1e-10, 1e14) in magnitude are rounded in
+integer arithmetic, every other value is formatted by `%` itself.  The
+`node_index,x0[,x1]` cells are formatted once per domain.
 """
 
 from __future__ import annotations
@@ -73,10 +75,13 @@ class GridDomain:
 
     @cached_property
     def _snapshot_prefix(self) -> tuple:
-        """Snapshot header cells and per-row `j,x0[,x1],` prefixes."""
+        """Snapshot header cells and the NUL-padded `j,x0[,x1],` prefix of
+        each row, a (num_nodes, width) uint8 block."""
         head = ",".join(["node_index"] + [f"x{i}" for i in range(self.m)])
-        row = "%d," + "%.17e," * self.m
-        return head, [row % (j, *xs) for j, xs in enumerate(self.coords.tolist())]
+        nn = self.num_nodes
+        index = np.array([b"%d," % j for j in range(nn)]).view(np.uint8)
+        coords = _format_cells(self.coords.ravel()).T.reshape(nn, -1)
+        return head, np.concatenate([index.reshape(nn, -1), coords], axis=1)
 
 
 def build_domain(m: int, resolution: int) -> GridDomain:
@@ -308,15 +313,94 @@ def translate_field(f: QGridFunction, phi) -> QGridFunction:
     return QGridFunction(f.domain, f.values + arr[:, None, :])
 
 
+# `'%.17e'` of a double takes at most 25 bytes, as in
+# '-1.00000000000000005e+300'; a cell holds them NUL-padded, then a separator
+_CELL = 26
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)  # 5^27 < 2^63
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _scaled(M: np.ndarray, p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """round_half_even(M 5^p / 2^r) for uint64 M < 2^53, p <= 27 and
+    1 <= r <= 63, exact: the product is formed in 128 bits as (hi, lo) from
+    four 32-bit partial products."""
+    f = _POW5[p]
+    a0, a1, b0, b1 = M & _LOW32, M >> 32, f & _LOW32, f >> 32
+    ll, lh, hl = a0 * b0, a0 * b1, a1 * b0
+    mid = (ll >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    lo = (mid << 32) | (ll & _LOW32)
+    hi = a1 * b1 + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    N = (hi << (64 - r)) | (lo >> r)
+    half = (lo >> (r - 1)) & 1
+    sticky = (lo & ((np.uint64(1) << (r - 1)) - 1)) != 0
+    return N + (half & (sticky | (N & 1)))
+
+
+def _format_cells(x: np.ndarray) -> np.ndarray:
+    """`'%.17e' % c` for each double c of the 1-D array x, one cell per
+    column of a (_CELL, len(x)) uint8 array: the text, NUL padding, then a
+    ',' separator.
+
+    The 18 digits of 1e-10 <= |c| < 1e14 are N = round_half_even(|c| /
+    10^(E-17)) for E = floor(log10 |c|), taken exactly in integers (Steele
+    and White 1990, Adams 2018): with |c| = M 2^(e-53) from frexp,
+    N = M 5^p / 2^r for p = 17 - E <= 27 and r = 36 - e + E in [1, 63].  A
+    log10 estimate one off puts N outside [10^17, 10^18) and is redone; a
+    carry to 10^18 moves to the next exponent.  Every other value (zeros,
+    subnormals, tiny, huge, infinite, nan) is formatted by `%` itself."""
+    a = np.abs(x)
+    fast = (a >= 1e-10) & (a < 1e14)
+    a = np.where(fast, a, 1.0)
+    mant, e = np.frexp(a)
+    M = (mant * 2.0**53).astype(np.uint64)
+    E = np.clip(np.floor(np.log10(a)), -10, 13).astype(np.int64)
+    N = _scaled(M, 17 - E, (36 - e + E).astype(np.uint64))
+    redo = np.flatnonzero((N < 10**17) | (N > 10**18))
+    E[redo] += np.where(N[redo] > 10**18, 1, -1)
+    N[redo] = _scaled(M[redo], 17 - E[redo], (36 - e[redo] + E[redo]).astype(np.uint64))
+    carry = N == 10**18
+    N[carry] = 10**17
+    E += carry
+
+    out = np.empty((_CELL, x.size), np.uint8)
+    out[0] = np.where(x < 0, ord("-"), 0)
+    # the 18 digits go to bytes 2..19, nine from each uint32 half of N;
+    # then the first moves before the point
+    digits = out[2:20].reshape(2, 9, -1)
+    halves = np.stack([N // 10**9, N % 10**9]).astype(np.uint32)
+    for i in range(8, -1, -1):
+        rest = halves // 10
+        digits[:, i] = halves - rest * 10 + 48
+        halves = rest
+    out[1] = out[2]
+    out[2] = ord(".")
+    out[20] = ord("e")
+    out[21] = np.where(E < 0, ord("-"), ord("+"))
+    out[22] = np.abs(E) // 10 + 48
+    out[23] = np.abs(E) % 10 + 48
+    out[24] = 0
+    out[25] = ord(",")
+    slow = np.flatnonzero(~fast)
+    text = np.array(["%.17e" % c for c in x[slow].tolist()], dtype="S25")
+    out[:25, slow] = text.view(np.uint8).reshape(-1, 25).T
+    return out
+
+
 def write_snapshot_csv(f: QGridFunction, path):
     """One row per node: node index, m coordinates, then q*n branch
-    coordinates in canonical order."""
-    head, prefixes = f.domain._snapshot_prefix
+    coordinates in canonical order, each as `'%.17e' % c`.
+
+    The values are formatted by one `_format_cells` pass and joined to the
+    domain's cached row prefixes; one compress drops the NUL padding."""
+    head, prefix = f.domain._snapshot_prefix
     width = f.q * f.n
-    cells = ",".join(["%.17e"] * width) + "\n"
-    with open(path, "w") as fh:
-        fh.write(head + "".join(f",v{i}" for i in range(width)) + "\n")
-        fh.write((cells.join(prefixes) + cells) % tuple(f.values.ravel().tolist()))
+    cells = _format_cells(f.values.ravel())
+    cells[-1, width - 1::width] = ord("\n")
+    rows = np.concatenate(
+        [prefix, cells.T.reshape(prefix.shape[0], width * _CELL)], axis=1)
+    with open(path, "wb") as fh:
+        fh.write((head + "".join(f",v{i}" for i in range(width)) + "\n").encode())
+        fh.write(rows[rows != 0].tobytes())
 
 
 def read_snapshot_csv(path, domain: GridDomain, q: int, n: int = 1) -> QGridFunction:

@@ -1,5 +1,6 @@
 """Command line surface: config handling, artifacts, exit codes."""
 
+import concurrent.futures
 import dataclasses
 import json
 import subprocess
@@ -23,6 +24,7 @@ from qflow.cli import (
 )
 from qflow.grid import QGridFunction, build_domain, dirichlet_energy
 from qflow.morseflow import FlowTrajectory, run_flow
+from test_grid import write_snapshot_by_rows
 
 SMALL = """
 # smoke configuration
@@ -385,6 +387,39 @@ def test_runs_are_reproducible_byte_for_byte(tmp_path):
         assert snap.read_bytes() == twin.read_bytes()
 
 
+@pytest.mark.parametrize("inject", [False, True])
+def test_run_snapshots_match_a_per_row_writer(tmp_path, monkeypatch, inject):
+    """Every snapshots/<k>.csv of a small disk run (m = 2, q = 2, n = 1) is
+    the per-row reference file of state k of the trajectory that `run`
+    writes; with the energy_monotonicity negative control that trajectory
+    carries the corrupted state."""
+    written = []
+    apply_injection = cli._apply_injection
+
+    def recording(traj, config):
+        written.append(apply_injection(traj, config))
+        return written[-1]
+
+    monkeypatch.setattr(cli, "_apply_injection", recording)
+    text = SMALL + "m = 2\nresolution = 11\n"
+    if inject:
+        text += "inject = energy_monotonicity\n"
+    config = load_config(write_config(tmp_path, text))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "run.cfg"),
+                 "--out", str(out)]) == (1 if inject else 0)
+    traj, = written
+    clean = run_flow(make_initial(config, traj.domain), make_schedule(config))
+    moved = [k for k, (a, b) in enumerate(zip(traj.states, clean.states))
+             if not np.array_equal(a, b)]
+    assert moved == ([config.steps // 2] if inject else [])
+    assert len(list((out / "snapshots").glob("*.csv"))) == config.steps + 1
+    for k, state in enumerate(traj.states):
+        write_snapshot_by_rows(QGridFunction(traj.domain, state), tmp_path / "ref.csv")
+        snap = out / "snapshots" / f"{k}.csv"
+        assert snap.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def small_trajectory(tmp_path):
     """The trajectory of the SMALL config, built through the library."""
     config = load_config(write_config(tmp_path, SMALL))
@@ -680,7 +715,7 @@ def test_worker_pool_is_capped_at_the_ladder_cells(tmp_path, monkeypatch):
         def map(self, fn, cells):
             return map(fn, cells)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = write_config(tmp_path, SWEEP)
     for command in ("sweep", "oracle"):
         assert main([command, "--config", str(cfg), "--out",
@@ -775,6 +810,22 @@ def test_no_qflow_command_loads_scipy(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """`import qflow.cli`, in a fresh interpreter, loads no
+    concurrent.futures or multiprocessing module: only a worker pool of
+    `--jobs` > 1 needs them."""
+    script = (
+        "import sys\n"
+        "import qflow.cli\n"
+        "print([m for m in sys.modules\n"
+        "       if m.split('.')[0] in ('concurrent', 'multiprocessing')])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_no_qflow_path_loads_scipy_optimize(tmp_path):

@@ -1,9 +1,14 @@
 """Domain construction, energies, residuals, snapshot files."""
 
+import math
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qflow.grid import (
+    _format_cells,
     InitialSpec,
     QGridFunction,
     build_domain,
@@ -433,3 +438,90 @@ def test_snapshot_read_validates_shape(tmp_path):
         read_snapshot_csv(path, d, q=3)
     with pytest.raises(ValueError):
         read_snapshot_csv(path, build_domain(1, 7), q=2)
+
+
+# --- the snapshot formatter against `%` -------------------------------------
+
+def assert_formats_like_percent(x):
+    """`_format_cells` gives the bytes of `'%.17e' % c` for every c of x."""
+    x = np.asarray(x, dtype=float)
+    cells = _format_cells(x).T
+    got = cells[cells != 0].tobytes().decode().split(",")
+    want = ["%.17e" % c for c in x.tolist()]
+    assert got[-1] == "" and len(got) == len(want) + 1
+    bad = [(c, g, w) for c, g, w in zip(x.tolist(), got, want) if g != w]
+    assert not bad, f"{len(bad)} of {len(want)} differ, first: {bad[:3]}"
+
+
+def signed(rng, values):
+    return values * rng.choice([-1.0, 1.0], size=values.shape)
+
+
+@pytest.mark.parametrize("draw", ["normal", "uniform", "log-uniform", "dyadic"])
+def test_format_cells_matches_percent_on_seeded_draws(draw):
+    rng = np.random.default_rng(["normal", "uniform", "log-uniform",
+                                 "dyadic"].index(draw) + 41)
+    size = 60_000
+    x = {
+        "normal": lambda: rng.normal(size=size),
+        "uniform": lambda: rng.uniform(-2.0, 2.0, size),
+        "log-uniform": lambda: signed(rng, 10.0 ** rng.uniform(-12, 18, size)),
+        # j / 2^18 in [1, 10): up to 18 significant bits after the point
+        "dyadic": lambda: rng.integers(2**18, 10 * 2**18, size) / 2.0**18,
+    }[draw]()
+    assert_formats_like_percent(x)
+
+
+def test_format_cells_matches_percent_beside_powers_of_ten():
+    near = []
+    for k in range(-12, 19):
+        for toward in (0.0, math.inf):
+            y = float(f"1e{k}")
+            for _ in range(4):
+                near.append(y)
+                y = np.nextafter(y, toward)
+    near = np.array(near)
+    assert_formats_like_percent(np.concatenate([near, -near]))
+
+
+def test_format_cells_rounds_exact_decimal_ties_half_even():
+    """c / 2^s with c odd has exactly s digits after the point; with
+    s = 18 - E in the decade [10^E, 10^(E+1)) the 19th significant digit is
+    a final 5, a tie that `%` rounds to even."""
+    rng = np.random.default_rng(43)
+    ties = []
+    for E in range(-9, 16):
+        s = 18 - E
+        lo = math.ceil(Fraction(10) ** E * 2**s)
+        hi = min(math.ceil(Fraction(10) ** (E + 1) * 2**s), 2**53)
+        c = np.unique(rng.integers(lo, hi, size=2000) | 1)
+        ties += [math.ldexp(int(j), -s) for j in c[c < hi]]
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 19 and digits[-1] == 5
+    assert len(ties) > 30_000
+    assert_formats_like_percent(ties + [-t for t in ties])
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_format_cells_corrects_a_decade_estimate_one_off(monkeypatch, shift):
+    """With log10 one off on every value the range check redoes them all,
+    and an exact power of ten estimated a decade low carries to 10^18, so
+    the bytes still equal `%`."""
+    rng = np.random.default_rng(47)
+    x = np.concatenate([signed(rng, 10.0 ** rng.uniform(-10, 14, 5000)),
+                        [float(f"1e{k}") for k in range(-10, 14)]])
+    # keep the values whose own estimate is right (not 1e-7, just below
+    # 10^-7), so that the shifted one is one off
+    exponent = [int(("%.17e" % c).split("e")[1]) for c in x]
+    x = x[np.floor(np.log10(np.abs(x))) == exponent]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    assert_formats_like_percent(x)
+
+
+def test_format_cells_falls_back_to_percent_outside_its_range():
+    tiny, huge = np.nextafter(1e-10, 0.0), 1e14
+    edges = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e300, tiny, huge,
+             1e-10, np.nextafter(huge, 0.0), math.inf]
+    assert_formats_like_percent(edges + [-v for v in edges] + [math.nan])
