@@ -404,10 +404,10 @@ def test_run_snapshots_match_a_per_row_writer(tmp_path, monkeypatch, inject):
     text = SMALL + "m = 2\nresolution = 11\n"
     if inject:
         text += "inject = energy_monotonicity\n"
-    config = load_config(write_config(tmp_path, text))
+    cfg = write_config(tmp_path, text)
+    config = load_config(cfg)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(tmp_path / "run.cfg"),
-                 "--out", str(out)]) == (1 if inject else 0)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == (1 if inject else 0)
     traj, = written
     clean = run_flow(make_initial(config, traj.domain), make_schedule(config))
     moved = [k for k, (a, b) in enumerate(zip(traj.states, clean.states))
