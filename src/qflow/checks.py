@@ -20,23 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qspace import (
-    _canonical,
-    ascending_projection,
-    make_qpoint,
-    match_rows,
-    matching_distance,
-    optimal_matching,
-    sorted_embedding,
-)
+from .qspace import _canonical, ascending_projection, match_rows
 from .grid import (
     QGridFunction,
     branch_mean_field,
     build_domain,
     dirichlet_energy,
     l2_distance_sq,
-    scalar_dirichlet_energy,
-    translate_field,
 )
 from .morseflow import (
     FlowTrajectory,
@@ -115,12 +105,9 @@ def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
         b = rng.normal(size=(q, n))
         c = rng.normal(size=(q, n))
         draws.append((q, n, a, b, c, a[rng.permutation(q)]))
-    groups = {}
-    for i, draw in enumerate(draws):
-        groups.setdefault(draw[:2], []).append(i)
     # per sample: d(a, b), d(b, a), d(a, permuted a), d(b, c), d(a, c)
     dist = np.empty((samples, 5))
-    for idx in groups.values():
+    for idx in _groups(d[:2] for d in draws).values():
         a, b, c, perm = (_canonical(np.stack([draws[i][k] for i in idx]))
                          for k in range(2, 6))
         cost = match_rows(np.concatenate([a, b, a, b, a]),
@@ -142,19 +129,29 @@ def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
 
 def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
     """For n = 1 the identity pairing of the canonical (ascending) forms
-    must equal the exhaustive minimum over all pairings exactly."""
-    gaps = []
-    identity_ok = True
-    perms = {q: np.array(list(itertools.permutations(range(q)))) for q in range(2, 7)}
+    must equal the exhaustive minimum over all pairings exactly.  All
+    samples are drawn first; each q group is then matched by one
+    `match_rows` call and its exhaustive minimum taken over the
+    permutations, a chunk of them at a time."""
+    draws = []
     for _ in range(samples):
         q = int(rng.integers(2, 7))
-        a = np.sort(rng.normal(size=q))
-        b = np.sort(rng.normal(size=q))
-        match = optimal_matching(make_qpoint(a), make_qpoint(b))
-        identity_ok &= match.sigma == tuple(range(q))
-        best = float(((a - b[perms[q]]) ** 2).sum(axis=1).min())
-        gaps.append(abs(match.cost - best))
-    margin = _tightest(-np.array(gaps))[0]
+        draws.append((q, rng.normal(size=q), rng.normal(size=q)))
+    gaps = np.empty(samples)
+    identity_ok = True
+    for q, idx in _groups(d[0] for d in draws).items():
+        a, b = (np.sort(np.stack([draws[i][k] for i in idx])) for k in (1, 2))
+        sigma, cost = match_rows(a[..., None], b[..., None])
+        identity_ok &= bool((sigma == np.arange(q)).all())
+        perms = np.array(list(itertools.permutations(range(q))))
+        best = np.full(len(idx), np.inf)
+        for chunk in range(0, len(perms), 24):
+            d = b[:, perms[chunk:chunk + 24]]
+            np.subtract(a[:, None], d, out=d)
+            np.square(d, out=d)
+            best = np.minimum(best, d.sum(axis=2).min(axis=1))
+        gaps[idx] = np.abs(cost - best)
+    margin = _tightest(-gaps)[0]
     detail = f"{samples} samples, largest identity-vs-exhaustive gap {-margin:.3e}"
     if not identity_ok:
         detail = "non-identity pairing returned for canonical operands"
@@ -163,40 +160,60 @@ def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
 
 
 def check_embedding_isometry(rng, samples: int = 200) -> CheckResult:
-    gaps = []
+    """For n = 1 the Euclidean distance of the sorted tuples equals the
+    matching distance (1e-12).  All samples are drawn first; each q group
+    is then scored over its stacked canonical rows by one `match_rows`
+    call."""
+    draws = []
     for _ in range(samples):
         q = int(rng.integers(1, 7))
-        pa = make_qpoint(rng.normal(size=q))
-        pb = make_qpoint(rng.normal(size=q))
-        emb = float(np.linalg.norm(sorted_embedding(pa) - sorted_embedding(pb)))
-        gaps.append(abs(emb - matching_distance(pa, pb)))
+        draws.append((q, rng.normal(size=q), rng.normal(size=q)))
+    gaps = np.empty(samples)
+    for idx in _groups(d[0] for d in draws).values():
+        a, b = (_canonical(np.stack([draws[i][k] for i in idx])[..., None])
+                for k in (1, 2))
+        d = a[..., 0] - b[..., 0]
+        gaps[idx] = np.abs(np.sqrt(np.vecdot(d, d))
+                           - np.sqrt(match_rows(a, b)[1]))
     return CheckResult(
         "embedding_isometry",
-        _tightest(1e-12 - np.array(gaps))[0],
+        _tightest(1e-12 - gaps)[0],
         f"{samples} samples, largest embedding-vs-metric gap "
-        f"{max(gaps, default=0.0):.3e}",
+        f"{np.max(gaps, initial=0.0):.3e}",
     )
 
 
+_PROJECTION_FAULTS = ("", "projection output not a fixed ascending point",
+                      "projection moved an already ascending input")
+
+
 def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
-    lips = []
-    detail = ""
+    """The projection's output is a fixed ascending point, ascending input
+    stays fixed exactly, and distances never expand (1e-12).  All samples
+    are drawn first; each q group is then projected as stacked rows."""
+    draws = []
     for _ in range(samples):
         q = int(rng.integers(2, 9))
         x = rng.normal(size=q)
         if rng.random() < 0.3:  # exercise ties
             x[rng.integers(0, q)] = x[rng.integers(0, q)]
-        y = rng.normal(size=q)
-        px, py = ascending_projection(x), ascending_projection(y)
-        if not (np.array_equal(ascending_projection(px), px)
-                and np.all(np.diff(px) >= 0.0)):
-            detail = "projection output not a fixed ascending point"
+        draws.append((q, x, rng.normal(size=q)))
+    lips = np.empty(samples)
+    # per sample: the index of its fault in _PROJECTION_FAULTS, 0 for none
+    faults = np.zeros(samples, dtype=np.int64)
+    for idx in _groups(d[0] for d in draws).values():
+        x, y = (np.stack([draws[i][k] for i in idx]) for k in (1, 2))
         xs = np.sort(x)
-        if not np.array_equal(ascending_projection(xs), xs):
-            detail = "projection moved an already ascending input"
-        lips.append(float(np.linalg.norm(x - y)) + 1e-12
-                    - float(np.linalg.norm(px - py)))
+        px, py, pxs = np.split(ascending_projection(np.concatenate([x, y, xs])), 3)
+        fixed = ((ascending_projection(px) == px).all(axis=1)
+                 & (np.diff(px, axis=1) >= 0.0).all(axis=1))
+        faults[idx] = np.where((pxs != xs).any(axis=1), 2, ~fixed)
+        dx, dp = x - y, px - py
+        lips[idx] = (np.sqrt(np.vecdot(dx, dx)) + 1e-12
+                     - np.sqrt(np.vecdot(dp, dp)))
     margin = _tightest(lips)[0]
+    faulty = np.flatnonzero(faults)
+    detail = _PROJECTION_FAULTS[faults[faulty[-1]]] if faulty.size else ""
     return CheckResult(
         "ascending_projection",
         -math.inf if detail else margin,
@@ -204,39 +221,85 @@ def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
     )
 
 
+# values per stacked array in check_translation_identity, about 32 KB:
+# blocks of pairs that size keep a verify's peak memory where drawing and
+# scoring one pair at a time had it
+_BLOCK_VALUES = 4096
+
+
+def _stacked_energies(domain, values: np.ndarray) -> np.ndarray:
+    """`dirichlet_energy` of each canonical (num_nodes, q, n) state stacked
+    in values, bit for bit: the squared differences of each state's edge
+    rows are summed as one C-contiguous row, and for n > 1 the branches
+    are paired by one `match_rows` call over every state's edge rows."""
+    p, _, q, n = values.shape
+    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
+    a = np.take(values, ea, axis=1)
+    if n == 1 or q == 1:
+        a -= np.take(values, eb, axis=1)
+        np.square(a, out=a)
+        total = a.reshape(p, -1).sum(axis=1)
+    else:
+        cost = match_rows(a.reshape(-1, q, n),
+                          np.take(values, eb, axis=1).reshape(-1, q, n))[1]
+        total = np.add.accumulate(cost.reshape(p, len(ea)), axis=1)[:, -1]
+    return domain.delta ** (domain.m - 2) * total
+
+
+def _translation_gaps(rng, domain, pairs: int, q: int, n: int) -> np.ndarray:
+    """Relative gap of the translation identity for each of `pairs` random
+    pairs of q-valued f and single-valued phi in R^n on domain, drawn a
+    block at a time in the per-pair order: f's values, then phi's."""
+    nodes = domain.num_nodes
+    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
+    w = domain.delta ** (domain.m - 2)
+    step = max(1, _BLOCK_VALUES // (nodes * q * n))
+    gaps = [np.empty(0)]
+    for start in range(0, pairs, step):
+        size = min(step, pairs - start)
+        f = np.empty((size, nodes, q, n))
+        phi = np.empty((size, nodes, n))
+        for k in range(size):
+            f[k] = rng.normal(size=(nodes, q, n))
+            phi[k] = rng.normal(size=(nodes, n))
+        f = _canonical(f)
+        energy = _stacked_energies(domain, f)
+        eta = f.mean(axis=2)
+        deta = np.take(eta, ea, axis=1) - np.take(eta, eb, axis=1)
+        dphi = np.take(phi, ea, axis=1) - np.take(phi, eb, axis=1)
+        cross = w * (deta * dphi).reshape(size, -1).sum(axis=1)
+        rhs = energy + 2.0 * q * cross \
+            + q * (w * np.square(dphi).reshape(size, -1).sum(axis=1))
+        lhs = _stacked_energies(domain, _canonical(f + phi[:, :, None]))
+        gaps.append(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
+    return np.concatenate(gaps)
+
+
 def check_translation_identity(rng, domain, q: int, pairs: int = 50) -> CheckResult:
     """Shifting every branch by a single-valued field phi expands the energy
     as Dir(f) + 2q * <edge differences of the branch mean, of phi>
     + q * Dir(phi); the pairing-dependent part is unchanged by the shift, so
-    the identity is exact up to rounding (1e-10 relative)."""
-    def rel_gap(dom, f, phi):
-        ea, eb = dom.edges[:, 0], dom.edges[:, 1]
-        lhs = dirichlet_energy(translate_field(f, phi))
-        eta = branch_mean_field(f)
-        deta = eta[ea] - eta[eb]
-        dphi = phi[ea] - phi[eb]
-        cross = dom.delta ** (dom.m - 2) * float((deta * dphi).sum())
-        rhs = dirichlet_energy(f) + 2.0 * f.q * cross \
-            + f.q * scalar_dirichlet_energy(dom, phi)
-        return abs(lhs - rhs) / max(1.0, abs(lhs))
-
-    worst = 0.0
-    for _ in range(pairs):
-        f = QGridFunction(domain, rng.normal(size=(domain.num_nodes, q, 1)))
-        phi = rng.normal(size=(domain.num_nodes, 1))
-        worst = max(worst, rel_gap(domain, f, phi))
+    the identity is exact up to rounding (1e-10 relative).  The pairs are
+    stacked on a leading axis, a block of them at a time, and each block
+    is scored together."""
+    scalar = _translation_gaps(rng, domain, pairs, q, 1)
     # vector-valued spot checks on a small interval, pairings nontrivial
-    small = build_domain(1, 11)
-    for _ in range(8):
-        f = QGridFunction(small, rng.normal(size=(small.num_nodes, 2, 2)))
-        phi = rng.normal(size=(small.num_nodes, 2))
-        worst = max(worst, rel_gap(small, f, phi))
+    vector = _translation_gaps(rng, build_domain(1, 11), 8, 2, 2)
+    worst = float(np.max(np.concatenate([scalar, vector]), initial=0.0))
     margin = 1e-10 - worst
     return CheckResult(
         "translation_identity",
         margin,
         f"{pairs} scalar + 8 vector pairs, largest relative gap {worst:.3e}",
     )
+
+
+def _groups(keys) -> dict:
+    """Indices of the samples sharing each key, keys in first-seen order."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 def _tightest(clearances) -> tuple:

@@ -537,9 +537,10 @@ def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
 def _blend(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:
     """(1 - a) prev + a next, with the branches of each node paired
     optimally, then canonicalized.  For n = 1 both rows are sorted and the
-    identity pairing is optimal.  Boundary rows are pinned rather than
-    blended: both endpoints share them bitwise and (1-a)*v + a*v can drift
-    by an ulp."""
+    identity pairing is optimal; their blend is sorted too, since rounding
+    is monotone, so it is returned as a view without a re-sort.  Boundary
+    rows are pinned rather than blended: both endpoints share them bitwise
+    and (1-a)*v + a*v can drift by an ulp."""
     prev_vals, next_vals = prev.values, nxt.values
     if prev.n > 1:
         sigma = match_rows(prev_vals, next_vals)[0]
@@ -547,7 +548,10 @@ def _blend(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:
     blend = (1.0 - a) * prev_vals + a * next_vals
     bnd = prev.domain.is_boundary
     blend[bnd] = prev_vals[bnd]
-    return QGridFunction(prev.domain, blend)
+    if prev.n > 1:
+        return QGridFunction(prev.domain, blend)
+    blend.flags.writeable = False
+    return _view(prev.domain, blend)
 
 
 def evaluate_at_time(traj: FlowTrajectory, t: float) -> QGridFunction:

@@ -178,25 +178,42 @@ def sorted_embedding(a: QPoint) -> np.ndarray:
 
 
 def ascending_projection(values) -> np.ndarray:
-    """Euclidean projection onto the ascending cone {x : x_1 <= ... <= x_q}.
+    """Euclidean projection of each row of the last axis onto the ascending
+    cone {x : x_1 <= ... <= x_q}; a 1-D input is one row.
 
-    Pool-adjacent-violators with uniform weights.  Fixes already ascending
-    input exactly and never expands distances between inputs.
+    Pool-adjacent-violators with uniform weights (Barlow et al. 1972), over
+    all rows at once: each entry is pushed as a new block at its row's top,
+    and while the previous block's mean is greater than the top block's,
+    the top block is added into it, the same operations in the same order
+    for every row.  Fixes already ascending input exactly and never expands
+    distances between inputs.
     """
-    x = np.asarray(values, dtype=float).ravel()
+    x = np.atleast_1d(np.asarray(values, dtype=float))
     if x.size == 0:
         return x.copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("values must be finite")
-    sums = [x[0]]
-    counts = [1]
-    for v in x[1:]:
-        sums.append(float(v))
-        counts.append(1)
-        while len(sums) > 1 and sums[-2] / counts[-2] > sums[-1] / counts[-1]:
-            s = sums.pop()
-            c = counts.pop()
-            sums[-1] += s
-            counts[-1] += c
-    means = [s / c for s, c in zip(sums, counts)]
-    return np.repeat(means, counts).astype(float)
+    rows = x.reshape(-1, x.shape[-1])
+    r = np.arange(len(rows))
+    sums = np.empty(rows.shape)
+    counts = np.zeros(rows.shape, dtype=np.int64)
+    top = np.zeros(len(rows), dtype=np.int64)  # blocks on each row's stack
+    for j in range(rows.shape[1]):
+        sums[r, top] = rows[:, j]
+        counts[r, top] = 1
+        top += 1
+        live = r
+        while True:
+            live = live[top[live] > 1]
+            t = top[live]
+            live = live[sums[live, t - 2] / counts[live, t - 2]
+                        > sums[live, t - 1] / counts[live, t - 1]]
+            if live.size == 0:
+                break
+            t = top[live]
+            sums[live, t - 2] += sums[live, t - 1]
+            counts[live, t - 2] += counts[live, t - 1]
+            top[live] -= 1
+    used = np.arange(rows.shape[1]) < top[:, None]
+    means = sums[used] / counts[used]
+    return np.repeat(means, counts[used]).reshape(x.shape)

@@ -34,7 +34,10 @@ from qflow.grid import (
     QGridFunction,
     branch_mean_field,
     build_domain,
+    dirichlet_energy,
     sample_initial,
+    scalar_dirichlet_energy,
+    translate_field,
 )
 from qflow.morseflow import (
     FlowTrajectory,
@@ -44,7 +47,14 @@ from qflow.morseflow import (
     run_flow,
     uniform_schedule,
 )
-from qflow.qspace import make_qpoint, match_rows, matching_distance, optimal_matching
+from qflow.qspace import (
+    ascending_projection,
+    make_qpoint,
+    match_rows,
+    matching_distance,
+    optimal_matching,
+    sorted_embedding,
+)
 
 
 @pytest.fixture(scope="module")
@@ -190,17 +200,30 @@ def test_sorted_matching_agrees_with_a_permutation_loop(seed):
 
 
 def one_ulp_high(a, b):
-    match = optimal_matching(a, b)
-    return replace(match, cost=float(np.nextafter(match.cost, np.inf)))
+    """`match_rows` with every cost one ulp high."""
+    sigma, cost = match_rows(a, b)
+    return sigma, np.nextafter(cost, np.inf)
 
 
 def reversed_pairing(a, b):
-    match = optimal_matching(a, b)
-    return replace(match, sigma=match.sigma[::-1])
+    """`match_rows` with every pairing reversed, at the same cost."""
+    sigma, cost = match_rows(a, b)
+    return sigma[:, ::-1], cost
+
+
+def scaled_cost(a, b):
+    """`match_rows` with every cost scaled by 1 + 1e-9."""
+    sigma, cost = match_rows(a, b)
+    return sigma, cost * (1.0 + 1e-9)
+
+
+def unprojected(values):
+    """An `ascending_projection` that returns its input."""
+    return np.asarray(values, dtype=float)
 
 
 def test_sorted_matching_rejects_a_cost_one_ulp_high(monkeypatch):
-    monkeypatch.setattr(checks, "optimal_matching", one_ulp_high)
+    monkeypatch.setattr(checks, "match_rows", one_ulp_high)
     res = check_sorted_matching(np.random.default_rng(3), 20)
     assert not res.passed and res.margin < 0.0
 
@@ -208,11 +231,147 @@ def test_sorted_matching_rejects_a_cost_one_ulp_high(monkeypatch):
 def test_sorted_matching_rejects_a_reversed_pairing_at_zero_gap(monkeypatch):
     """A non-identity pairing at the exhaustive minimum's cost has no gap,
     yet fails: with margin -inf, not -0.0."""
-    monkeypatch.setattr(checks, "optimal_matching", reversed_pairing)
+    monkeypatch.setattr(checks, "match_rows", reversed_pairing)
     res = check_sorted_matching(np.random.default_rng(3), 20)
     assert not res.passed and res.margin == -math.inf
     assert res.detail == "non-identity pairing returned for canonical operands"
     assert res.margin < 0.0
+
+
+def test_embedding_isometry_rejects_a_cost_scaled_by_one_plus_1e_9(monkeypatch):
+    monkeypatch.setattr(checks, "match_rows", scaled_cost)
+    res = check_embedding_isometry(np.random.default_rng(3), 20)
+    assert not res.passed and res.margin < 0.0
+
+
+def test_ascending_projection_rejects_a_projection_that_does_not_move(
+        monkeypatch):
+    monkeypatch.setattr(checks, "ascending_projection", unprojected)
+    res = check_ascending_projection(np.random.default_rng(3), 20)
+    assert not res.passed and res.margin == -math.inf
+    assert res.detail == "projection output not a fixed ascending point"
+
+
+def shifted_when_odd(values):
+    """An `ascending_projection` that returns rows of even length as they
+    are and moves rows of odd length by 1e-3."""
+    x = np.asarray(values, dtype=float)
+    return x + 1e-3 if x.shape[-1] % 2 else x
+
+
+def test_ascending_projection_names_the_fault_of_the_last_failing_sample(
+        monkeypatch):
+    """Samples of even q fail as not fixed and samples of odd q as moved;
+    both paths name the fault of the same (last) failing sample."""
+    monkeypatch.setattr(checks, "ascending_projection", shifted_when_odd)
+    details = set()
+    for seed, samples in itertools.product((1, 5, 11), (200, 7, 3)):
+        res = check_ascending_projection(np.random.default_rng(seed), samples)
+        assert not res.passed and res.margin == -math.inf
+        assert same_result(res, ascending_projection_by_loop(
+            np.random.default_rng(seed), samples, shifted_when_odd))
+        details.add(res.detail)
+    assert len(details) == 2
+
+
+def embedding_isometry_by_loop(rng, samples=200):
+    """Per-sample reference for `check_embedding_isometry`: two `QPoint`s,
+    the embedding's norm and one `matching_distance` per sample."""
+    gaps = []
+    for _ in range(samples):
+        q = int(rng.integers(1, 7))
+        pa = make_qpoint(rng.normal(size=q))
+        pb = make_qpoint(rng.normal(size=q))
+        emb = float(np.linalg.norm(sorted_embedding(pa) - sorted_embedding(pb)))
+        gaps.append(abs(emb - matching_distance(pa, pb)))
+    margin = min((1e-12 - g for g in gaps), default=-math.inf)
+    return CheckResult(
+        "embedding_isometry", margin,
+        f"{samples} samples, largest embedding-vs-metric gap "
+        f"{max(gaps, default=0.0):.3e}")
+
+
+def ascending_projection_by_loop(rng, samples=200,
+                                 project=ascending_projection):
+    """Per-sample reference for `check_ascending_projection`: four 1-D
+    projections per sample; the last failing sample names the fault."""
+    lips = []
+    detail = ""
+    for _ in range(samples):
+        q = int(rng.integers(2, 9))
+        x = rng.normal(size=q)
+        if rng.random() < 0.3:
+            x[rng.integers(0, q)] = x[rng.integers(0, q)]
+        y = rng.normal(size=q)
+        px, py = project(x), project(y)
+        if not (np.array_equal(project(px), px)
+                and np.all(np.diff(px) >= 0.0)):
+            detail = "projection output not a fixed ascending point"
+        xs = np.sort(x)
+        if not np.array_equal(project(xs), xs):
+            detail = "projection moved an already ascending input"
+        lips.append(float(np.linalg.norm(x - y)) + 1e-12
+                    - float(np.linalg.norm(px - py)))
+    margin = min(lips, default=-math.inf)
+    return CheckResult(
+        "ascending_projection", -math.inf if detail else margin,
+        detail or f"{samples} samples, smallest Lipschitz clearance {margin:.3e}")
+
+
+def translation_identity_by_loop(rng, domain, q, pairs=50):
+    """Per-pair reference for `check_translation_identity`: grid functions,
+    `translate_field` and the energy functions, one pair at a time."""
+    def rel_gap(dom, f, phi):
+        ea, eb = dom.edges[:, 0], dom.edges[:, 1]
+        lhs = dirichlet_energy(translate_field(f, phi))
+        eta = branch_mean_field(f)
+        deta = eta[ea] - eta[eb]
+        dphi = phi[ea] - phi[eb]
+        cross = dom.delta ** (dom.m - 2) * float((deta * dphi).sum())
+        rhs = dirichlet_energy(f) + 2.0 * f.q * cross \
+            + f.q * scalar_dirichlet_energy(dom, phi)
+        return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+    worst = 0.0
+    for _ in range(pairs):
+        f = QGridFunction(domain, rng.normal(size=(domain.num_nodes, q, 1)))
+        phi = rng.normal(size=(domain.num_nodes, 1))
+        worst = max(worst, rel_gap(domain, f, phi))
+    small = build_domain(1, 11)
+    for _ in range(8):
+        f = QGridFunction(small, rng.normal(size=(small.num_nodes, 2, 2)))
+        phi = rng.normal(size=(small.num_nodes, 2))
+        worst = max(worst, rel_gap(small, f, phi))
+    return CheckResult(
+        "translation_identity", 1e-10 - worst,
+        f"{pairs} scalar + 8 vector pairs, largest relative gap {worst:.3e}")
+
+
+def same_result(a, b):
+    """Equal results, margins compared bit for bit."""
+    return a == b and struct.pack("<d", a.margin) == struct.pack("<d", b.margin)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11, 123, 999])
+def test_value_checks_agree_with_their_per_sample_loops(seed):
+    for samples in (200, 7, 0):
+        for check, ref in (
+                (check_embedding_isometry, embedding_isometry_by_loop),
+                (check_ascending_projection, ascending_projection_by_loop)):
+            assert same_result(check(np.random.default_rng(seed), samples),
+                               ref(np.random.default_rng(seed), samples))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 11, 123, 999])
+@pytest.mark.parametrize("m, res, q", [(1, 201, 2), (1, 21, 9), (2, 9, 3)])
+def test_translation_identity_agrees_with_a_per_pair_loop(seed, m, res, q):
+    domain = build_domain(m, res)
+    for pairs in (50, 3, 0):
+        assert same_result(
+            check_translation_identity(np.random.default_rng(seed), domain,
+                                       q, pairs),
+            translation_identity_by_loop(np.random.default_rng(seed), domain,
+                                         q, pairs))
 
 
 @pytest.mark.parametrize("check", [
@@ -656,8 +815,11 @@ def test_a_result_passes_exactly_when_its_margin_is_nonnegative(
     rng = np.random.default_rng(3)
     for target, name, fake, check in (
             (checks, "match_rows", charging, check_metric_axioms),
-            (checks, "optimal_matching", one_ulp_high, check_sorted_matching),
-            (checks, "optimal_matching", reversed_pairing, check_sorted_matching)):
+            (checks, "match_rows", one_ulp_high, check_sorted_matching),
+            (checks, "match_rows", reversed_pairing, check_sorted_matching),
+            (checks, "match_rows", scaled_cost, check_embedding_isometry),
+            (checks, "ascending_projection", unprojected,
+             check_ascending_projection)):
         with monkeypatch.context() as patch:
             patch.setattr(target, name, fake)
             controls.append(check(rng, 20))

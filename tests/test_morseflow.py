@@ -992,6 +992,24 @@ def test_scalar_interpolation_matches_the_sorted_blend_bitwise(sched):
         assert got.tobytes() == sorted_blend_reference(traj, float(t)).tobytes()
 
 
+@pytest.mark.parametrize("m, res", [(2, 61), (1, 201)],
+                         ids=["disk", "interval"])
+def test_scalar_interpolation_needs_no_re_sort(m, res, monkeypatch):
+    """For n = 1 an interpolated state is a read-only view of the blend,
+    built without a QGridFunction, whose values are those QGridFunction
+    makes of them, byte for byte."""
+    d = build_domain(m, res)
+    traj = run_flow(sample_initial(InitialSpec("symmetric-cos"), d, 2),
+                    uniform_schedule(0.25, 64))
+    built = count_grid_functions(monkeypatch)
+    times = np.random.default_rng(res).uniform(0.0, traj.horizon, size=50)
+    states = [evaluate_at_time(traj, float(t)) for t in times]
+    assert not built
+    for g in states:
+        assert not g.values.flags.writeable
+        assert g.values.tobytes() == QGridFunction(d, g.values).values.tobytes()
+
+
 def sqrt_branched(domain, rng, perturbation=1e-2):
     """{+sqrt(z), -sqrt(z)} as two points of R^2 per node (z = x0 + i x1),
     with a small seeded perturbation of the interior branch values."""

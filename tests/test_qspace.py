@@ -306,6 +306,50 @@ def test_ascending_projection_properties():
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
+def pav_by_stack(x):
+    """Pool-adjacent-violators of one 1-D row on Python lists of block sums
+    and counts, kept as an independent reference."""
+    sums, counts = [x[0]], [1]
+    for v in x[1:]:
+        sums.append(float(v))
+        counts.append(1)
+        while len(sums) > 1 and sums[-2] / counts[-2] > sums[-1] / counts[-1]:
+            s = sums.pop()
+            c = counts.pop()
+            sums[-1] += s
+            counts[-1] += c
+    return np.repeat([s / c for s, c in zip(sums, counts)], counts).astype(float)
+
+
+@pytest.mark.parametrize("q", range(1, 10))
+def test_ascending_projection_of_rows_is_that_of_each_row(q):
+    """Each row of the last axis is projected as the 1-D call projects it,
+    and as the list-stack reference does, bit for bit: ties, rounded values
+    and ascending rows included."""
+    rng = np.random.default_rng(q)
+    x = rng.normal(size=(300, q))
+    for i in range(0, 300, 3):
+        x[i, rng.integers(0, q)] = x[i, rng.integers(0, q)]
+    x[1::3] = np.round(x[1::3], 1)
+    x[2::6] = np.sort(x[2::6])
+    stacked = ascending_projection(x.reshape(2, 150, q))
+    assert stacked.shape == (2, 150, q)
+    for row, got in zip(x, stacked.reshape(300, q)):
+        assert got.tobytes() == ascending_projection(row).tobytes()
+        assert got.tobytes() == pav_by_stack(row).tobytes()
+    assert np.array_equal(ascending_projection(np.sort(x)), np.sort(x))
+
+
+def test_ascending_projection_keeps_empty_and_non_finite_behaviour():
+    for shape in ((0,), (3, 0), (0, 4)):
+        out = ascending_projection(np.empty(shape))
+        assert out.shape == shape
+    assert ascending_projection(2.5).tolist() == [2.5]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="values must be finite"):
+            ascending_projection([[1.0, 0.0], [bad, 2.0]])
+
+
 def test_translate_shifts_mean_and_preserves_distance():
     rng = np.random.default_rng(606)
     for _ in range(50):
