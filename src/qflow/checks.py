@@ -54,6 +54,7 @@ __all__ = [
     "check_holder",
     "check_brute_force",
     "check_oracle_equivalence",
+    "evaluate",
 ]
 
 
@@ -452,23 +453,45 @@ def check_brute_force(rng, instances: int = 20) -> CheckResult:
 def check_oracle_equivalence(traj: FlowTrajectory) -> CheckResult:
     """Single-branch uniform flow on the interval against the reference
     heat chain, solved by its own scalar Thomas recursion, snapshot by
-    snapshot, in the max norm.  The reference takes one step from its own
-    previous state per snapshot."""
+    snapshot, in the max norm.  One chain call steps the reference from
+    the initial snapshot through every completed step."""
     f0 = traj.snapshots[0]
     if (f0.domain.m, f0.q, f0.n, traj.schedule.mode) != (1, 1, 1, "uniform"):
         return CheckResult("oracle_equivalence", -math.inf,
                            "needs an m = 1, q = 1, n = 1 uniform run")
-    tau = traj.schedule.h
-    worst = 0.0
-    ref = f0.values[:, 0, 0]
-    for k in range(1, traj.completed_steps + 1):
-        ref = implicit_euler_chain(f0.domain, ref, [tau])
-        worst = max(worst, float(np.max(np.abs(
-            traj.snapshots[k].values[:, 0, 0] - ref
-        ))))
+    values = traj.states[:, :, 0, 0]
+    ref = implicit_euler_chain(f0.domain, values[0],
+                               [traj.schedule.h] * traj.completed_steps)
+    worst = float(np.max(np.abs(values - ref)))
     margin = 1e-8 - worst
     return CheckResult(
         "oracle_equivalence",
         margin,
         f"{traj.completed_steps} snapshots, largest max-norm gap {worst:.3e}",
     )
+
+
+def evaluate(names, rng, traj: FlowTrajectory, sym=None, q1=None) -> list:
+    """Results of the named checks in order, sampled ones drawing from rng.
+    symmetry and positivity read the symmetric run sym, eta_residual and
+    oracle_equivalence the one-branch uniform run q1 (both default to traj),
+    max_principle each distinct run once, the rest traj.  Checks are looked
+    up in this module by name at call time."""
+    sym = traj if sym is None else sym
+    q1 = traj if q1 is None else q1
+    args = {
+        "translation_identity": (rng, traj.domain, traj.states.shape[2]),
+        "energy_monotonicity": (traj,),
+        "step_estimate": (traj,),
+        "eta_residual": (q1,),
+        "symmetry": (sym,),
+        "positivity": (sym,),
+        "max_principle": (list({id(t): t for t in (traj, sym, q1)}.values()),),
+        "boundary_trace": (traj, rng),
+        "holder": (traj, rng),
+        "oracle_equivalence": (q1,),
+    }
+    unknown = [name for name in names if name not in CHECK_NAMES]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}")
+    return [globals()["check_" + name](*args.get(name, (rng,))) for name in names]

@@ -169,6 +169,8 @@ def validate(config: RunConfig):
             raise ConfigError(key, f"step size {tau:.3g} too small for the lattice")
     if config.seed < 0:
         raise ConfigError("seed", "must be nonnegative")
+    if not config.checks:
+        raise ConfigError("checks", "must name at least one check, all or none")
     if config.checks not in (("all",), ("none",)):
         for name in config.checks:
             if name not in checks.CHECK_NAMES:
@@ -234,49 +236,10 @@ def _run_check_names(config: RunConfig) -> tuple:
 
 
 def _selected(config: RunConfig, applicable: tuple) -> tuple:
+    """The applicable checks for all, else the named ones: none names none."""
     if config.checks == ("all",):
         return applicable
-    if config.checks == ("none",):
-        return ()
     return tuple(n for n in checks.CHECK_NAMES if n in config.checks)
-
-
-def _evaluate(name: str, ctx: dict) -> checks.CheckResult:
-    rng = ctx["rng"]
-    if name == "metric_axioms":
-        return checks.check_metric_axioms(rng)
-    if name == "sorted_matching":
-        return checks.check_sorted_matching(rng)
-    if name == "embedding_isometry":
-        return checks.check_embedding_isometry(rng)
-    if name == "ascending_projection":
-        return checks.check_ascending_projection(rng)
-    if name == "translation_identity":
-        return checks.check_translation_identity(
-            rng, ctx["domain"], ctx["config"].q
-        )
-    if name == "energy_monotonicity":
-        return checks.check_energy_monotonicity(ctx["traj"])
-    if name == "step_estimate":
-        return checks.check_step_estimate(ctx["traj"])
-    if name == "eta_residual":
-        return checks.check_eta_residual(ctx.get("traj_q1") or ctx["traj"])
-    if name == "symmetry":
-        return checks.check_symmetry(ctx.get("traj_sym") or ctx["traj"])
-    if name == "positivity":
-        return checks.check_positivity(ctx.get("traj_sym") or ctx["traj"])
-    if name == "max_principle":
-        pool = [ctx.get("traj"), ctx.get("traj_sym"), ctx.get("traj_q1")]
-        return checks.check_max_principle([t for t in pool if t is not None])
-    if name == "boundary_trace":
-        return checks.check_boundary_trace(ctx["traj"], rng)
-    if name == "holder":
-        return checks.check_holder(ctx["traj"], rng)
-    if name == "brute_force":
-        return checks.check_brute_force(rng)
-    if name == "oracle_equivalence":
-        return checks.check_oracle_equivalence(ctx.get("traj_q1") or ctx["traj"])
-    raise ValueError(f"unknown check {name!r}")
 
 
 def _write_report(path: Path, payload: dict, results):
@@ -335,13 +298,8 @@ def cmd_run(config: RunConfig) -> int:
     _write_energy_csv(out_dir / "energy.csv", traj)
     _write_snapshots(out_dir, traj)
 
-    ctx = {
-        "config": config,
-        "rng": np.random.default_rng(config.seed),
-        "domain": domain,
-        "traj": traj,
-    }
-    results = [_evaluate(n, ctx) for n in _selected(config, _run_check_names(config))]
+    results = checks.evaluate(_selected(config, _run_check_names(config)),
+                              np.random.default_rng(config.seed), traj)
     complete = traj.converged
     passed = all(r.passed for r in results) and complete
 
@@ -373,23 +331,19 @@ def cmd_verify(config: RunConfig) -> int:
 
     traj = _apply_injection(run_flow(make_initial(config, domain), schedule),
                             config)
-    ctx = {
-        "config": config,
-        "rng": np.random.default_rng(config.seed),
-        "domain": domain,
-        "traj": traj,
-    }
     # a symmetric preset is its own symmetric run: the checks fall back to
     # traj, and max_principle counts it once
+    sym = None
     if not config.preset.startswith("symmetric"):
         sym_cfg = replace(config, preset="symmetric-cos", coeffs=(),
                           branch_coeffs=(), q=2)
-        ctx["traj_sym"] = run_flow(make_initial(sym_cfg, domain), schedule)
-    q1_cfg = replace(config, mode="uniform", q=1, preset="branches",
-                     coeffs=(), branch_coeffs=((1.0, 0.0, -1.0),))
-    ctx["traj_q1"] = run_flow(make_initial(q1_cfg, domain),
-                              uniform_schedule(config.total_time, config.steps))
-    results = [_evaluate(n, ctx) for n in _selected(config, checks.CHECK_NAMES)]
+        sym = run_flow(make_initial(sym_cfg, domain), schedule)
+    q1_cfg = replace(config, q=1, preset="branches", coeffs=(),
+                     branch_coeffs=((1.0, 0.0, -1.0),))
+    q1 = run_flow(make_initial(q1_cfg, domain),
+                  uniform_schedule(config.total_time, config.steps))
+    results = checks.evaluate(_selected(config, checks.CHECK_NAMES),
+                              np.random.default_rng(config.seed), traj, sym, q1)
     passed = all(r.passed for r in results)
 
     out_dir = Path(config.out)
@@ -445,7 +399,7 @@ def _chain_errors(config: RunConfig, cell):
     domain = build_domain(1, resolution)
     mode = EigenMode(config.eigen_index)
     u0 = exact_eigen_solution(mode, 0.0, domain)
-    u = implicit_euler_chain(domain, u0, [config.total_time / steps] * steps)
+    u = implicit_euler_chain(domain, u0, [config.total_time / steps] * steps)[-1]
     return _rel_errors(u, exact_eigen_solution(mode, config.total_time, domain))
 
 

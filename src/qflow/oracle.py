@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import groupby, permutations
 
 import numpy as np
 
@@ -65,14 +65,15 @@ def exact_eigen_solution(mode: EigenMode, t: float, domain: GridDomain) -> np.nd
 
 
 def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray:
-    """Backward Euler heat steps with frozen boundary values.  Step tau
+    """Backward Euler heat steps with frozen boundary values, returning
+    every state: row 0 is u0, row k the state after step k.  Step tau
     solves (1 + 2r) u_i - r (u_i-1 + u_i+1) = u_prev_i at the interior
     nodes, r = tau / delta^2, by a scalar LDL^T (Thomas) recursion over
-    Python floats: pivots d_i, multipliers l_i = r / d_i, a forward and a
-    back substitution."""
+    Python floats: pivots d_i, multipliers l_i = r / d_i (built once per
+    run of equal taus), a forward and a back substitution."""
     if domain.m != 1:
         raise ValueError("the direct chain is implemented for m = 1")
-    u = np.asarray(u0, dtype=float).copy()
+    u = np.asarray(u0, dtype=float)
     if u.shape != (domain.num_nodes,):
         raise ValueError("u0 must be a scalar field on the domain nodes")
     taus = [float(t) for t in taus]
@@ -80,24 +81,26 @@ def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray
         raise ValueError("step sizes must be positive")
     d2 = domain.delta**2
     vals = u.tolist()
-    for tau in taus:
+    states = [u]
+    for tau, run in groupby(taus):
         r = tau / d2
         a = 1.0 + 2.0 * r
         piv, mult = [a], [r / a]
         for _ in range(len(vals) - 3):
             piv.append(a - r * mult[-1])
             mult.append(r / piv[-1])
-        z = vals[1:-1]
-        z[0] += r * vals[0]
-        z[-1] += r * vals[-1]
-        for i in range(1, len(z)):
-            z[i] += mult[i - 1] * z[i - 1]
-        z[-1] /= piv[-1]
-        for i in range(len(z) - 2, -1, -1):
-            z[i] = z[i] / piv[i] + mult[i] * z[i + 1]
-        vals[1:-1] = z
-    u[:] = vals
-    return u
+        for _ in run:
+            z = vals[1:-1]
+            z[0] += r * vals[0]
+            z[-1] += r * vals[-1]
+            for i in range(1, len(z)):
+                z[i] += mult[i - 1] * z[i - 1]
+            z[-1] /= piv[-1]
+            for i in range(len(z) - 2, -1, -1):
+                z[i] = z[i] / piv[i] + mult[i] * z[i + 1]
+            vals[1:-1] = z
+            states.append(np.array(vals))
+    return np.array(states)
 
 
 # configurations per batched dense solve; bounds a batch's incidence at

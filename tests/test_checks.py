@@ -794,14 +794,15 @@ def test_a_result_passes_exactly_when_its_margin_is_nonnegative(
     its injected negative control, and of each negative control above,
     passes if and only if its margin is nonnegative."""
     results = []
-    evaluate = cli._evaluate
+    evaluate = checks.evaluate
 
-    def recorded(name, ctx):
-        results.append(evaluate(name, ctx))
-        return results[-1]
+    def recorded(*args):
+        batch = evaluate(*args)
+        results.extend(batch)
+        return batch
 
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_evaluate", recorded)
+        patch.setattr(checks, "evaluate", recorded)
         for inject, code in (("", 0), ("inject = energy_monotonicity\n", 1)):
             cfg = tmp_path / "verify.cfg"
             cfg.write_text(ACCEPTANCE_CONFIG + inject)
@@ -850,3 +851,74 @@ def test_verify_prints_no_passing_margin_with_a_minus_sign(tmp_path, capsys):
                if line.startswith("check ") and ": PASS " in line]
     assert len(margins) == len(CHECK_NAMES)
     assert not [m for m in margins if m.startswith("-")], margins
+
+
+@pytest.fixture(scope="module")
+def three_runs(healthy):
+    """A configured run, a distinct symmetric run and the one-branch
+    uniform run, as `verify` builds them for a non-symmetric config."""
+    d = healthy.domain
+    spec = InitialSpec("branches", branch_coeffs=((0.0, 1.0), (1.0, 0.0, 1.0)))
+    traj = run_flow(sample_initial(spec, d, 2), uniform_schedule(0.25, 8))
+    q1_spec = InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),))
+    q1 = run_flow(sample_initial(q1_spec, d, 1), uniform_schedule(0.25, 8))
+    return traj, healthy, q1
+
+
+def test_evaluate_runs_each_check_on_its_run_in_order(three_runs):
+    """One result per CHECK_NAMES entry, named after it and in its order,
+    equal to each check called by hand on the run it reads, drawing from
+    one generator in the same order."""
+    traj, sym, q1 = three_runs
+    results = checks.evaluate(CHECK_NAMES, np.random.default_rng(17),
+                              traj, sym, q1)
+    assert [r.name for r in results] == list(CHECK_NAMES)
+    rng = np.random.default_rng(17)
+    by_hand = [
+        check_metric_axioms(rng), check_sorted_matching(rng),
+        check_embedding_isometry(rng), check_ascending_projection(rng),
+        check_translation_identity(rng, traj.domain, 2),
+        check_energy_monotonicity(traj), check_step_estimate(traj),
+        check_eta_residual(q1), check_symmetry(sym), check_positivity(sym),
+        check_max_principle([traj, sym, q1]),
+        check_boundary_trace(traj, rng), check_holder(traj, rng),
+        check_brute_force(rng), check_oracle_equivalence(q1),
+    ]
+    assert results == by_hand
+
+
+def test_evaluate_falls_back_to_the_configured_run(three_runs):
+    """Without sym and q1 every check reads traj, and max_principle
+    counts it once."""
+    traj = three_runs[0]
+    names = ("eta_residual", "symmetry", "max_principle")
+    results = checks.evaluate(names, np.random.default_rng(0), traj)
+    assert results == [check_eta_residual(traj), check_symmetry(traj),
+                       check_max_principle([traj])]
+    assert results[2].detail.startswith("1 uniform run(s)")
+
+
+def test_evaluate_rejects_an_unknown_name_before_running_any(
+        monkeypatch, healthy):
+    called = []
+    monkeypatch.setattr(checks, "check_holder",
+                        lambda *args: called.append(args))
+    with pytest.raises(ValueError, match="'bogus'"):
+        checks.evaluate(("holder", "bogus"), np.random.default_rng(0), healthy)
+    assert called == []
+
+
+def test_evaluate_calls_the_check_bound_in_the_module_now(monkeypatch, healthy):
+    """A check rebound in qflow.checks after import, as a tracer does, is
+    the function that evaluate calls."""
+    calls = []
+
+    def fake(traj, rng):
+        calls.append((traj, rng))
+        return CheckResult("holder", 1.0, "fake")
+
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(checks, "check_holder", fake)
+    (res,) = checks.evaluate(("holder",), rng, healthy)
+    assert res == CheckResult("holder", 1.0, "fake")
+    assert calls == [(healthy, rng)]

@@ -376,6 +376,22 @@ def test_bad_check_name_exits_2(tmp_path, capsys):
     assert "checks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config_line, flags", [
+    ("checks =\n", []),
+    ("", ["--check", ""]),
+    ("", ["--check", ","]),
+], ids=["config-key", "empty-flag", "comma-flag"])
+def test_an_empty_check_list_exits_2_naming_checks(tmp_path, capsys,
+                                                   config_line, flags):
+    """An empty list would run no check and pass vacuously."""
+    cfg = write_config(tmp_path, SMALL + config_line)
+    for command in ("run", "verify"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out"), *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error: checks: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_runs_are_reproducible_byte_for_byte(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -243,7 +243,7 @@ def test_chain_step_has_negligible_residual():
     d = build_domain(1, 41)
     u0 = rng.normal(0.0, 1.0, size=d.num_nodes)
     tau = 0.05
-    u1 = implicit_euler_chain(d, u0, [tau])
+    u1 = implicit_euler_chain(d, u0, [tau])[-1]
     f0 = QGridFunction(d, u0[:, None, None])
     f1 = QGridFunction(d, u1[:, None, None])
     assert branch_mean_residual(f0, f1, tau) <= 1e-10

@@ -9,7 +9,7 @@ from scipy.linalg import solveh_banded
 
 from qflow import checks, oracle
 from qflow.grid import QGridFunction, build_domain, dirichlet_energy, l2_distance_sq
-from qflow.morseflow import minimize_step
+from qflow.morseflow import geometric_schedule, minimize_step
 from qflow.oracle import (
     EigenMode,
     brute_force_step,
@@ -49,8 +49,9 @@ def test_chain_with_no_steps_returns_the_input():
     d = build_domain(1, 11)
     u0 = np.linspace(0.0, 1.0, d.num_nodes)
     out = implicit_euler_chain(d, u0, [])
-    assert np.array_equal(out, u0)
-    assert out is not u0
+    assert out.shape == (1, d.num_nodes)
+    assert np.array_equal(out[0], u0)
+    assert not np.shares_memory(out, u0)
 
 
 def test_chain_validates_arguments():
@@ -67,27 +68,36 @@ def test_chain_validates_arguments():
 @pytest.mark.parametrize("index", [1, 2])
 def test_chain_decays_discrete_modes_geometrically(index):
     """Sampled sine modes are exact eigenvectors of the second difference
-    operator, so N implicit steps divide them by (1 + tau lambda)^N."""
+    operator, so k implicit steps divide them by (1 + tau lambda)^k."""
     d = build_domain(1, 81)
     mode = EigenMode(index)
     u0 = mode.profile(d.coords[:, 0])
     tau, nsteps = 0.01, 20
     out = implicit_euler_chain(d, u0, [tau] * nsteps)
     lam = mode.discrete_rate(d.delta)
-    expected = u0 / (1.0 + tau * lam) ** nsteps
+    k = np.arange(nsteps + 1)[:, None]
+    expected = u0 / (1.0 + tau * lam) ** k
     assert np.max(np.abs(out - expected)) <= 1e-12
 
 
 def test_chain_steps_one_at_a_time_bit_for_bit():
-    """Each step reads only the previous state, so chaining single steps
-    reproduces one call over all of them exactly."""
+    """Row k of one call over every tau is, bit for bit, the state reached
+    by k single-step calls, each from the previous call's result, for
+    uniform and geometric taus: the pivots built once per run of equal
+    taus are those each step builds for itself."""
     rng = np.random.default_rng(29)
-    d = build_domain(1, 41)
+    d = build_domain(1, 201)
     u0 = rng.normal(0.0, 1.0, size=d.num_nodes)
-    u = u0
-    for k in range(1, 9):
-        u = implicit_euler_chain(d, u, [0.03])
-        assert np.array_equal(u, implicit_euler_chain(d, u0, [0.03] * k))
+    geometric = geometric_schedule(0.25, 19)
+    for taus in ([0.25 / 64] * 64,
+                 [geometric.tau(k) for k in range(1, 20)]):
+        states = implicit_euler_chain(d, u0, taus)
+        assert states.shape == (len(taus) + 1, d.num_nodes)
+        assert np.array_equal(states[0], u0)
+        u = u0
+        for k, tau in enumerate(taus, start=1):
+            u = implicit_euler_chain(d, u, [tau])[-1]
+            assert np.array_equal(states[k], u), k
 
 
 def chain_by_banded_solve(d, u0, taus):
@@ -115,7 +125,7 @@ def test_chain_matches_a_banded_solve(res):
     for _ in range(10):
         u = rng.normal(0.0, 1.0, size=d.num_nodes)
         for tau in 10.0 ** rng.uniform(-6.0, 1.0, size=4):
-            got = implicit_euler_chain(d, u, [tau])
+            got = implicit_euler_chain(d, u, [tau])[-1]
             want = chain_by_banded_solve(d, u, [tau])
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             u = got
@@ -129,7 +139,7 @@ def test_chain_and_brute_force_solve_the_same_single_step():
         tau = float(10.0 ** rng.uniform(-2.0, 0.0))
         f0 = QGridFunction(d, u0[:, None, None])
         mini, _ = brute_force_step(f0, tau)
-        chain = implicit_euler_chain(d, u0, [tau])
+        chain = implicit_euler_chain(d, u0, [tau])[-1]
         assert np.max(np.abs(mini.values[:, 0, 0] - chain)) <= 1e-12
 
 
@@ -363,7 +373,7 @@ def test_chain_converges_first_order_in_time():
     scale = np.linalg.norm(exact)
     errors = []
     for nsteps in (8, 16, 32):
-        out = implicit_euler_chain(d, u0, [0.25 / nsteps] * nsteps)
+        out = implicit_euler_chain(d, u0, [0.25 / nsteps] * nsteps)[-1]
         errors.append(np.linalg.norm(out - exact) / scale)
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders) >= 0.9
@@ -377,7 +387,7 @@ def test_chain_converges_second_order_in_space():
     for res in (11, 21):
         d = build_domain(1, res)
         u0 = mode.profile(d.coords[:, 0])
-        out = implicit_euler_chain(d, u0, [0.25 / nsteps] * nsteps)
+        out = implicit_euler_chain(d, u0, [0.25 / nsteps] * nsteps)[-1]
         exact = exact_eigen_solution(mode, 0.25, d)
         errors.append(np.linalg.norm(out - exact) / np.linalg.norm(exact))
     assert np.log2(errors[0] / errors[1]) >= 1.9
