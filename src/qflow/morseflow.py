@@ -12,11 +12,15 @@ sweep is exact.
 One loop, `_ChainState.run`, steps every chain in place over the rows of
 its state array, for every value shape: `minimize_step` is that loop run
 for one step, and `run_flow` runs it over a whole schedule, building no
-per-step objects.  The solver only solves: its log records each step's
-energies, penalty and sweeps, and the quantities the paper's bounds are
-stated in come from the states, through `FlowTrajectory`.  Two step size
-schedules are provided: a geometric one where step k uses tau = h / 2^k,
-and a uniform one with tau = T / N.
+per-step objects.  An n = 1 chain steps in blocks of equal step size: it
+solves a block's rows one after the other, scores them all in one array
+pass and keeps them up to the first step the floor guard rejects, which
+after the same start and tau rejects every later step of that size too.
+The solver only solves: its log records each step's energies, penalty
+and sweeps, and the quantities the paper's bounds are stated in come from
+the states, through `FlowTrajectory`.  Two step size schedules are
+provided: a geometric one where step k uses tau = h / 2^k, and a uniform
+one with tau = T / N.
 
 The interpolated trajectory crosses from state k-1 to state k over the
 window `StepSchedule.window(k)`: all of step k's wall time for the uniform
@@ -31,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
+from itertools import groupby
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -141,10 +146,10 @@ class _Reports(Sequence):
     def __init__(self, taus):
         steps = len(taus)
         self.taus, self.steps, self.converged = taus, 0, True
-        self.energy = array("d", bytes(8 * (steps + 1)))
-        self.penalty, self.trace = array("d", bytes(8 * steps)), array("d")
-        self.outer = array("q", bytes(8 * steps))
-        self.ends = array("q", bytes(8 * steps))
+        self.energy, self.penalty = np.zeros(steps + 1), np.zeros(steps)
+        self.outer = np.zeros(steps, dtype=np.int64)
+        self.ends = np.zeros(steps, dtype=np.int64)
+        self.trace = array("d")
 
     def __len__(self) -> int:
         return self.steps
@@ -153,11 +158,11 @@ class _Reports(Sequence):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(self.steps)[i])
         k = range(1, self.steps + 1)[i]
-        before = self.energy[k - 1]
+        before, after = self.energy[k - 1:k + 1].tolist()
         kept = self.trace[self.ends[k - 2] if k > 1 else 0:self.ends[k - 1]]
         return StepReport(
-            k, self.taus[k - 1], before, self.energy[k], self.penalty[k - 1],
-            self.outer[k - 1], self.converged or k < self.steps,
+            k, self.taus[k - 1], before, after, self.penalty[k - 1].item(),
+            self.outer[k - 1].item(), self.converged or k < self.steps,
             (before, *kept))
 
 
@@ -258,6 +263,11 @@ class FlowTrajectory:
 # frozen system: a block's factor costs the cube of its lanes, and its solve
 # a few numpy calls, so coarse intervals stay one block and fine ones split
 _BLOCK_LANES = 64
+
+# values up to which an n = 1 chain guards consecutive steps as one block:
+# a block's rows are scored by a few array reductions over its nodes and
+# its edges, and the cap bounds the larger of their scratch arrays
+_BLOCK_VALUES = 2**14
 
 
 def _frozen_system(domain: GridDomain, tau: float, sigma):
@@ -378,6 +388,17 @@ def _as_slice(index: np.ndarray):
     return index
 
 
+def _square_sums(d: np.ndarray) -> np.ndarray:
+    """Sum of the squares of each row of d, a fresh (rows, ...) array that
+    is squared in place, with the bits of `grid._paired`'s flat sum of that
+    row: numpy sums each row of a C-contiguous (rows, L) array pairwise, as
+    it does a flat array, but not a strided one, such as a fancy index
+    along axis 1 makes."""
+    d = np.ascontiguousarray(d)
+    d *= d
+    return d.reshape(len(d), -1).sum(axis=1)
+
+
 class _ChainState:
     """A chain of implicit steps from f0 over one state array: states[0]
     is f0's values, and step k, of size taus[k - 1], writes states[k].
@@ -386,7 +407,9 @@ class _ChainState:
     edge pairing) key and the boundary term of its right-hand side, which a new
     key replaces; the edge pairing of its last state; and its per-step log.
     Every state has the boundary rows of states[0], bit for bit, so the
-    boundary term is computed once per factorization."""
+    boundary term is computed once per factorization.  An n = 1 chain
+    steps in blocks of equal tau and applies the floor guard to a whole
+    block at once; a chain of n > 1 steps sweep by sweep."""
 
     def __init__(self, f0: QGridFunction, taus):
         if not 0.0 < min(taus) <= max(taus) < math.inf:
@@ -401,6 +424,21 @@ class _ChainState:
         self.tau, self.key = None, None
         self.edge_sigma, e = _paired(states[0][self.ea], states[0][self.eb])
         self.log.energy[0] = self.w_e * e
+
+    def prepare(self, tau: float, edge_sigma):
+        """Make the factor, boundary term and right-hand side shape those
+        of tau and edge_sigma, keeping them when both are unchanged."""
+        key = None if edge_sigma is None else edge_sigma.tobytes()
+        if tau != self.tau or key != self.key:
+            start = self.states[0]
+            if edge_sigma is None:
+                sigma = np.zeros((self.domain.num_edges, 1), dtype=np.int64)
+                self.shape = (-1, start.shape[1] * start.shape[2])
+            else:
+                sigma, self.shape = edge_sigma, (-1, start.shape[2])
+            self.factor = _BlockFactor(self.domain, tau, sigma)
+            self.tau, self.key = tau, key
+            self.boundary = self.factor.boundary(start.reshape(self.shape))
 
     def solve(self, tau: float, prev, edge_sigma, node_nu):
         """Interior values minimizing the step objective of size tau from
@@ -417,47 +455,115 @@ class _ChainState:
         the n coordinates of every branch lane.  Either way all columns go
         through one block solve, in which a negated column is solved with
         the same arithmetic, so +/- data (q = 2) stay exactly symmetric."""
-        key = None if edge_sigma is None else edge_sigma.tobytes()
-        if tau != self.tau or key != self.key:
-            if edge_sigma is None:
-                sigma = np.zeros((self.domain.num_edges, 1), dtype=np.int64)
-                self.shape = (-1, prev.shape[1] * prev.shape[2])
-            else:
-                sigma, self.shape = edge_sigma, (-1, prev.shape[2])
-            self.factor = _BlockFactor(self.domain, tau, sigma)
-            self.tau, self.key = tau, key
-            self.boundary = self.factor.boundary(prev.reshape(self.shape))
+        self.prepare(tau, edge_sigma)
         matched = prev[self.inner]
         if node_nu is not None:
             matched = np.take_along_axis(matched, node_nu[:, :, None], axis=1)
         rhs = self.w_n / tau * matched.reshape(self.shape) + self.boundary
         return self.factor.solve(rhs).reshape(matched.shape)
 
-    # a solve that overflows makes a non-finite candidate, which the floor
-    # guard turns into a ValueError: its invalid operations need no warning
-    @np.errstate(invalid="ignore")
     def run(self, last: int):
         """Take the steps up to `last` from where the chain stands.
 
-        Each sweep solves the frozen system into a reused candidate row,
-        puts it in canonical order for n > 1 and matches it once across the
-        edges and once against the step's start, which gives its objective
-        and the next sweep's pairings; the first sweep takes the start's
-        edge pairing and the identity at the nodes.  For n = 1 the frozen
-        matrix is an M-matrix, so the solve keeps each node's branches in
-        order and the candidate is scored as solved; FlowTrajectory rejects
-        a state out of order.  The floor guard keeps a candidate only if it
-        lowers the objective below the last kept value; otherwise the step
-        ends, as it does at the pairing fixed point, which for n = 1 or
-        q = 1 is the first kept sweep.  A step still moving after
-        _MAX_OUTER sweeps is flagged as not converged and ends the chain.
-        A start of zero energy is a fixed point of every step."""
+        Each step minimizes its objective from the step's start, and the
+        floor guard keeps a candidate only if its objective is below the
+        last kept value, at first the start's energy; a step with no kept
+        candidate keeps its start.  A start of zero energy is a fixed
+        point of every step.
+
+        For n = 1 the canonical (sorted) storage makes every pairing the
+        identity and the frozen matrix is an M-matrix, whose solve keeps
+        each node's branches in order, so one sweep is exact and a step is
+        solved and scored as is (FlowTrajectory rejects a state out of
+        order).  Such a chain steps in blocks, `_blocks`: runs of steps of
+        equal tau, guarded all at once.  Every other chain steps sweep by
+        sweep, `_sweeps`."""
+        if self.log.converged:
+            if self.states.shape[3] == 1:
+                self._blocks(last)
+            else:
+                self._sweeps(last)
+
+    # a solve that overflows makes a non-finite candidate, which the floor
+    # guard turns into a ValueError: its overflowing and invalid operations
+    # need no warning, nor do those of the rows a block solves after it
+    @np.errstate(invalid="ignore", over="ignore")
+    def _blocks(self, last: int):
+        """The n = 1 floor guard per block of steps.  A block is a run of
+        consecutive steps of equal tau, of at most _BLOCK_VALUES values per
+        node or edge array.  Its rows are solved one after the other, each
+        from the one before, straight into the state array; then all are
+        scored in one pass, E_k and P_k by one reduction each over the
+        block's rows, and the steps are kept up to the first whose
+        E_k + P_k / tau is not below E_k-1.  That step keeps its start, or
+        raises if its row is not finite; it leaves state, tau and floor
+        unchanged, so every later step of the same tau is rejected alike
+        and repeats the state without a solve.  A kept state of zero
+        energy ends the block."""
+        log, states, edges = self.log, self.states, self.domain.edges
+        taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
+        inner, w_e, w_n = self.inner, self.w_e, self.w_n
+        cap = max(1, _BLOCK_VALUES // (
+            max(len(states[0]), len(edges)) * states.shape[2]))
+        solved, k = (-1,) + states.shape[2:], log.steps
+        for tau, run in groupby(taus[k:last]):
+            end = k + len(list(run))
+            while k < end:
+                if energy[k] == 0.0:
+                    # a fixed point of every step: energy 0 and no sweep
+                    states[k + 1:last + 1] = states[k]
+                    log.ends[k:last], log.steps = len(trace), last
+                    return
+                rows = states[k:min(end, k + cap) + 1]
+                rows[1:] = rows[0]  # the boundary rows; solves write the rest
+                self.prepare(tau, None)
+                factor, boundary = self.factor, self.boundary
+                shape, scale = self.shape, w_n / tau
+                for prev, row in zip(rows, rows[1:]):
+                    rhs = scale * prev[inner].reshape(shape)
+                    rhs += boundary
+                    row[inner] = factor.solve(rhs).reshape(solved)
+                cand = rows[1:]
+                diff = cand.take(edges[:, 0], axis=1)
+                diff -= cand.take(edges[:, 1], axis=1)
+                en = w_e * _square_sums(diff)
+                dist = w_n * _square_sums(cand - rows[:-1])
+                value = en + dist / tau
+                kept = value < np.concatenate(([energy[k]], en[:-1]))
+                kept[1:] &= en[:-1] != 0.0  # a kept zero energy ends the block
+                j = len(kept) if kept.all() else int(kept.argmin())
+                trace_end = len(trace)
+                trace.frombytes(value[:j].tobytes())
+                energy[k + 1:k + j + 1], penalty[k:k + j] = en[:j], dist[:j]
+                log.outer[k:k + j] = 1
+                log.ends[k:k + j] = np.arange(trace_end + 1, trace_end + j + 1)
+                k += j
+                if j == len(kept) or energy[k] == 0.0:
+                    continue
+                # floating point floor reached
+                if not np.isfinite(cand[j]).all():
+                    raise ValueError("values must be finite")
+                states[k + 1:end + 1] = states[k]
+                energy[k + 1:end + 1] = energy[k]
+                log.outer[k:end], log.ends[k:end] = 1, len(trace)
+                k = end
+        log.steps = k
+
+    @np.errstate(invalid="ignore")
+    def _sweeps(self, last: int):
+        """Steps of n > 1, sweep by sweep.  Each sweep solves the frozen
+        system into a reused candidate row, puts it in canonical order and
+        matches it once across the edges and once against the step's start,
+        which gives its objective and the next sweep's pairings; the first
+        sweep takes the start's edge pairing and the identity at the nodes.
+        A sweep that does not lower the objective below the last kept value
+        ends the step, as does the pairing fixed point, which for q = 1 is
+        the first kept sweep.  A step still moving after _MAX_OUTER sweeps
+        is flagged as not converged and ends the chain."""
         log, states = self.log, self.states
-        if not log.converged:
-            return
         taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
         ea, eb, inner, w_e, w_n = self.ea, self.eb, self.inner, self.w_e, self.w_n
-        scalar, sweeps = states.shape[3] == 1, range(1, _MAX_OUTER + 1)
+        sweeps = range(1, _MAX_OUTER + 1)
         cand = states[log.steps].copy()
         edge, e = self.edge_sigma, energy[log.steps]
         outers, ends, k = log.outer, log.ends, log.steps
@@ -469,7 +575,7 @@ class _ChainState:
             else:
                 for outer in sweeps:
                     cand[inner] = self.solve(tau, prev, edge_in, nu_in)
-                    c = cand if scalar else _canonical(cand)
+                    c = _canonical(cand)
                     edge_out, en = _paired(c[ea], c[eb])
                     node_sigma, dist = _paired(c, prev)
                     en, dist = w_e * en, w_n * dist

@@ -66,11 +66,12 @@ def exact_eigen_solution(mode: EigenMode, t: float, domain: GridDomain) -> np.nd
 
 def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray:
     """Backward Euler heat steps with frozen boundary values, returning
-    every state: row 0 is u0, row k the state after step k.  Step tau
-    solves (1 + 2r) u_i - r (u_i-1 + u_i+1) = u_prev_i at the interior
-    nodes, r = tau / delta^2, by a scalar LDL^T (Thomas) recursion over
-    Python floats: pivots d_i, multipliers l_i = r / d_i (built once per
-    run of equal taus), a forward and a back substitution."""
+    every state in one array filled as it steps: row 0 is u0, row k the
+    state after step k.  Step tau solves (1 + 2r) u_i - r (u_i-1 + u_i+1)
+    = u_prev_i at the interior nodes, r = tau / delta^2, by a scalar
+    LDL^T (Thomas) recursion over Python floats: pivots d_i, multipliers
+    l_i = r / d_i (built once per run of equal taus), a forward and a back
+    substitution."""
     if domain.m != 1:
         raise ValueError("the direct chain is implemented for m = 1")
     u = np.asarray(u0, dtype=float)
@@ -81,7 +82,8 @@ def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray
         raise ValueError("step sizes must be positive")
     d2 = domain.delta**2
     vals = u.tolist()
-    states = [u]
+    states = np.empty((len(taus) + 1, u.size))
+    states[0], k = u, 0
     for tau, run in groupby(taus):
         r = tau / d2
         a = 1.0 + 2.0 * r
@@ -99,8 +101,9 @@ def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray
             for i in range(len(z) - 2, -1, -1):
                 z[i] = z[i] / piv[i] + mult[i] * z[i + 1]
             vals[1:-1] = z
-            states.append(np.array(vals))
-    return np.array(states)
+            k += 1
+            states[k] = vals
+    return states
 
 
 # configurations per batched dense solve; bounds a batch's incidence at

@@ -114,11 +114,20 @@ def test_step_rejects_non_finite_tau(tau):
 def test_a_step_whose_solve_overflows_raises(n):
     """A finite tau so small that delta^m / tau overflows makes a
     non-finite candidate: the step raises, for every value shape, instead
-    of keeping it or matching it."""
+    of keeping it or matching it, and so does a chain of such steps or one
+    that reaches them after steps it keeps, without a warning (tier 1 turns
+    warnings into errors), although an n = 1 block solves every row of
+    the block before it scores the first."""
     d = build_domain(1, 7)
     f = QGridFunction(d, np.random.default_rng(1).normal(size=(7, 2, n)))
     with pytest.raises(ValueError, match="values must be finite"):
         minimize_step(f, 1e-320)
+    with pytest.raises(ValueError, match="values must be finite"):
+        run_flow(f, uniform_schedule(6e-320, 6))
+    chain = morseflow._ChainState(f, [0.01] * 3 + [1e-320] * 6)
+    with pytest.raises(ValueError, match="values must be finite"):
+        chain.run(9)
+    assert chain.log.outer[:3].all()
 
 
 def test_constant_data_short_circuits():
@@ -590,24 +599,32 @@ def test_vector_flow_builds_no_qpoints(monkeypatch):
 
 
 def test_flow_computes_each_start_energy_once(monkeypatch):
-    """Each step starts from the edge pairing and energy its predecessor
-    accepted, so a one-sweep (n = 1) chain pairs the edges of each state
-    once."""
-    calls = []
-    paired = morseflow._paired
+    """Each step starts from the energy its predecessor kept: a one-sweep
+    (n = 1) chain scores the edges of each of its states once, its start
+    by `_paired` and every later state as a row of a block reduction, and
+    each step's energy_before is the energy_after of the step before and
+    the energy of its start."""
+    scored = []
+    paired, square_sums = morseflow._paired, morseflow._square_sums
 
-    def counted(a, b):
-        calls.append(a.shape[0])
+    def counted_paired(a, b):
+        scored.append(a.shape[0])
         return paired(a, b)
 
-    monkeypatch.setattr(morseflow, "_paired", counted)
+    def counted_sums(diff):
+        scored.extend([diff.shape[1]] * len(diff))
+        return square_sums(diff)
+
+    monkeypatch.setattr(morseflow, "_paired", counted_paired)
+    monkeypatch.setattr(morseflow, "_square_sums", counted_sums)
     d = build_domain(1, 21)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
     traj = run_flow(f0, uniform_schedule(0.25, 8))
     assert traj.converged
-    assert calls.count(d.num_edges) == 8 + 1
+    assert scored.count(d.num_edges) == 8 + 1
     assert [r.energy_before for r in traj.reports[1:]] == \
         [r.energy_after for r in traj.reports[:-1]]
+    assert [r.energy_before for r in traj.reports] == list(traj.energies[:-1])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -627,25 +644,37 @@ def test_flow_matches_stepping_by_hand(n):
         assert report == traj.reports[k - 1]
 
 
+def scalar_schedule(mode, d, q, monkeypatch):
+    """The schedule of an n = 1 chain case at resolution 11: ten uniform
+    steps; a geometric tail, where the floor guard rejects steps; a
+    uniform run that reaches the floor and is rejected on every step after
+    it ("floor"); and that run in blocks of three rows ("blocks")."""
+    if mode == "blocks":
+        monkeypatch.setattr(morseflow, "_BLOCK_VALUES",
+                            3 * max(d.num_nodes, d.num_edges) * q)
+    if mode == "uniform":
+        return uniform_schedule(0.25, 10)
+    if mode == "geometric":
+        return geometric_schedule(0.25, 64)
+    return uniform_schedule(50.0, 300)
+
+
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("q", [1, 3])
-@pytest.mark.parametrize("mode", ["uniform", "geometric"])
-def test_scalar_flow_matches_stepping_by_hand(m, q, mode):
-    """From step 2 on, an n = 1 chain is stepped by run_flow's loop, which
-    reuses one factor across steps of equal tau; independent minimize_step
-    calls take one sweep each with a factor of their own.  Snapshots and
-    reports must be bit-identical, through the geometric tail at
-    resolution 11, where the floor guard rejects steps."""
+@pytest.mark.parametrize("mode", ["uniform", "geometric", "floor", "blocks"])
+def test_scalar_flow_matches_stepping_by_hand(m, q, mode, monkeypatch):
+    """From step 2 on, an n = 1 chain is stepped by run_flow's loop in
+    blocks of equal tau, which share one factor and one floor guard;
+    independent minimize_step calls take one step each with a factor of
+    their own.  Snapshots and reports must be bit-identical, through the
+    steps that the floor guard rejects, and across many blocks."""
     d = build_domain(m, 11)
     rng = np.random.default_rng(10 * m + q)
     f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))
-    if mode == "uniform":
-        sched = uniform_schedule(0.25, 10)
-    else:
-        sched = geometric_schedule(0.25, 64)
+    sched = scalar_schedule(mode, d, q, monkeypatch)
     traj = run_flow(f0, sched)
     assert traj.converged
-    if mode == "geometric":
+    if mode != "uniform":
         assert any(len(r.objective_trace) == 1 for r in traj.reports)
     current = f0
     for k in range(1, sched.steps + 1):
@@ -707,14 +736,16 @@ def scalar_chain_by_loop(f0, taus):
 
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("q", [1, 3, 5])
-@pytest.mark.parametrize("mode", ["uniform", "geometric"])
-def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(m, q, mode):
-    """Every value shape steps through one loop; for n = 1 its states and
-    the repr of every report are those of the loop that solved, sorted and
-    guarded, through a geometric tail whose floor guard rejects steps.  The
-    chain itself does not sort: on random branches, on exactly tied ones
-    (pairs of equal columns) and on ones tied to within 1e-9, the solve
-    leaves every node's branches in order."""
+@pytest.mark.parametrize("mode", ["uniform", "geometric", "floor", "blocks"])
+def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(m, q, mode,
+                                                            monkeypatch):
+    """An n = 1 chain steps in blocks of equal tau; its states and the
+    repr of every report are those of the loop that solved, sorted and
+    guarded one step at a time, through a geometric tail and a uniform run
+    whose floor guard rejects steps, and across many blocks.  The chain
+    itself does not sort: on random branches, on exactly tied ones (pairs
+    of equal columns) and on ones tied to within 1e-9, the solve leaves
+    every node's branches in order."""
     d = build_domain(m, 11)
     rng = np.random.default_rng(10 * m + q)
     base = rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1))
@@ -723,10 +754,7 @@ def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(m, q, mode):
         "tied": base[:, [i // 2 for i in range(q)]],
         "near-tied": base[:, :1] + 1e-9 * rng.normal(size=base.shape),
     }
-    if mode == "uniform":
-        sched = uniform_schedule(0.25, 10)
-    else:
-        sched = geometric_schedule(0.25, 64)
+    sched = scalar_schedule(mode, d, q, monkeypatch)
     taus = [sched.tau(k) for k in range(1, sched.steps + 1)]
     for label, values in data.items():
         f0 = QGridFunction(d, values)
@@ -734,8 +762,68 @@ def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(m, q, mode):
         states, reports = scalar_chain_by_loop(f0, taus)
         assert np.array_equal(traj.states, states), label
         assert repr(list(traj.reports)) == repr(reports), label
-        if mode == "geometric":
+        if mode != "uniform":
             assert any(len(r.objective_trace) == 1 for r in reports), label
+
+
+def test_a_kept_state_of_zero_energy_ends_its_block():
+    """A step that reaches zero energy inside a block (one interior node
+    between equal boundary values, a step so long that it lands exactly on
+    them) is kept; the later steps of the block are fixed points, with no
+    sweep, as in the loop that steps one at a time."""
+    d = build_domain(1, 3)
+    f0 = QGridFunction(d, np.array([[[1.0], [1.0]], [[0.0], [2.0]],
+                                    [[1.0], [1.0]]]))
+    taus = [1e300] * 4
+    chain = morseflow._ChainState(f0, taus)
+    chain.run(4)
+    assert [r.outer_iterations for r in chain.log] == [1, 0, 0, 0]
+    states, reports = scalar_chain_by_loop(f0, taus)
+    assert np.array_equal(chain.states, states)
+    assert repr(list(chain.log)) == repr(reports)
+
+
+def test_steps_after_a_rejection_of_equal_tau_are_not_solved(monkeypatch):
+    """A rejected step leaves the state, tau and floor unchanged, so the
+    chain repeats its state for the later steps of the same tau without
+    solving them: in blocks of three rows, the floor run solves no block
+    after the one that holds its first rejection."""
+    solves = []
+    solve = morseflow._BlockFactor.solve
+
+    def counted(self, rhs):
+        solves.append(rhs.shape)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(morseflow._BlockFactor, "solve", counted)
+    d = build_domain(1, 11)
+    monkeypatch.setattr(morseflow, "_BLOCK_VALUES", 3 * d.num_nodes * 2)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    traj = run_flow(f0, uniform_schedule(50.0, 300))
+    kept = [len(r.objective_trace) == 2 for r in traj.reports]
+    first = kept.index(False)
+    assert 0 < first and not any(kept[first:])
+    assert first + 1 <= len(solves) < first + 1 + 3
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_block_reduction_has_the_bits_of_one_sum_per_row(q):
+    """`_square_sums` scores the rows of an n = 1 block in one reduction
+    each for E_k and P_k; every row's sum must carry the bits of
+    `grid._paired` on that row alone, for the edges of the resolution-61
+    disk gathered as the chain does (`take`) and by a fancy index, whose
+    gathered rows numpy lays out strided."""
+    d = build_domain(2, 61)
+    ea, eb = d.edges[:, 0], d.edges[:, 1]
+    rows = np.random.default_rng(q).normal(size=(6, d.num_nodes, q, 1))
+    taken = morseflow._square_sums(
+        rows[1:].take(ea, axis=1) - rows[1:].take(eb, axis=1))
+    edges = morseflow._square_sums(rows[1:, ea] - rows[1:, eb])
+    nodes = morseflow._square_sums(rows[1:] - rows[:-1])
+    assert taken.tolist() == edges.tolist()
+    assert edges.tolist() == [grid._paired(r[ea], r[eb])[1] for r in rows[1:]]
+    assert nodes.tolist() == [grid._paired(r, p)[1]
+                              for r, p in zip(rows[1:], rows[:-1])]
 
 
 def count_grid_functions(monkeypatch):
