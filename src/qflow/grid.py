@@ -247,8 +247,9 @@ def _paired(a_vals: np.ndarray, b_vals: np.ndarray):
 def dirichlet_energy(f: QGridFunction) -> float:
     """Edge sum of squared matching distances, weighted by delta^(m-2)."""
     d = f.domain
-    ea, eb = d.edges[:, 0], d.edges[:, 1]
-    return d.delta ** (d.m - 2) * _paired(f.values[ea], f.values[eb])[1]
+    vals = f.values
+    return d.delta ** (d.m - 2) * _paired(vals.take(d.edges[:, 0], axis=0),
+                                          vals.take(d.edges[:, 1], axis=0))[1]
 
 
 def l2_distance_sq(f: QGridFunction, g: QGridFunction) -> float:
@@ -270,13 +271,14 @@ def scalar_dirichlet_energy(domain: GridDomain, u: np.ndarray) -> float:
     if arr.ndim == 1:
         arr = arr[:, None]
     ea, eb = domain.edges[:, 0], domain.edges[:, 1]
-    return domain.delta ** (domain.m - 2) * float(((arr[ea] - arr[eb]) ** 2).sum())
+    diff = arr.take(ea, axis=0) - arr.take(eb, axis=0)
+    return domain.delta ** (domain.m - 2) * float((diff**2).sum())
 
 
 def _neighbor_sums(domain: GridDomain, u: np.ndarray) -> np.ndarray:
     """For each node j: sum over incident edges of (u_j - u_neighbor)."""
     ea, eb = domain.edges[:, 0], domain.edges[:, 1]
-    diff = u[ea] - u[eb]
+    diff = u.take(ea, axis=0) - u.take(eb, axis=0)
     nn = domain.num_nodes
     return np.bincount(ea, weights=diff, minlength=nn) - np.bincount(
         eb, weights=diff, minlength=nn

@@ -12,10 +12,11 @@ sweep is exact.
 One loop, `_ChainState.run`, steps every chain in place over the rows of
 its state array, for every value shape: `minimize_step` is that loop run
 for one step, and `run_flow` runs it over a whole schedule, building no
-per-step objects.  An n = 1 chain steps in blocks of equal step size: it
-solves a block's rows one after the other, scores them all in one array
-pass and keeps them up to the first step the floor guard rejects, which
-after the same start and tau rejects every later step of that size too.
+per-step objects.  An n = 1 chain steps in blocks of equal step size,
+each twice the last up to a cap: it solves a block's rows one after the
+other in a work array, scores them all in one array pass and keeps them up
+to the first step the floor guard rejects, which after the same start and
+tau rejects every later step of that size too.
 The solver only solves: its log records each step's energies, penalty
 and sweeps, and the quantities the paper's bounds are stated in come from
 the states, through `FlowTrajectory`.  Two step size schedules are
@@ -89,6 +90,12 @@ class StepSchedule:
         if self.mode == "geometric":
             return self.h * 0.5**k
         return self.h
+
+    def taus(self) -> list:
+        """Every step size, the floats tau(k) gives."""
+        if self.mode == "geometric":
+            return [self.h * 0.5**k for k in range(1, self.steps + 1)]
+        return [self.h] * self.steps
 
     def window(self, k: int) -> tuple:
         """Wall-time window (start, end) over which the interpolated
@@ -366,26 +373,22 @@ class _BlockFactor:
         np.add.at(out, rows, self.w_e * values[cols])
         return out
 
-    def solve(self, rhs):
+    def solve(self, rhs, out=None):
         """A^-1 rhs, column by column with the same arithmetic: a forward
         sweep z_i = S_i^-1 (rhs_i - A_i,i-1 z_i-1) and a back sweep
-        x_i = z_i - G_i x_i+1, three matrix products per block."""
-        x, z = np.empty_like(rhs), None
+        x_i = z_i - G_i x_i+1, three matrix products per block, written
+        into `out` (C-contiguous, rhs's shape, apart from rhs) or a new
+        array.  One block is one product and no new array."""
+        x = np.empty(rhs.shape) if out is None else out
+        if len(self.blocks) == 1:
+            return np.matmul(self.inv[0], rhs, out=x)
+        z = None
         for i, blk in enumerate(self.blocks):
             y = rhs[blk] - self.lower[i - 1] @ z if i else rhs[blk]
             x[blk] = z = self.inv[i] @ y
         for i in range(len(self.g) - 1, -1, -1):
             x[self.blocks[i]] -= self.g[i] @ x[self.blocks[i + 1]]
         return x
-
-
-def _as_slice(index: np.ndarray):
-    """index as a slice when it is a run of consecutive integers, as the
-    interior and edge ends of an interval are: a slice selects a view where
-    an index array copies."""
-    if index.size and (np.diff(index) == 1).all():
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
 
 
 def _square_sums(d: np.ndarray) -> np.ndarray:
@@ -407,9 +410,7 @@ class _ChainState:
     edge pairing) key and the boundary term of its right-hand side, which a new
     key replaces; the edge pairing of its last state; and its per-step log.
     Every state has the boundary rows of states[0], bit for bit, so the
-    boundary term is computed once per factorization.  An n = 1 chain
-    steps in blocks of equal tau and applies the floor guard to a whole
-    block at once; a chain of n > 1 steps sweep by sweep."""
+    boundary term is computed once per factorization."""
 
     def __init__(self, f0: QGridFunction, taus):
         if not 0.0 < min(taus) <= max(taus) < math.inf:
@@ -418,11 +419,12 @@ class _ChainState:
         self.log = _Reports(taus)
         self.states = states = np.empty((len(taus) + 1,) + f0.values.shape)
         states[0] = f0.values
-        self.ea, self.eb, self.inner = (_as_slice(i) for i in (
-            domain.edges[:, 0], domain.edges[:, 1], domain.interior))
+        self.ea, self.eb = np.ascontiguousarray(domain.edges.T)
+        self.inner = domain.interior
         self.w_e, self.w_n = domain.delta ** (domain.m - 2), domain.delta**domain.m
         self.tau, self.key = None, None
-        self.edge_sigma, e = _paired(states[0][self.ea], states[0][self.eb])
+        self.edge_sigma, e = _paired(states[0].take(self.ea, axis=0),
+                                     states[0].take(self.eb, axis=0))
         self.log.energy[0] = self.w_e * e
 
     def prepare(self, tau: float, edge_sigma):
@@ -456,7 +458,7 @@ class _ChainState:
         through one block solve, in which a negated column is solved with
         the same arithmetic, so +/- data (q = 2) stay exactly symmetric."""
         self.prepare(tau, edge_sigma)
-        matched = prev[self.inner]
+        matched = prev.take(self.inner, axis=0)
         if node_nu is not None:
             matched = np.take_along_axis(matched, node_nu[:, :, None], axis=1)
         rhs = self.w_n / tau * matched.reshape(self.shape) + self.boundary
@@ -484,48 +486,63 @@ class _ChainState:
             else:
                 self._sweeps(last)
 
+    def _solve_rows(self, rows, tau: float):
+        """Solve rows[1:] of an n = 1 block in place, each a step of size tau
+        from the row before.  The start's interior values are gathered once
+        into a work array; a step scales one of its rows, adds the boundary
+        term and solves into the next, with no gather, scatter or temporary
+        of its own.  The rows are scattered back at the end, and the work
+        array is freed before the block is scored."""
+        self.prepare(tau, None)
+        factor, boundary, scale = self.factor, self.boundary, self.w_n / tau
+        inner = self.inner
+        work = np.empty((len(rows), len(inner)) + rows.shape[2:])
+        lanes = work.reshape(len(rows), len(inner), rows.shape[2])
+        rhs = np.empty(lanes.shape[1:])
+        np.take(rows[0], inner, axis=0, out=work[0])
+        for j in range(len(rows) - 1):
+            np.multiply(scale, lanes[j], out=rhs)
+            rhs += boundary
+            factor.solve(rhs, out=lanes[j + 1])
+        rows[1:] = rows[0]  # the boundary rows
+        rows[1:, inner] = work[1:]
+
     # a solve that overflows makes a non-finite candidate, which the floor
     # guard turns into a ValueError: its overflowing and invalid operations
     # need no warning, nor do those of the rows a block solves after it
     @np.errstate(invalid="ignore", over="ignore")
     def _blocks(self, last: int):
         """The n = 1 floor guard per block of steps.  A block is a run of
-        consecutive steps of equal tau, of at most _BLOCK_VALUES values per
-        node or edge array.  Its rows are solved one after the other, each
-        from the one before, straight into the state array; then all are
-        scored in one pass, E_k and P_k by one reduction each over the
-        block's rows, and the steps are kept up to the first whose
-        E_k + P_k / tau is not below E_k-1.  That step keeps its start, or
-        raises if its row is not finite; it leaves state, tau and floor
-        unchanged, so every later step of the same tau is rejected alike
-        and repeats the state without a solve.  A kept state of zero
-        energy ends the block."""
-        log, states, edges = self.log, self.states, self.domain.edges
+        consecutive steps of equal tau, the first of a run one step long
+        and each next twice the last, up to _BLOCK_VALUES values per node
+        or edge array, so a run solves no more rows after a rejection than
+        it kept before it.  Its rows are solved one after the other,
+        `_solve_rows`; then all are scored in one pass, E_k and P_k by one
+        reduction each over the block's rows, and the steps are kept up to
+        the first whose E_k + P_k / tau is not below E_k-1.  That step
+        keeps its start, or raises if its row is not finite; it leaves
+        state, tau and floor unchanged, so every later step of the same tau
+        is rejected alike and repeats the state without a solve.  A kept
+        state of zero energy ends the block."""
+        log, states, k = self.log, self.states, self.log.steps
         taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
-        inner, w_e, w_n = self.inner, self.w_e, self.w_n
+        ea, eb, w_e, w_n = self.ea, self.eb, self.w_e, self.w_n
         cap = max(1, _BLOCK_VALUES // (
-            max(len(states[0]), len(edges)) * states.shape[2]))
-        solved, k = (-1,) + states.shape[2:], log.steps
+            max(len(states[0]), len(ea)) * states.shape[2]))
         for tau, run in groupby(taus[k:last]):
-            end = k + len(list(run))
+            end, size = k + len(list(run)), 1
             while k < end:
                 if energy[k] == 0.0:
                     # a fixed point of every step: energy 0 and no sweep
                     states[k + 1:last + 1] = states[k]
                     log.ends[k:last], log.steps = len(trace), last
                     return
-                rows = states[k:min(end, k + cap) + 1]
-                rows[1:] = rows[0]  # the boundary rows; solves write the rest
-                self.prepare(tau, None)
-                factor, boundary = self.factor, self.boundary
-                shape, scale = self.shape, w_n / tau
-                for prev, row in zip(rows, rows[1:]):
-                    rhs = scale * prev[inner].reshape(shape)
-                    rhs += boundary
-                    row[inner] = factor.solve(rhs).reshape(solved)
+                rows = states[k:min(end, k + size) + 1]
+                size = min(2 * size, cap)
+                self._solve_rows(rows, tau)
                 cand = rows[1:]
-                diff = cand.take(edges[:, 0], axis=1)
-                diff -= cand.take(edges[:, 1], axis=1)
+                diff = cand.take(ea, axis=1)
+                diff -= cand.take(eb, axis=1)
                 en = w_e * _square_sums(diff)
                 dist = w_n * _square_sums(cand - rows[:-1])
                 value = en + dist / tau
@@ -576,7 +593,7 @@ class _ChainState:
                 for outer in sweeps:
                     cand[inner] = self.solve(tau, prev, edge_in, nu_in)
                     c = _canonical(cand)
-                    edge_out, en = _paired(c[ea], c[eb])
+                    edge_out, en = _paired(c.take(ea, axis=0), c.take(eb, axis=0))
                     node_sigma, dist = _paired(c, prev)
                     en, dist = w_e * en, w_n * dist
                     value = en + dist / tau
@@ -632,7 +649,7 @@ def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
     call per chain, and the rest continue in the same loop; a step that
     fails to converge truncates the chain, its best iterate kept and
     flagged."""
-    taus = [schedule.tau(k) for k in range(1, schedule.steps + 1)]
+    taus = schedule.taus()
     chain = _ChainState(f0, taus)
     minimize_step(f0, taus[0], step_index=1, _factor=chain)
     chain.run(len(taus))

@@ -9,6 +9,8 @@ import pytest
 
 from qflow.grid import (
     _format_cells,
+    _neighbor_sums,
+    _paired,
     InitialSpec,
     QGridFunction,
     build_domain,
@@ -361,6 +363,27 @@ def test_vector_energy_adds_edge_costs_left_to_right():
     assert dirichlet_energy(f) == \
         d.delta ** (d.m - 2) * in_order(f.values[ea], f.values[eb])
     assert l2_distance_sq(f, g) == d.delta**d.m * in_order(f.values, g.values)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_edge_gathers_have_the_bits_of_a_fancy_index(q, n):
+    """The energies gather edge ends with `take`; on the resolution-61 disk
+    they carry the bits of the same sums over fancy-indexed edge ends."""
+    rng = np.random.default_rng(10 * q + n)
+    d = build_domain(2, 61)
+    ea, eb = d.edges[:, 0], d.edges[:, 1]
+    w_e = d.delta ** (d.m - 2)
+    f = random_function(rng, d, q, n)
+    vals = f.values
+    assert dirichlet_energy(f) == w_e * _paired(vals[ea], vals[eb])[1]
+    u = vals[:, 0]
+    assert scalar_dirichlet_energy(d, u) == w_e * float(((u[ea] - u[eb]) ** 2).sum())
+    c = u[:, 0]
+    diff = c[ea] - c[eb]
+    want = (np.bincount(ea, weights=diff, minlength=d.num_nodes)
+            - np.bincount(eb, weights=diff, minlength=d.num_nodes))
+    assert _neighbor_sums(d, c).tobytes() == want.tobytes()
 
 
 # --- snapshot files --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Implicit stepping, trajectories, interpolation, a priori bounds."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,7 @@ def test_geometric_schedule_halves_exactly():
     assert sched.total == 1.25
     for k in range(1, 6):
         assert sched.tau(k) == 0.25 * 0.5**k
+    assert sched.taus() == [sched.tau(k) for k in range(1, 6)]
     with pytest.raises(ValueError):
         sched.tau(0)
     with pytest.raises(ValueError):
@@ -56,6 +58,7 @@ def test_uniform_schedule_is_constant():
     assert sched.mode == "uniform"
     assert sched.total == 0.25
     assert all(sched.tau(k) == 0.25 / 16 for k in range(1, 17))
+    assert sched.taus() == [sched.tau(k) for k in range(1, 17)]
 
 
 def test_schedule_validation():
@@ -438,6 +441,70 @@ def test_block_solve_keeps_negated_columns_antisymmetric(m, res, width):
     assert np.array_equal(x[:, 2:], -x[:, :2])
 
 
+def solve_by_products(factor, rhs):
+    """The block solve as it was before it wrote into a given array, kept
+    as a bit-for-bit reference: a new array for every product and
+    difference of the forward and the back sweep."""
+    x, z = np.empty_like(rhs), None
+    for i, blk in enumerate(factor.blocks):
+        y = rhs[blk] - factor.lower[i - 1] @ z if i else rhs[blk]
+        x[blk] = z = factor.inv[i] @ y
+    for i in range(len(factor.g) - 1, -1, -1):
+        x[factor.blocks[i]] -= factor.g[i] @ x[factor.blocks[i + 1]]
+    return x
+
+
+@pytest.mark.parametrize("m, res, blocks", [(1, 11, 1), (1, 41, 1), (1, 201, 4),
+                                            (2, 21, 5), (2, 61, 51)])
+@pytest.mark.parametrize("columns", [1, 2, 6])
+def test_buffered_solve_has_the_bits_of_the_product_solve(m, res, blocks,
+                                                         columns):
+    """`_BlockFactor.solve` into a row view of a larger array, and into a
+    new array, gives the bits of the solve that allocates every product,
+    for factors of one block (the interval up to resolution 65) and of
+    many, at the step sizes of a coarse and a fine chain."""
+    rng = np.random.default_rng(res + columns)
+    d = build_domain(m, res)
+    sigma = np.zeros((d.num_edges, 1), dtype=np.int64)
+    for tau in (0.25 / 12800, 0.05):
+        factor = morseflow._BlockFactor(d, tau, sigma)
+        assert len(factor.blocks) == blocks
+        rhs = rng.normal(size=(len(d.interior), columns))
+        want = solve_by_products(factor, rhs)
+        work = np.full((3,) + rhs.shape, np.nan)
+        got = factor.solve(rhs, out=work[1])
+        assert got.base is work
+        assert work[1].tobytes() == want.tobytes()
+        assert np.isnan(work[[0, 2]]).all()
+        assert factor.solve(rhs).tobytes() == want.tobytes()
+
+
+def test_a_one_block_solve_into_out_allocates_no_array():
+    """A factor of one block (the interval up to resolution 65) solves
+    into `out` with one product and no new array; the same probe sees the
+    array a solve without `out` makes."""
+    d = build_domain(1, 41)
+    factor = morseflow._BlockFactor(
+        d, 0.01, np.zeros((d.num_edges, 1), dtype=np.int64))
+    rhs = np.ones((len(d.interior), 6))
+    out = np.empty_like(rhs)
+
+    def grown(solve):
+        solve()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(10):
+                solve()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert grown(lambda: factor.solve(rhs, out=out)) < rhs.nbytes
+    assert grown(lambda: factor.solve(rhs)) >= rhs.nbytes
+
+
 @pytest.mark.parametrize("m, res", [(1, 11), (1, 51), (1, 201), (2, 21)])
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_scalar_solve_keeps_sorted_branches_sorted(m, res, q):
@@ -783,19 +850,25 @@ def test_a_kept_state_of_zero_energy_ends_its_block():
     assert repr(list(chain.log)) == repr(reports)
 
 
+def count_solves(monkeypatch):
+    """The right-hand side shape of every `_BlockFactor.solve` call."""
+    solves = []
+    solve = morseflow._BlockFactor.solve
+
+    def counted(self, rhs, out=None):
+        solves.append(rhs.shape)
+        return solve(self, rhs, out)
+
+    monkeypatch.setattr(morseflow._BlockFactor, "solve", counted)
+    return solves
+
+
 def test_steps_after_a_rejection_of_equal_tau_are_not_solved(monkeypatch):
     """A rejected step leaves the state, tau and floor unchanged, so the
     chain repeats its state for the later steps of the same tau without
     solving them: in blocks of three rows, the floor run solves no block
     after the one that holds its first rejection."""
-    solves = []
-    solve = morseflow._BlockFactor.solve
-
-    def counted(self, rhs):
-        solves.append(rhs.shape)
-        return solve(self, rhs)
-
-    monkeypatch.setattr(morseflow._BlockFactor, "solve", counted)
+    solves = count_solves(monkeypatch)
     d = build_domain(1, 11)
     monkeypatch.setattr(morseflow, "_BLOCK_VALUES", 3 * d.num_nodes * 2)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
@@ -804,6 +877,30 @@ def test_steps_after_a_rejection_of_equal_tau_are_not_solved(monkeypatch):
     first = kept.index(False)
     assert 0 < first and not any(kept[first:])
     assert first + 1 <= len(solves) < first + 1 + 3
+
+
+@pytest.mark.parametrize("steps", [300, 1200])
+def test_solves_after_a_rejection_are_no_more_than_the_kept_steps(
+        steps, monkeypatch):
+    """A run of equal tau starts with a one-row block and doubles it up to
+    the cap, so at the default cap the rows a block solves after a
+    rejection are no more than the steps kept before it: the floor run of
+    the resolution-11 symmetric-cos datum at tau = 1/6 makes at most
+    2 r + 1 solves, r its first rejected step, however long it runs.  Its
+    states and reports are those of the loop that steps one at a time."""
+    solves = count_solves(monkeypatch)
+    d = build_domain(1, 11)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    sched = uniform_schedule(50.0 * steps / 300, steps)
+    assert sched.h == 50.0 / 300
+    traj = run_flow(f0, sched)
+    kept = [len(r.objective_trace) == 2 for r in traj.reports]
+    first = kept.index(False) + 1
+    assert 1 < first < 300 and not any(kept[first - 1:])
+    assert len(solves) <= 2 * first + 1
+    states, reports = scalar_chain_by_loop(f0, sched.taus())
+    assert np.array_equal(traj.states, states)
+    assert repr(list(traj.reports)) == repr(reports)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
