@@ -4,8 +4,9 @@ Each check returns a CheckResult of its margin, the clearance to the
 failing boundary, from which CheckResult derives the verdict: a result passes
 exactly when its margin is nonnegative.  A structural failure has margin -inf.
 Value-level checks sample random inputs from a caller-supplied generator;
-trajectory-level checks read the per-step quantities FlowTrajectory
-computes from its snapshots, never the solver's own reports.  Both reduce
+trajectory-level checks read the per-state quantities FlowTrajectory
+computes once each, or slices of its state array, never the solver's own
+reports or snapshot views.  Both reduce
 their per-sample or per-step clearances through one helper: the smallest
 clearance and its index, the first minimum on ties, and -inf at index 0
 when there is none, so that a check with nothing to reduce fails as unable
@@ -23,7 +24,7 @@ import numpy as np
 from .qspace import _canonical, ascending_projection, match_rows
 from .grid import (
     QGridFunction,
-    branch_mean_field,
+    _paired_sums,
     build_domain,
     dirichlet_energy,
     l2_distance_sq,
@@ -228,25 +229,6 @@ def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
 _BLOCK_VALUES = 4096
 
 
-def _stacked_energies(domain, values: np.ndarray) -> np.ndarray:
-    """`dirichlet_energy` of each canonical (num_nodes, q, n) state stacked
-    in values, bit for bit: the squared differences of each state's edge
-    rows are summed as one C-contiguous row, and for n > 1 the branches
-    are paired by one `match_rows` call over every state's edge rows."""
-    p, _, q, n = values.shape
-    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
-    a = np.take(values, ea, axis=1)
-    if n == 1 or q == 1:
-        a -= np.take(values, eb, axis=1)
-        np.square(a, out=a)
-        total = a.reshape(p, -1).sum(axis=1)
-    else:
-        cost = match_rows(a.reshape(-1, q, n),
-                          np.take(values, eb, axis=1).reshape(-1, q, n))[1]
-        total = np.add.accumulate(cost.reshape(p, len(ea)), axis=1)[:, -1]
-    return domain.delta ** (domain.m - 2) * total
-
-
 def _translation_gaps(rng, domain, pairs: int, q: int, n: int) -> np.ndarray:
     """Relative gap of the translation identity for each of `pairs` random
     pairs of q-valued f and single-valued phi in R^n on domain, drawn a
@@ -254,6 +236,11 @@ def _translation_gaps(rng, domain, pairs: int, q: int, n: int) -> np.ndarray:
     nodes = domain.num_nodes
     ea, eb = domain.edges[:, 0], domain.edges[:, 1]
     w = domain.delta ** (domain.m - 2)
+
+    def energies(values):  # of each stacked (p, nodes, q, n) state
+        return w * _paired_sums(np.take(values, ea, axis=1),
+                                np.take(values, eb, axis=1))[1]
+
     step = max(1, _BLOCK_VALUES // (nodes * q * n))
     gaps = [np.empty(0)]
     for start in range(0, pairs, step):
@@ -264,14 +251,12 @@ def _translation_gaps(rng, domain, pairs: int, q: int, n: int) -> np.ndarray:
             f[k] = rng.normal(size=(nodes, q, n))
             phi[k] = rng.normal(size=(nodes, n))
         f = _canonical(f)
-        energy = _stacked_energies(domain, f)
         eta = f.mean(axis=2)
         deta = np.take(eta, ea, axis=1) - np.take(eta, eb, axis=1)
         dphi = np.take(phi, ea, axis=1) - np.take(phi, eb, axis=1)
         cross = w * (deta * dphi).reshape(size, -1).sum(axis=1)
-        rhs = energy + 2.0 * q * cross \
-            + q * (w * np.square(dphi).reshape(size, -1).sum(axis=1))
-        lhs = _stacked_energies(domain, _canonical(f + phi[:, :, None]))
+        rhs = energies(f) + 2.0 * q * cross + q * energies(phi[:, :, None])
+        lhs = energies(_canonical(f + phi[:, :, None]))
         gaps.append(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
     return np.concatenate(gaps)
 
@@ -338,10 +323,8 @@ def check_eta_residual(traj: FlowTrajectory) -> CheckResult:
     the threshold 1e-8 * (1 + max |branch mean|)."""
     paired = list(enumerate(zip(traj.reports, traj.eta_residuals), start=1))
     steps = [(k, res) for k, (report, res) in paired if report.converged]
-    margin, i = _tightest([
-        1e-8 * (1.0 + float(np.max(np.abs(branch_mean_field(traj.snapshots[k]))))) - res
-        for k, res in steps
-    ])
+    margin, i = _tightest([1e-8 * (1.0 + traj.mean_norms[k]) - res
+                           for k, res in steps])
     worst = (f"residual {steps[i - 1][1]:.3e} at step {steps[i - 1][0]}"
              if steps else "no converged steps")
     skipped = len(paired) - len(steps)
@@ -350,33 +333,22 @@ def check_eta_residual(traj: FlowTrajectory) -> CheckResult:
 
 
 def check_symmetry(traj: FlowTrajectory) -> CheckResult:
-    worst = max(
-        float(np.max(np.abs(branch_mean_field(f)))) for f in traj.snapshots
-    )
-    margin = 1e-10 - worst
-    return CheckResult(
-        "symmetry",
-        margin,
-        f"largest |branch mean| over all nodes and steps {worst:.3e}",
-    )
+    worst = max(traj.mean_norms)
+    return CheckResult("symmetry", 1e-10 - worst,
+                       f"largest |branch mean| over all nodes and steps {worst:.3e}")
 
 
 def check_positivity(traj: FlowTrajectory) -> CheckResult:
     """Top branch strictly above 1e-12 at interior nodes from step 1 on;
     a value at the threshold fails by one ulp of it."""
-    interior = traj.snapshots[0].domain.interior
-    if len(traj.snapshots) < 2 or len(interior) == 0:
+    interior = traj.domain.interior
+    if traj.completed_steps == 0 or len(interior) == 0:
         return CheckResult("positivity", -math.inf,
                            "needs at least one step and an interior node")
-    low = min(
-        float(np.min(f.values[interior, -1, 0])) for f in traj.snapshots[1:]
-    )
+    low = float(traj.states[1:, :, -1, 0].min(axis=0)[interior].min())
     margin = low - 1e-12 if low != 1e-12 else -math.ulp(1e-12)
-    return CheckResult(
-        "positivity",
-        margin,
-        f"smallest interior top-branch value after step 1 is {low:.3e}",
-    )
+    return CheckResult("positivity", margin,
+                       f"smallest interior top-branch value after step 1 is {low:.3e}")
 
 
 def check_max_principle(trajs) -> CheckResult:
@@ -400,12 +372,12 @@ def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResu
     if traj.completed_steps == 0:
         return CheckResult("boundary_trace", -math.inf,
                            "needs at least one step")
-    bnd = traj.snapshots[0].domain.is_boundary
-    ref = traj.snapshots[0].values[bnd]
-    sampled = (evaluate_at_time(traj, float(t))
+    bnd = traj.domain.is_boundary
+    ref = traj.states[0, bnd]
+    sampled = (evaluate_at_time(traj, float(t)).values
                for t in rng.uniform(0.0, traj.horizon, size=times))
-    dev = max((float(np.max(np.abs(f.values[bnd] - ref)))
-               for f in itertools.chain(traj.snapshots[1:], sampled)))
+    dev = max(float(np.max(np.abs(v[bnd] - ref)))
+              for v in itertools.chain(traj.states[1:], sampled))
     return CheckResult(
         "boundary_trace",
         -dev,
@@ -455,12 +427,12 @@ def check_oracle_equivalence(traj: FlowTrajectory) -> CheckResult:
     heat chain, solved by its own scalar Thomas recursion, snapshot by
     snapshot, in the max norm.  One chain call steps the reference from
     the initial snapshot through every completed step."""
-    f0 = traj.snapshots[0]
-    if (f0.domain.m, f0.q, f0.n, traj.schedule.mode) != (1, 1, 1, "uniform"):
+    shape = (traj.domain.m, *traj.states.shape[2:], traj.schedule.mode)
+    if shape != (1, 1, 1, "uniform"):
         return CheckResult("oracle_equivalence", -math.inf,
                            "needs an m = 1, q = 1, n = 1 uniform run")
     values = traj.states[:, :, 0, 0]
-    ref = implicit_euler_chain(f0.domain, values[0],
+    ref = implicit_euler_chain(traj.domain, values[0],
                                [traj.schedule.h] * traj.completed_steps)
     worst = float(np.max(np.abs(values - ref)))
     margin = 1e-8 - worst

@@ -2,11 +2,12 @@
 multiset values.
 
 Node values are the rows of one canonical (num_nodes, q, n) array; edges
-connect axis neighbors at spacing delta.  The Dirichlet energy sums squared matching
-distances over edges with weight delta^(m-2); the squared L2 distance
-sums them over nodes with weight delta^m.  Boundary nodes are the lattice
-points touching the sphere (or the interval endpoints for m = 1) and are
-treated as hard constraints by every solver in this package.
+connect axis neighbors at spacing delta.  The Dirichlet energy sums
+squared matching distances over edges with weight delta^(m-2); the squared
+L2 distance sums them over nodes with weight delta^m.  Every such sum in the
+package is one kernel, `_paired_sums`, one sum per stacked slice.  Boundary
+nodes are the lattice points touching the sphere (or the interval endpoints
+for m = 1) and are treated as hard constraints by every solver here.
 
 Snapshot files are formatted by one exact vectorized pass over each
 function's values, `_format_cells`, which gives the bytes of `'%.17e' % c`
@@ -230,18 +231,31 @@ def _check_same(f: QGridFunction, g: QGridFunction):
         raise ValueError("grid functions have different value shapes")
 
 
+def _paired_sums(a: np.ndarray, b: np.ndarray):
+    """Optimal branch pairing of stacked paired value arrays (p, rows, q, n)
+    and the sum of squared matching distances of each of the p slices.
+    For n = 1 or q = 1 sorted storage makes the pairing None, the identity,
+    and each slice's squared differences are formed C-contiguous, whatever
+    the operands' layout, and summed pairwise as one row: numpy would not
+    sum a strided row, such as a fancy index along axis 1 makes, pairwise.
+    Otherwise one `match_rows` call pairs every row, the (p, rows, q)
+    pairing is None when it is the identity on every row, and each slice's
+    row costs are added left to right."""
+    p, rows, q, n = a.shape
+    if n == 1 or q == 1:
+        d = np.subtract(a, b, order="C")
+        d *= d
+        return None, d.reshape(p, -1).sum(axis=1)
+    sigma, cost = match_rows(a.reshape(-1, q, n), b.reshape(-1, q, n))
+    sigma = None if (sigma == np.arange(q)).all() else sigma.reshape(p, rows, q)
+    return sigma, np.add.accumulate(cost.reshape(p, rows), axis=1)[:, -1]
+
+
 def _paired(a_vals: np.ndarray, b_vals: np.ndarray):
-    """Optimal branch pairing of paired value arrays (rows, q, n) and the
-    sum of its squared matching distances, the row costs added left to
-    right.  The pairing is None when it is the identity on every row, which
-    sorted storage makes it for n = 1 or q = 1; no matching is computed
-    then."""
-    if a_vals.shape[2] == 1 or a_vals.shape[1] == 1:
-        return None, float(((a_vals - b_vals) ** 2).sum())
-    sigma, cost = match_rows(a_vals, b_vals)
-    if (sigma == np.arange(sigma.shape[1])).all():
-        sigma = None
-    return sigma, float(np.add.accumulate(cost)[-1])
+    """`_paired_sums` of one (rows, q, n) slice: its pairing, or None, and
+    its sum as a float."""
+    sigma, total = _paired_sums(a_vals[None], b_vals[None])
+    return None if sigma is None else sigma[0], float(total[0])
 
 
 def dirichlet_energy(f: QGridFunction) -> float:
@@ -270,9 +284,8 @@ def scalar_dirichlet_energy(domain: GridDomain, u: np.ndarray) -> float:
     arr = np.asarray(u, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
-    diff = arr.take(ea, axis=0) - arr.take(eb, axis=0)
-    return domain.delta ** (domain.m - 2) * float((diff**2).sum())
+    ends = (arr.take(domain.edges[:, i], axis=0)[:, None] for i in (0, 1))
+    return domain.delta ** (domain.m - 2) * _paired(*ends)[1]
 
 
 def _neighbor_sums(domain: GridDomain, u: np.ndarray) -> np.ndarray:
@@ -297,9 +310,13 @@ def branch_mean_residual(f_prev: QGridFunction, f_curr: QGridFunction, tau: floa
     _check_same(f_prev, f_curr)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    d = f_prev.domain
-    mp = branch_mean_field(f_prev)
-    mc = branch_mean_field(f_curr)
+    return _mean_residual(f_prev.domain, branch_mean_field(f_prev),
+                          branch_mean_field(f_curr), tau)
+
+
+def _mean_residual(d: GridDomain, mp, mc, tau: float) -> float:
+    """`branch_mean_residual` from the (num_nodes, n) branch means of the
+    two states."""
     lap = np.column_stack([_neighbor_sums(d, c) for c in mc.T]) / d.delta**2
     res = (mc - mp)[d.interior] / tau + lap[d.interior]
     return float(np.max(np.abs(res), initial=0.0))

@@ -45,9 +45,11 @@ import numpy as np
 from .grid import (
     GridDomain,
     QGridFunction,
+    _mean_residual,
     _paired,
+    _paired_sums,
     _view,
-    branch_mean_residual,
+    branch_mean_field,
     dirichlet_energy,
     l2_distance_sq,
 )
@@ -184,7 +186,8 @@ class FlowTrajectory:
     use.  `reports` is the solver's log, a sequence of StepReports; a run
     builds each on demand from its per-step arrays.  Each quantity below
     is computed from the snapshots, not taken from the reports, once per
-    trajectory on first use."""
+    trajectory on first use, state by state, never as one stack: each
+    snapshot's branch mean is taken once, for eta_residuals and mean_norms."""
 
     schedule: StepSchedule
     domain: GridDomain
@@ -240,11 +243,27 @@ class FlowTrajectory:
                      for k, p in enumerate(self.penalties, start=1))
 
     @functools.cached_property
+    def _branch_means(self) -> tuple:
+        """eta_residuals and mean_norms, one branch mean per snapshot."""
+        residuals, norms, prev = [], [], None
+        for k, f in enumerate(self.snapshots):
+            mean = branch_mean_field(f)
+            norms.append(float(np.max(np.abs(mean))))
+            if k:
+                residuals.append(_mean_residual(
+                    self.domain, prev, mean, self.schedule.tau(k)))
+            prev = mean
+        return tuple(residuals), tuple(norms)
+
+    @property
     def eta_residuals(self) -> tuple:
-        """Residual of the branch-mean step equation of every step."""
-        snaps, tau = self.snapshots, self.schedule.tau
-        return tuple(branch_mean_residual(snaps[k - 1], snaps[k], tau(k))
-                     for k in range(1, len(snaps)))
+        """`grid.branch_mean_residual` of every step."""
+        return self._branch_means[0]
+
+    @property
+    def mean_norms(self) -> tuple:
+        """Largest |branch mean| coordinate of every snapshot."""
+        return self._branch_means[1]
 
     @functools.cached_property
     def max_norms(self) -> tuple:
@@ -391,17 +410,6 @@ class _BlockFactor:
         return x
 
 
-def _square_sums(d: np.ndarray) -> np.ndarray:
-    """Sum of the squares of each row of d, a fresh (rows, ...) array that
-    is squared in place, with the bits of `grid._paired`'s flat sum of that
-    row: numpy sums each row of a C-contiguous (rows, L) array pairwise, as
-    it does a flat array, but not a strided one, such as a fancy index
-    along axis 1 makes."""
-    d = np.ascontiguousarray(d)
-    d *= d
-    return d.reshape(len(d), -1).sum(axis=1)
-
-
 class _ChainState:
     """A chain of implicit steps from f0 over one state array: states[0]
     is f0's values, and step k, of size taus[k - 1], writes states[k].
@@ -518,12 +526,12 @@ class _ChainState:
         or edge array, so a run solves no more rows after a rejection than
         it kept before it.  Its rows are solved one after the other,
         `_solve_rows`; then all are scored in one pass, E_k and P_k by one
-        reduction each over the block's rows, and the steps are kept up to
-        the first whose E_k + P_k / tau is not below E_k-1.  That step
-        keeps its start, or raises if its row is not finite; it leaves
-        state, tau and floor unchanged, so every later step of the same tau
-        is rejected alike and repeats the state without a solve.  A kept
-        state of zero energy ends the block."""
+        `grid._paired_sums` call each over the block's rows, and the steps
+        are kept up to the first whose E_k + P_k / tau is not below E_k-1.
+        That step keeps its start, or raises if its row is not finite; it
+        leaves state, tau and floor unchanged, so every later step of the
+        same tau is rejected alike and repeats the state without a solve.
+        A kept state of zero energy ends the block."""
         log, states, k = self.log, self.states, self.log.steps
         taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
         ea, eb, w_e, w_n = self.ea, self.eb, self.w_e, self.w_n
@@ -541,10 +549,9 @@ class _ChainState:
                 size = min(2 * size, cap)
                 self._solve_rows(rows, tau)
                 cand = rows[1:]
-                diff = cand.take(ea, axis=1)
-                diff -= cand.take(eb, axis=1)
-                en = w_e * _square_sums(diff)
-                dist = w_n * _square_sums(cand - rows[:-1])
+                en = w_e * _paired_sums(cand.take(ea, axis=1),
+                                        cand.take(eb, axis=1))[1]
+                dist = w_n * _paired_sums(cand, rows[:-1])[1]
                 value = en + dist / tau
                 kept = value < np.concatenate(([energy[k]], en[:-1]))
                 kept[1:] &= en[:-1] != 0.0  # a kept zero energy ends the block

@@ -582,6 +582,31 @@ def eta_residual_by_loop(traj):
     return CheckResult("eta_residual", margin, detail)
 
 
+def symmetry_by_loop(traj):
+    worst = 0.0
+    for f in traj.snapshots:
+        for row in branch_mean_field(f):
+            for value in row:
+                worst = max(worst, abs(float(value)))
+    return CheckResult("symmetry", 1e-10 - worst,
+                       f"largest |branch mean| over all nodes and steps {worst:.3e}")
+
+
+def positivity_by_loop(traj):
+    interior = traj.snapshots[0].domain.interior
+    if len(traj.snapshots) < 2 or len(interior) == 0:
+        return CheckResult("positivity", -math.inf,
+                           "needs at least one step and an interior node")
+    low = math.inf
+    for f in traj.snapshots[1:]:
+        for j in interior:
+            low = min(low, float(f.values[j, -1, 0]))
+    margin = low - 1e-12 if low != 1e-12 else -math.ulp(1e-12)
+    return CheckResult(
+        "positivity", margin,
+        f"smallest interior top-branch value after step 1 is {low:.3e}")
+
+
 def max_principle_by_loop(trajs):
     margin = math.inf
     counted = 0
@@ -680,6 +705,8 @@ def test_trajectory_checks_match_their_loop_references(reference_trajectories):
             (check_energy_monotonicity(traj), energy_monotonicity_by_loop(traj)),
             (check_step_estimate(traj), step_estimate_by_loop(traj)),
             (check_eta_residual(traj), eta_residual_by_loop(traj)),
+            (check_symmetry(traj), symmetry_by_loop(traj)),
+            (check_positivity(traj), positivity_by_loop(traj)),
             (check_max_principle([traj]), max_principle_by_loop([traj])),
         ]
         for times in (8, 7, 0):

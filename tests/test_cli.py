@@ -22,7 +22,12 @@ from qflow.cli import (
     parse_config,
     validate,
 )
-from qflow.grid import QGridFunction, build_domain, dirichlet_energy
+from qflow.grid import (
+    QGridFunction,
+    branch_mean_field,
+    build_domain,
+    dirichlet_energy,
+)
 from qflow.morseflow import FlowTrajectory, run_flow
 from test_grid import write_snapshot_by_rows
 
@@ -484,6 +489,28 @@ def test_artifacts_and_checks_share_one_energy_per_snapshot(tmp_path,
     for res in (checks.check_energy_monotonicity(traj),
                 checks.check_step_estimate(traj),
                 checks.check_holder(traj, rng)):
+        assert res.passed, res.detail
+    assert sorted(seen) == sorted(id(f) for f in traj.snapshots)
+
+
+def test_artifacts_and_checks_share_one_branch_mean_per_snapshot(tmp_path,
+                                                                 monkeypatch):
+    """energy.csv and the trajectory checks together evaluate the branch
+    mean of each snapshot exactly once."""
+    traj = small_trajectory(tmp_path)
+    seen = []
+
+    def counted(f):
+        seen.append(id(f))
+        return branch_mean_field(f)
+
+    for module in (grid, morseflow, checks, cli):
+        if hasattr(module, "branch_mean_field"):
+            monkeypatch.setattr(module, "branch_mean_field", counted)
+    _write_energy_csv(tmp_path / "energy.csv", traj)
+    names = cli._run_check_names(load_config(write_config(tmp_path, SMALL)))
+    assert {"eta_residual", "symmetry", "positivity"} <= set(names)
+    for res in checks.evaluate(names, np.random.default_rng(3), traj):
         assert res.passed, res.detail
     assert sorted(seen) == sorted(id(f) for f in traj.snapshots)
 

@@ -667,23 +667,20 @@ def test_vector_flow_builds_no_qpoints(monkeypatch):
 
 def test_flow_computes_each_start_energy_once(monkeypatch):
     """Each step starts from the energy its predecessor kept: a one-sweep
-    (n = 1) chain scores the edges of each of its states once, its start
-    by `_paired` and every later state as a row of a block reduction, and
-    each step's energy_before is the energy_after of the step before and
-    the energy of its start."""
+    (n = 1) chain scores the edges of each of its states once, each as a
+    slice of the paired-sum kernel, its start through `_paired` and every
+    later state as a row of a block's reduction, and each step's
+    energy_before is the energy_after of the step before and the energy of
+    its start."""
     scored = []
-    paired, square_sums = morseflow._paired, morseflow._square_sums
+    paired_sums = grid._paired_sums
 
-    def counted_paired(a, b):
-        scored.append(a.shape[0])
-        return paired(a, b)
+    def counted(a, b):
+        scored.extend([a.shape[1]] * len(a))
+        return paired_sums(a, b)
 
-    def counted_sums(diff):
-        scored.extend([diff.shape[1]] * len(diff))
-        return square_sums(diff)
-
-    monkeypatch.setattr(morseflow, "_paired", counted_paired)
-    monkeypatch.setattr(morseflow, "_square_sums", counted_sums)
+    for module in (grid, morseflow):
+        monkeypatch.setattr(module, "_paired_sums", counted)
     d = build_domain(1, 21)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
     traj = run_flow(f0, uniform_schedule(0.25, 8))
@@ -905,22 +902,37 @@ def test_solves_after_a_rejection_are_no_more_than_the_kept_steps(
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_block_reduction_has_the_bits_of_one_sum_per_row(q):
-    """`_square_sums` scores the rows of an n = 1 block in one reduction
-    each for E_k and P_k; every row's sum must carry the bits of
-    `grid._paired` on that row alone, for the edges of the resolution-61
-    disk gathered as the chain does (`take`) and by a fancy index, whose
-    gathered rows numpy lays out strided."""
+    """`grid._paired_sums` scores stacked slices in one call, as an n = 1
+    block scores its rows for E_k and P_k; every slice's pairing and sum
+    must be those of `grid._paired` on that slice alone, for n = 1 and 2,
+    for the edges of the resolution-61 disk gathered as the chain does
+    (`take`) and by a fancy index, whose gathered rows numpy lays out
+    strided.  The stacked pairing is None exactly when every slice's is."""
     d = build_domain(2, 61)
     ea, eb = d.edges[:, 0], d.edges[:, 1]
-    rows = np.random.default_rng(q).normal(size=(6, d.num_nodes, q, 1))
-    taken = morseflow._square_sums(
-        rows[1:].take(ea, axis=1) - rows[1:].take(eb, axis=1))
-    edges = morseflow._square_sums(rows[1:, ea] - rows[1:, eb])
-    nodes = morseflow._square_sums(rows[1:] - rows[:-1])
-    assert taken.tolist() == edges.tolist()
-    assert edges.tolist() == [grid._paired(r[ea], r[eb])[1] for r in rows[1:]]
-    assert nodes.tolist() == [grid._paired(r, p)[1]
-                              for r, p in zip(rows[1:], rows[:-1])]
+
+    def explicit(sigma, count):
+        return np.broadcast_to(np.arange(q), (count, q)) if sigma is None else sigma
+
+    for n in (1, 2):
+        rows = qspace._canonical(np.random.default_rng(10 * q + n).normal(
+            size=(6, d.num_nodes, q, n)))
+        edge_pairs = [(r[ea], r[eb]) for r in rows[1:]]
+        for stacked, pairs in (
+                (grid._paired_sums(rows[1:].take(ea, axis=1),
+                                   rows[1:].take(eb, axis=1)), edge_pairs),
+                (grid._paired_sums(rows[1:, ea], rows[1:, eb]), edge_pairs),
+                (grid._paired_sums(rows[1:], rows[:-1]),
+                 list(zip(rows[1:], rows[:-1])))):
+            sigma, sums = stacked
+            want = [grid._paired(a, b) for a, b in pairs]
+            assert sums.tolist() == [total for _, total in want]
+            assert (sigma is None) == all(s is None for s, _ in want)
+            for i, ((a, _), (s, _)) in enumerate(zip(pairs, want)):
+                got = None if sigma is None else sigma[i]
+                assert np.array_equal(explicit(got, len(a)), explicit(s, len(a)))
+            # random vector values pair nontrivially on some row
+            assert (sigma is None) == (n == 1 or q == 1)
 
 
 def count_grid_functions(monkeypatch):
@@ -971,20 +983,29 @@ def test_scalar_flow_builds_no_grid_function_per_step(monkeypatch):
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_trajectory_quantities_are_those_of_the_states(n):
-    """Energies and penalties come from the stored states, not from the
-    solver's guard, bit for bit; doubling one state's interior still fails
-    the energy check."""
+@pytest.mark.parametrize("m, res, q, n", [(1, 15, 2, 1), (1, 15, 2, 2),
+                                           (2, 9, 2, 1), (1, 15, 3, 2)],
+                         ids=["1", "2", "disk", "q3"])
+def test_trajectory_quantities_are_those_of_the_states(m, res, q, n):
+    """Energies, penalties, branch-mean residuals and the per-state norms
+    come from the stored states, not from the solver's guard, bit for bit;
+    doubling one state's interior still fails the energy check."""
     rng = np.random.default_rng(71)
-    d = build_domain(1, 15)
-    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(15, 2, n)))
+    d = build_domain(m, res)
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
     traj = run_flow(f0, uniform_schedule(0.25, 6))
     assert traj.converged
     fresh = [QGridFunction(d, state) for state in traj.states]
     assert traj.energies == tuple(dirichlet_energy(f) for f in fresh)
     assert traj.penalties == tuple(
         l2_distance_sq(a, b) for a, b in zip(fresh, fresh[1:]))
+    assert traj.eta_residuals == tuple(
+        branch_mean_residual(a, b, tau)
+        for a, b, tau in zip(fresh, fresh[1:], traj.schedule.taus()))
+    assert traj.max_norms == tuple(
+        float(np.sqrt((f.values**2).sum(axis=(1, 2)).max())) for f in fresh)
+    assert traj.mean_norms == tuple(
+        float(np.max(np.abs(branch_mean_field(f)))) for f in fresh)
     assert not traj.states.flags.writeable
     assert check_energy_monotonicity(traj).passed
     injected = cli._apply_injection(
