@@ -41,6 +41,7 @@ from .morseflow import (
     StepReport,
     StepSchedule,
     evaluate_at_time,
+    final_state,
     geometric_schedule,
     holder_margin,
     minimize_step,
@@ -66,7 +67,7 @@ __all__ = [
     "sample_initial", "scalar_dirichlet_energy", "translate_field",
     "write_snapshot_csv",
     "FlowTrajectory", "StepReport", "StepSchedule",
-    "evaluate_at_time", "geometric_schedule", "holder_margin",
+    "evaluate_at_time", "final_state", "geometric_schedule", "holder_margin",
     "minimize_step", "run_flow", "uniform_schedule",
     "EigenMode", "brute_force_step", "exact_eigen_solution",
     "implicit_euler_chain", "max_principle_check",

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .qspace import _canonical, match_rows
 
@@ -203,7 +202,7 @@ def sample_initial(spec: InitialSpec, domain: GridDomain, q: int) -> QGridFuncti
         else:
             if not spec.coeffs:
                 raise ValueError("symmetric-poly requires coefficients")
-            g = np.maximum(npoly.polyval(s, np.asarray(spec.coeffs, float)), 0.0)
+            g = np.maximum(np.polyval(np.asarray(spec.coeffs, float)[::-1], s), 0.0)
         half = q // 2
         vals = np.empty((nn, q, 1))
         vals[:, :half, 0] = -g[:, None]
@@ -218,7 +217,7 @@ def sample_initial(spec: InitialSpec, domain: GridDomain, q: int) -> QGridFuncti
         for b, coeffs in enumerate(spec.branch_coeffs):
             if not len(coeffs):
                 raise ValueError("empty coefficient group in branches preset")
-            vals[:, b, 0] = npoly.polyval(s, np.asarray(coeffs, float))
+            vals[:, b, 0] = np.polyval(np.asarray(coeffs, float)[::-1], s)
     else:
         raise ValueError(f"unknown preset {spec.preset!r}")
     return QGridFunction(domain, vals)

@@ -12,7 +12,10 @@ sweep is exact.
 One loop, `_ChainState.run`, steps every chain in place over the rows of
 its state array, for every value shape: `minimize_step` is that loop run
 for one step, and `run_flow` runs it over a whole schedule, building no
-per-step objects.  An n = 1 chain steps in blocks of equal step size,
+per-step objects.  The state array is a window of rows: `run_flow`'s
+holds every state, while `final_state`, for callers that read only the
+last one, holds one n = 1 block and rolls it, so its memory does not grow
+with the number of steps.  An n = 1 chain steps in blocks of equal step size,
 each twice the last up to a cap: it solves a block's rows one after the
 other in a work array, scores them all in one array pass and keeps them up
 to the first step the floor guard rejects, which after the same start and
@@ -63,6 +66,7 @@ __all__ = [
     "uniform_schedule",
     "minimize_step",
     "run_flow",
+    "final_state",
     "evaluate_at_time",
     "holder_margin",
 ]
@@ -175,6 +179,20 @@ class _Reports(Sequence):
             (before, *kept))
 
 
+def _check_states(states):
+    """Raise unless every state of a (rows, num_nodes, q, n) stack is
+    finite and in canonical order."""
+    # a NaN or an infinity reaches the minimum or the maximum
+    if not (np.isfinite(states.min()) and np.isfinite(states.max())):
+        raise ValueError("values must be finite")
+    if states.shape[3] == 1:
+        canonical = (states[:, :, 1:] >= states[:, :, :-1]).all()
+    else:
+        canonical = np.array_equal(_canonical(states), states)
+    if not canonical:
+        raise ValueError("states must be in canonical order")
+
+
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
     """The states of a run with the per-step quantities the paper's bounds
@@ -198,15 +216,7 @@ class FlowTrajectory:
         states = self.states
         if states.ndim != 4 or states.shape[1] != self.domain.num_nodes:
             raise ValueError("states must have shape (steps + 1, num_nodes, q, n)")
-        # a NaN or an infinity reaches the minimum or the maximum
-        if not (np.isfinite(states.min()) and np.isfinite(states.max())):
-            raise ValueError("values must be finite")
-        if states.shape[3] == 1:
-            canonical = (states[:, :, 1:] >= states[:, :, :-1]).all()
-        else:
-            canonical = np.array_equal(_canonical(states), states)
-        if not canonical:
-            raise ValueError("states must be in canonical order")
+        _check_states(states)
         states.flags.writeable = False
 
     @functools.cached_property
@@ -399,41 +409,81 @@ class _BlockFactor:
         into `out` (C-contiguous, rhs's shape, apart from rhs) or a new
         array.  One block is one product and no new array."""
         x = np.empty(rhs.shape) if out is None else out
+        dot = np.dot
         if len(self.blocks) == 1:
-            return np.matmul(self.inv[0], rhs, out=x)
+            return dot(self.inv[0], rhs, out=x)
         z = None
         for i, blk in enumerate(self.blocks):
-            y = rhs[blk] - self.lower[i - 1] @ z if i else rhs[blk]
-            x[blk] = z = self.inv[i] @ y
+            y = rhs[blk] - dot(self.lower[i - 1], z) if i else rhs[blk]
+            z = dot(self.inv[i], y, out=x[blk])
         for i in range(len(self.g) - 1, -1, -1):
-            x[self.blocks[i]] -= self.g[i] @ x[self.blocks[i + 1]]
+            x[self.blocks[i]] -= dot(self.g[i], x[self.blocks[i + 1]])
         return x
 
 
 class _ChainState:
-    """A chain of implicit steps from f0 over one state array: states[0]
-    is f0's values, and step k, of size taus[k - 1], writes states[k].
+    """A chain of implicit steps from f0 over a window of state rows:
+    step k, of size taus[k - 1], writes the row of state k, row k - base.
+
+    The state array holds window + 1 rows, at first f0's values in row 0
+    and base 0.  By default the window is the whole schedule, so state k
+    is row k and the array keeps every state.  A shorter window rolls
+    when a block of steps would run past its last row: its rows up to
+    the block's start are checked finite and in canonical order, that
+    start is copied to row 0 and becomes the base.  Steps that repeat
+    their start (a rejected run, a fixed point) are copied when the
+    window keeps every state and relabelled otherwise: the start's row
+    then stands for the last of them.
 
     It holds the block factor of the frozen-pairing system of one (tau,
     edge pairing) key and the boundary term of its right-hand side, which a new
     key replaces; the edge pairing of its last state; and its per-step log.
-    Every state has the boundary rows of states[0], bit for bit, so the
-    boundary term is computed once per factorization."""
+    Every state has the boundary rows of f0, bit for bit, so the boundary
+    term is computed once per factorization."""
 
-    def __init__(self, f0: QGridFunction, taus):
+    def __init__(self, f0: QGridFunction, taus, keep_all: bool = True):
         if not 0.0 < min(taus) <= max(taus) < math.inf:
             raise ValueError("tau must be positive and finite")
         self.domain = domain = f0.domain
         self.log = _Reports(taus)
-        self.states = states = np.empty((len(taus) + 1,) + f0.values.shape)
-        states[0] = f0.values
         self.ea, self.eb = np.ascontiguousarray(domain.edges.T)
+        # rows of an n = 1 block, a run of steps guarded at once: the cap
+        # bounds the node and edge arrays that score them to _BLOCK_VALUES
+        self.cap = max(1, _BLOCK_VALUES // (
+            max(domain.num_nodes, len(self.ea)) * f0.q))
+        self.window = len(taus) if keep_all else min(len(taus), self.cap)
+        self.states = states = np.empty((self.window + 1,) + f0.values.shape)
+        states[0], self.base = f0.values, 0
         self.inner = domain.interior
         self.w_e, self.w_n = domain.delta ** (domain.m - 2), domain.delta**domain.m
         self.tau, self.key = None, None
         self.edge_sigma, e = _paired(states[0].take(self.ea, axis=0),
                                      states[0].take(self.eb, axis=0))
         self.log.energy[0] = self.w_e * e
+
+    def rows(self, k: int, count: int):
+        """The rows of states k to k + count, rolling the window first
+        when they run past its last row."""
+        r = k - self.base
+        if r + count > self.window:
+            _check_states(self.states[:r + 1])
+            self.states[0] = self.states[r]
+            self.base, r = k, 0
+        return self.states[r:r + count + 1]
+
+    def repeat(self, k: int, end: int):
+        """States k + 1 to end are state k."""
+        if self.window < len(self.log.taus):
+            self.base += end - k
+        else:
+            self.states[k + 1:end + 1] = self.states[k]
+
+    def final(self):
+        """The last state, once every row the window still holds is
+        checked finite and in canonical order."""
+        r = self.log.steps - self.base
+        _check_states(self.states[:r + 1])
+        return self.states[r]
 
     def prepare(self, tau: float, edge_sigma):
         """Make the factor, boundary term and right-hand side shape those
@@ -502,16 +552,16 @@ class _ChainState:
         of its own.  The rows are scattered back at the end, and the work
         array is freed before the block is scored."""
         self.prepare(tau, None)
-        factor, boundary, scale = self.factor, self.boundary, self.w_n / tau
-        inner = self.inner
+        solve, boundary, scale = self.factor.solve, self.boundary, self.w_n / tau
+        multiply, add, inner = np.multiply, np.add, self.inner
         work = np.empty((len(rows), len(inner)) + rows.shape[2:])
         lanes = work.reshape(len(rows), len(inner), rows.shape[2])
         rhs = np.empty(lanes.shape[1:])
         np.take(rows[0], inner, axis=0, out=work[0])
-        for j in range(len(rows) - 1):
-            np.multiply(scale, lanes[j], out=rhs)
-            rhs += boundary
-            factor.solve(rhs, out=lanes[j + 1])
+        for start, step in zip(lanes[:-1], lanes[1:]):
+            multiply(scale, start, out=rhs)
+            add(rhs, boundary, out=rhs)
+            solve(rhs, out=step)
         rows[1:] = rows[0]  # the boundary rows
         rows[1:, inner] = work[1:]
 
@@ -532,21 +582,19 @@ class _ChainState:
         leaves state, tau and floor unchanged, so every later step of the
         same tau is rejected alike and repeats the state without a solve.
         A kept state of zero energy ends the block."""
-        log, states, k = self.log, self.states, self.log.steps
+        log, k = self.log, self.log.steps
         taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
         ea, eb, w_e, w_n = self.ea, self.eb, self.w_e, self.w_n
-        cap = max(1, _BLOCK_VALUES // (
-            max(len(states[0]), len(ea)) * states.shape[2]))
         for tau, run in groupby(taus[k:last]):
             end, size = k + len(list(run)), 1
             while k < end:
                 if energy[k] == 0.0:
                     # a fixed point of every step: energy 0 and no sweep
-                    states[k + 1:last + 1] = states[k]
+                    self.repeat(k, last)
                     log.ends[k:last], log.steps = len(trace), last
                     return
-                rows = states[k:min(end, k + size) + 1]
-                size = min(2 * size, cap)
+                rows = self.rows(k, min(end - k, size))
+                size = min(2 * size, self.cap)
                 self._solve_rows(rows, tau)
                 cand = rows[1:]
                 en = w_e * _paired_sums(cand.take(ea, axis=1),
@@ -567,7 +615,7 @@ class _ChainState:
                 # floating point floor reached
                 if not np.isfinite(cand[j]).all():
                     raise ValueError("values must be finite")
-                states[k + 1:end + 1] = states[k]
+                self.repeat(k, end)
                 energy[k + 1:end + 1] = energy[k]
                 log.outer[k:end], log.ends[k:end] = 1, len(trace)
                 k = end
@@ -584,15 +632,15 @@ class _ChainState:
         ends the step, as does the pairing fixed point, which for q = 1 is
         the first kept sweep.  A step still moving after _MAX_OUTER sweeps
         is flagged as not converged and ends the chain."""
-        log, states = self.log, self.states
+        log = self.log
         taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
         ea, eb, inner, w_e, w_n = self.ea, self.eb, self.inner, self.w_e, self.w_n
         sweeps = range(1, _MAX_OUTER + 1)
-        cand = states[log.steps].copy()
+        cand = self.states[0].copy()  # the boundary rows
         edge, e = self.edge_sigma, energy[log.steps]
         outers, ends, k = log.outer, log.ends, log.steps
         for k, tau in enumerate(taus[k:last], start=k + 1):
-            prev, row, best = states[k - 1], states[k], e
+            (prev, row), best = self.rows(k - 1, 1), e
             edge_in, nu_in = edge, None
             if e == 0.0:
                 row[...], outer = prev, 0
@@ -650,18 +698,38 @@ def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,
     return QGridFunction(f_prev.domain, chain.states[1]), report
 
 
-def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
-    """Run the full chain of implicit steps into one state array.  The
-    first step is minimize_step's, so that a profile of the run sees one
-    call per chain, and the rest continue in the same loop; a step that
-    fails to converge truncates the chain, its best iterate kept and
-    flagged."""
+def _run_chain(f0: QGridFunction, schedule: StepSchedule,
+               keep_all: bool = True) -> _ChainState:
+    """The chain of implicit steps of schedule from f0.  The first step
+    is minimize_step's, so that a profile of the run sees one call per
+    chain, and the rest continue in the same loop; a step that fails to
+    converge ends the chain, its best iterate kept and flagged."""
     taus = schedule.taus()
-    chain = _ChainState(f0, taus)
+    chain = _ChainState(f0, taus, keep_all)
     minimize_step(f0, taus[0], step_index=1, _factor=chain)
     chain.run(len(taus))
+    return chain
+
+
+def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
+    """Run the full chain of implicit steps into one state array, which
+    a step that fails to converge truncates."""
+    chain = _run_chain(f0, schedule)
     return FlowTrajectory(schedule, f0.domain,
                           chain.states[:chain.log.steps + 1], chain.log)
+
+
+def final_state(f0: QGridFunction, schedule: StepSchedule) -> QGridFunction:
+    """The last state of run_flow(f0, schedule), bit for bit, from the
+    same chain over a window of one n = 1 block of rows, so that its
+    memory does not grow with the number of steps; every state it steps
+    through is checked as a trajectory's are.  Raises ValueError if a
+    step does not converge, which ends the chain early."""
+    chain = _run_chain(f0, schedule, keep_all=False)
+    if chain.log.steps < schedule.steps:
+        raise ValueError(f"the chain stopped after {chain.log.steps} of "
+                         f"{schedule.steps} steps")
+    return QGridFunction(f0.domain, chain.final().copy())
 
 
 def _blend(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:

@@ -871,6 +871,20 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_importing_the_cli_loads_no_numpy_polynomial():
+    """`import qflow.cli`, in a fresh interpreter, loads no
+    numpy.polynomial module: the polynomial presets use np.polyval."""
+    script = (
+        "import sys\n"
+        "import qflow.cli\n"
+        "print([m for m in sys.modules if m.startswith('numpy.polynomial')])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_no_qflow_path_loads_scipy_optimize(tmp_path):
     """Vector matching for q = 5..8 and a whole `verify` run, in a fresh
     interpreter, never import scipy.optimize nor any other scipy module."""

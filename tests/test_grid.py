@@ -308,6 +308,29 @@ def test_branches_preset_samples_radial_polynomials():
     assert np.allclose(f.values[:, :, 0], expect, atol=1e-15)
 
 
+@pytest.mark.parametrize("m, res", [(1, 21), (2, 11)])
+def test_polynomial_presets_have_the_bits_of_numpy_polynomial(m, res):
+    """Both polynomial presets sample their coefficients with the bits of
+    `numpy.polynomial.polynomial.polyval`, for random coefficients of
+    every length from 1 to 6."""
+    from numpy.polynomial import polynomial as npoly
+
+    d = build_domain(m, res)
+    s = np.linalg.norm(d.coords, axis=1)
+    rng = np.random.default_rng(res)
+    for length in range(1, 7):
+        for _ in range(5):
+            a, b = (tuple(rng.normal(size=length).tolist()) for _ in range(2))
+            poly = sample_initial(InitialSpec("symmetric-poly", coeffs=a), d, 2)
+            want = np.maximum(npoly.polyval(s, np.asarray(a)), 0.0)
+            assert poly.values[:, 1, 0].tobytes() == want.tobytes()
+            branches = sample_initial(
+                InitialSpec("branches", branch_coeffs=(a, b)), d, 2)
+            want = np.sort(np.stack([npoly.polyval(s, np.asarray(c))
+                                     for c in (a, b)], axis=1), axis=1)
+            assert branches.values[:, :, 0].tobytes() == want.tobytes()
+
+
 def test_preset_validation():
     d = build_domain(1, 5)
     with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from qflow.morseflow import (
     FlowTrajectory,
     StepReport,
     evaluate_at_time,
+    final_state,
     geometric_schedule,
     holder_margin,
     minimize_step,
@@ -708,14 +709,20 @@ def test_flow_matches_stepping_by_hand(n):
         assert report == traj.reports[k - 1]
 
 
+def block_rows(monkeypatch, d, q, rows):
+    """Set _BLOCK_VALUES so that an n = 1 block, and the window of
+    `final_state`, holds `rows` rows of q branches on d."""
+    monkeypatch.setattr(morseflow, "_BLOCK_VALUES",
+                        rows * max(d.num_nodes, d.num_edges) * q)
+
+
 def scalar_schedule(mode, d, q, monkeypatch):
     """The schedule of an n = 1 chain case at resolution 11: ten uniform
     steps; a geometric tail, where the floor guard rejects steps; a
     uniform run that reaches the floor and is rejected on every step after
     it ("floor"); and that run in blocks of three rows ("blocks")."""
     if mode == "blocks":
-        monkeypatch.setattr(morseflow, "_BLOCK_VALUES",
-                            3 * max(d.num_nodes, d.num_edges) * q)
+        block_rows(monkeypatch, d, q, 3)
     if mode == "uniform":
         return uniform_schedule(0.25, 10)
     if mode == "geometric":
@@ -898,6 +905,110 @@ def test_solves_after_a_rejection_are_no_more_than_the_kept_steps(
     states, reports = scalar_chain_by_loop(f0, sched.taus())
     assert np.array_equal(traj.states, states)
     assert repr(list(traj.reports)) == repr(reports)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q, n", [(1, 1), (3, 1), (1, 2), (3, 2)])
+@pytest.mark.parametrize("mode", ["uniform", "geometric"])
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_final_state_is_the_last_state_of_the_flow(m, q, n, mode, rows,
+                                                   monkeypatch):
+    """`final_state` keeps one block of rows and returns the bits of
+    run_flow's last state, for every value shape and both schedules (the
+    geometric tail rejects steps), with a window of the whole schedule
+    (the default cap) and one that rolls on every step or every third."""
+    d = build_domain(m, 11 if m == 1 else 7)
+    rng = np.random.default_rng(100 * m + 10 * q + n)
+    f0 = QGridFunction(d, rng.normal(size=(d.num_nodes, q, n)))
+    if rows:
+        block_rows(monkeypatch, d, q, rows)
+    sched = (uniform_schedule(0.25, 24) if mode == "uniform"
+             else geometric_schedule(0.25, 64))
+    traj = run_flow(f0, sched)
+    assert traj.converged
+    if mode == "geometric":
+        assert any(len(r.objective_trace) == 1 for r in traj.reports)
+    got = final_state(f0, sched)
+    assert got.values.tobytes() == traj.states[-1].tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_final_state_keeps_the_bits_through_repeated_steps(rows,
+                                                           monkeypatch):
+    """Steps that repeat their start are relabelled, not copied, when the
+    window rolls: the floor run, rejected on every step after its first
+    rejection, and a kept state of zero energy, a fixed point of every
+    later step, end on run_flow's last state."""
+    d = build_domain(1, 11)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    zero = QGridFunction(build_domain(1, 3), np.array(
+        [[[1.0], [1.0]], [[0.0], [2.0]], [[1.0], [1.0]]]))
+    for f, sched in ((f0, uniform_schedule(50.0, 300)),
+                     (zero, uniform_schedule(4e300, 4))):
+        if rows:
+            block_rows(monkeypatch, f.domain, 2, rows)
+        traj = run_flow(f, sched)
+        assert any(len(r.objective_trace) == 1 for r in traj.reports)
+        got = final_state(f, sched)
+        assert got.values.tobytes() == traj.states[-1].tobytes()
+
+
+def test_final_state_memory_does_not_grow_with_its_states():
+    """At resolution 41 over 20 000 steps, run_flow keeps every state,
+    more than steps * row bytes, while `final_state` keeps one block of
+    rows: its peak stays under a bound set by the block, not the steps
+    (the per-step log it still keeps is 40-odd bytes a step)."""
+    d = build_domain(1, 41)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    sched = uniform_schedule(0.25, 20000)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(f0, sched)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(final_state) < 2 * 2**20
+    assert peak(run_flow) > sched.steps * f0.values.nbytes
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_final_state_checks_every_state_it_steps_through(rows, monkeypatch):
+    """A solve that swaps one node's branches makes a state out of
+    canonical order, which the floor guard keeps (the branches are 1e-6
+    apart): `final_state` raises the ValueError that run_flow's
+    trajectory raises, whether the window rolls or not."""
+    solve = morseflow._BlockFactor.solve
+
+    def swapped(self, rhs, out=None):
+        x = solve(self, rhs, out)
+        x[0, [0, 1]] = x[0, [1, 0]]
+        return x
+
+    monkeypatch.setattr(morseflow._BlockFactor, "solve", swapped)
+    d = build_domain(1, 11)
+    if rows:
+        block_rows(monkeypatch, d, 2, rows)
+    u = np.random.default_rng(3).normal(size=d.num_nodes)
+    f0 = QGridFunction(d, np.stack([u, u + 1e-6], axis=1)[:, :, None])
+    for fn in (run_flow, final_state):
+        with pytest.raises(ValueError, match="canonical order"):
+            fn(f0, uniform_schedule(0.25, 8))
+
+
+def test_final_state_raises_when_the_chain_ends_early(monkeypatch):
+    """A step that does not converge ends the chain: run_flow truncates
+    its trajectory, and `final_state`, which has no last state to give,
+    raises."""
+    monkeypatch.setattr(morseflow, "_MAX_OUTER", 1)
+    d = build_domain(1, 11)
+    f0 = QGridFunction(d, np.random.default_rng(6).normal(size=(11, 2, 2)))
+    sched = uniform_schedule(0.25, 4)
+    assert not run_flow(f0, sched).converged
+    with pytest.raises(ValueError, match="stopped after"):
+        final_state(f0, sched)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
