@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from itertools import groupby
+from itertools import groupby, islice
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -379,7 +379,8 @@ class _BlockFactor:
     sweep over its blocks: the inverse of every Schur complement
     S_i = A_ii - A_i,i-1 G_i-1, with S_0 = A_00, and G_i = S_i^-1 A_i,i+1.
     For the M-matrix of a frozen system every S_i^-1 is entrywise
-    nonnegative and every G_i nonpositive."""
+    nonnegative and every G_i nonpositive.  Their entries below the
+    smallest normal double are stored as zero."""
 
     def __init__(self, domain: GridDomain, tau: float, sigma):
         self.blocks, diag, upper, self.couple = _frozen_system(
@@ -392,6 +393,11 @@ class _BlockFactor:
             self.inv.append(np.linalg.inv(s))
             if i < len(upper):
                 self.g.append(self.inv[i] @ upper[i])
+        # subnormal entries (tiny steps) slow every product that reads them
+        tiny = np.finfo(float).tiny
+        for b in self.inv + self.g:
+            b[np.abs(b) < tiny] = 0.0
+        self.one = self.inv[0].dot if len(diag) == 1 else None
 
     def boundary(self, values):
         """Boundary term of the right-hand side, w_e times the fixed lanes
@@ -407,11 +413,12 @@ class _BlockFactor:
         sweep z_i = S_i^-1 (rhs_i - A_i,i-1 z_i-1) and a back sweep
         x_i = z_i - G_i x_i+1, three matrix products per block, written
         into `out` (C-contiguous, rhs's shape, apart from rhs) or a new
-        array.  One block is one product and no new array."""
+        array.  One block is one call of the bound product `one`, with no
+        new array when given `out`."""
+        if self.one:
+            return self.one(rhs, out)
         x = np.empty(rhs.shape) if out is None else out
         dot = np.dot
-        if len(self.blocks) == 1:
-            return dot(self.inv[0], rhs, out=x)
         z = None
         for i, blk in enumerate(self.blocks):
             y = rhs[blk] - dot(self.lower[i - 1], z) if i else rhs[blk]
@@ -455,6 +462,9 @@ class _ChainState:
         self.states = states = np.empty((self.window + 1,) + f0.values.shape)
         states[0], self.base = f0.values, 0
         self.inner = domain.interior
+        # flat (node, branch, coordinate) indices of the interior values
+        width = f0.q * f0.n
+        self.lanes = (self.inner[:, None] * width + np.arange(width)).ravel()
         self.w_e, self.w_n = domain.delta ** (domain.m - 2), domain.delta**domain.m
         self.tau, self.key = None, None
         self.edge_sigma, e = _paired(states[0].take(self.ea, axis=0),
@@ -547,23 +557,28 @@ class _ChainState:
     def _solve_rows(self, rows, tau: float):
         """Solve rows[1:] of an n = 1 block in place, each a step of size tau
         from the row before.  The start's interior values are gathered once
-        into a work array; a step scales one of its rows, adds the boundary
-        term and solves into the next, with no gather, scatter or temporary
-        of its own.  The rows are scattered back at the end, and the work
-        array is freed before the block is scored."""
+        into a work array; a step is three numpy calls, given their output
+        by position: it scales its start row, adds the boundary term and
+        solves into the next row.  The rows, a contiguous slice of the
+        window whose reshape is a view, are scattered back at the end in
+        one assignment over the flat interior lanes, and the work array is
+        freed before the block is scored."""
         self.prepare(tau, None)
         solve, boundary, scale = self.factor.solve, self.boundary, self.w_n / tau
         multiply, add, inner = np.multiply, np.add, self.inner
         work = np.empty((len(rows), len(inner)) + rows.shape[2:])
-        lanes = work.reshape(len(rows), len(inner), rows.shape[2])
-        rhs = np.empty(lanes.shape[1:])
+        steps = work.reshape(len(rows), len(inner), rows.shape[2])
+        rhs = np.empty(steps.shape[1:])
         np.take(rows[0], inner, axis=0, out=work[0])
-        for start, step in zip(lanes[:-1], lanes[1:]):
-            multiply(scale, start, out=rhs)
-            add(rhs, boundary, out=rhs)
-            solve(rhs, out=step)
+        start = steps[0]
+        for step in steps[1:]:
+            multiply(scale, start, rhs)
+            add(rhs, boundary, rhs)
+            solve(rhs, step)
+            start = step
         rows[1:] = rows[0]  # the boundary rows
-        rows[1:, inner] = work[1:]
+        rows.reshape(len(rows), -1)[1:, self.lanes] = work[1:].reshape(
+            len(work) - 1, -1)
 
     # a solve that overflows makes a non-finite candidate, which the floor
     # guard turns into a ValueError: its overflowing and invalid operations
@@ -585,8 +600,8 @@ class _ChainState:
         log, k = self.log, self.log.steps
         taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
         ea, eb, w_e, w_n = self.ea, self.eb, self.w_e, self.w_n
-        for tau, run in groupby(taus[k:last]):
-            end, size = k + len(list(run)), 1
+        for tau, run in groupby(islice(taus, k, last)):
+            end, size = k + sum(1 for _ in run), 1
             while k < end:
                 if energy[k] == 0.0:
                     # a fixed point of every step: energy 0 and no sweep

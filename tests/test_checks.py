@@ -427,6 +427,21 @@ def test_corrupted_run_fails_the_energy_checks(healthy):
     assert not est.passed and est.margin < 0.0
 
 
+def test_holder_fails_on_a_run_that_jumps_between_states(healthy):
+    """Negative control of the time regularity bound: doubling the interior
+    rows of every odd state (positive scaling keeps canonical order, as
+    the injected control's does) makes the run jump on every step, and a
+    sampled time pair breaks the bound that the healthy run keeps."""
+    rng = np.random.default_rng(83)
+    assert check_holder(healthy, rng).margin > 0.0
+    states = healthy.states.copy()
+    states[1::2, healthy.domain.interior] *= 2.0
+    bad = FlowTrajectory(healthy.schedule, healthy.domain, states,
+                         healthy.reports)
+    res = check_holder(bad, np.random.default_rng(83))
+    assert not res.passed and res.margin < 0.0, res
+
+
 def test_symmetry_check_rejects_one_sided_data():
     d = build_domain(1, 21)
     f0 = sample_initial(

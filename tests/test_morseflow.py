@@ -512,7 +512,9 @@ def test_scalar_solve_keeps_sorted_branches_sorted(m, res, q):
     """For n = 1 the frozen matrix is an M-matrix: every S_i^-1 of its
     factor is entrywise nonnegative and every G_i nonpositive, so a frozen
     solve from sorted branches, random, exactly tied or tied to within
-    1e-9, leaves every node's branches in order."""
+    1e-9, leaves every node's branches in order.  At tau = 0.01 / 2^40 (a
+    geometric tail) the factor's subnormal entries are flushed to zero,
+    which keeps those signs and that order."""
     rng = np.random.default_rng(100 * m + res + q)
     d = build_domain(m, res)
     base = rng.normal(size=(d.num_nodes, q, 1))
@@ -523,12 +525,14 @@ def test_scalar_solve_keeps_sorted_branches_sorted(m, res, q):
     }
     for vals in data.values():
         vals = np.sort(vals, axis=1)
-        for tau in (1e-4, 0.05, 10.0):
+        for tau in (0.01 / 2**40, 1e-4, 0.05, 10.0):
             chain = morseflow._ChainState(QGridFunction(d, vals), [tau])
             sol = chain.solve(tau, vals, None, None)
             assert (np.diff(sol, axis=1) >= 0.0).all()
             assert all((s >= 0.0).all() for s in chain.factor.inv)
             assert all((g <= 0.0).all() for g in chain.factor.g)
+            for b in chain.factor.inv + chain.factor.g:
+                assert not (np.abs(b[b != 0.0]) < np.finfo(float).tiny).any()
 
 
 def test_separated_vector_branches_follow_the_heat_chain():
@@ -835,6 +839,32 @@ def test_scalar_chain_matches_the_sorting_loop_bit_for_bit(m, q, mode,
         assert repr(list(traj.reports)) == repr(reports), label
         if mode != "uniform":
             assert any(len(r.objective_trace) == 1 for r in reports), label
+
+
+def test_scalar_chain_at_the_ladder_block_size_matches_the_loop(monkeypatch):
+    """The heat ladder's resolution-41 cell (q = 2, symmetric-cos, its step
+    size) over 600 steps at the default _BLOCK_VALUES cap: blocks grow to
+    the cap of 199 rows, and the window of `final_state` rolls, which the
+    resolution-11 cases never reach.  run_flow's states and the repr of
+    every report are those of the loop that steps one at a time, and
+    `final_state` ends on its last state, bit for bit."""
+    d = build_domain(1, 41)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    sched = uniform_schedule(600 / 51200, 600)
+    sizes, solve_rows = [], morseflow._ChainState._solve_rows
+
+    def recorded(self, rows, tau):
+        sizes.append(len(rows) - 1)
+        return solve_rows(self, rows, tau)
+
+    monkeypatch.setattr(morseflow._ChainState, "_solve_rows", recorded)
+    traj = run_flow(f0, sched)
+    assert max(sizes) == morseflow._BLOCK_VALUES // (d.num_nodes * 2) == 199
+    assert sum(sizes) == sched.steps
+    states, reports = scalar_chain_by_loop(f0, sched.taus())
+    assert np.array_equal(traj.states, states)
+    assert repr(list(traj.reports)) == repr(reports)
+    assert final_state(f0, sched).values.tobytes() == states[-1].tobytes()
 
 
 def test_a_kept_state_of_zero_energy_ends_its_block():
