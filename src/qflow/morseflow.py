@@ -15,11 +15,14 @@ for one step, and `run_flow` runs it over a whole schedule, building no
 per-step objects.  The state array is a window of rows: `run_flow`'s
 holds every state, while `final_state`, for callers that read only the
 last one, holds one n = 1 block and rolls it, so its memory does not grow
-with the number of steps.  An n = 1 chain steps in blocks of equal step size,
-each twice the last up to a cap: it solves a block's rows one after the
-other in a work array, scores them all in one array pass and keeps them up
-to the first step the floor guard rejects, which after the same start and
-tau rejects every later step of that size too.
+with the number of steps.  The loop steps each run of equal step size in
+blocks, one step long for n > 1 and for n = 1 each twice the last up to a
+cap, through one frozen-pairing solve, `_ChainState._solve_rows`: an
+n = 1 block solves its rows one after the other in a work array and scores
+them all in one array pass, an n > 1 step iterates its pairing sweeps on
+its one row.  A step that keeps no candidate leaves start and tau as they
+were, so every later step of that size would be rejected too: the rest of
+the run repeats its start without a solve.
 The solver only solves: its log records each step's energies, penalty
 and sweeps, and the quantities the paper's bounds are stated in come from
 the states, through `FlowTrajectory`.  Two step size schedules are
@@ -443,8 +446,9 @@ class _ChainState:
     then stands for the last of them.
 
     It holds the block factor of the frozen-pairing system of one (tau,
-    edge pairing) key and the boundary term of its right-hand side, which a new
-    key replaces; the edge pairing of its last state; and its per-step log.
+    edge pairing) key, the boundary term of its right-hand side and that
+    side's layout, which a new key replaces; the edge pairing of its last
+    state; and its per-step log.
     Every state has the boundary rows of f0, bit for bit, so the boundary
     term is computed once per factorization."""
 
@@ -495,9 +499,87 @@ class _ChainState:
         _check_states(self.states[:r + 1])
         return self.states[r]
 
-    def prepare(self, tau: float, edge_sigma):
-        """Make the factor, boundary term and right-hand side shape those
-        of tau and edge_sigma, keeping them when both are unchanged."""
+    # a solve that overflows makes a non-finite candidate, which the floor
+    # rule turns into a ValueError: its overflowing and invalid operations
+    # need no warning, nor do those of the rows a block solves after it
+    @np.errstate(invalid="ignore", over="ignore")
+    def run(self, last: int):
+        """Take the steps up to `last` from where the chain stands, in
+        blocks of consecutive steps of equal tau.
+
+        Each step minimizes its objective from the step's start, and the
+        floor guard keeps a candidate only if its objective is below the
+        last kept value, at first the start's energy.  Two rules hold for
+        every value shape.  A state of zero energy is a fixed point of
+        every step: it repeats to `last`, with no sweep.  A step that keeps
+        no candidate leaves state, tau, edge pairing and floor unchanged,
+        so every later step of the same tau would be rejected alike: it
+        repeats its start for the rest of its run of equal tau without a
+        solve, or raises if its candidate is not finite.
+
+        Only a block's body depends on the value shape.  For n = 1 the
+        canonical (sorted) storage makes every pairing the identity and the
+        frozen matrix is an M-matrix, whose solve keeps each node's
+        branches in order, so one sweep is exact and a step is solved and
+        scored as is (FlowTrajectory rejects a state out of order): the
+        first block of a run is one step long and each next twice the last,
+        up to `cap` rows, so a run solves no more rows after a rejection
+        than it kept before it, and `_block` scores a block's rows at once.
+        For n > 1 a block is one step, swept by `_sweeps`, and a step that
+        does not converge ends the chain."""
+        log, k = self.log, self.log.steps
+        trace, energy = log.trace, log.energy
+        body, cap = ((self._block, self.cap) if self.states.shape[3] == 1
+                     else (self._sweeps, 1))
+        for tau, run in groupby(islice(log.taus, k, last)):
+            end, size = k + sum(1 for _ in run), 1
+            while k < end and log.converged:
+                if energy[k] == 0.0:
+                    # a fixed point of every step: energy 0 and no sweep
+                    self.repeat(k, last)
+                    log.ends[k:last], log.steps = len(trace), last
+                    return
+                rows = self.rows(k, min(end - k, size))
+                size = min(2 * size, cap)
+                j = body(rows, tau, k)
+                k += j
+                if j == len(rows) - 1 or energy[k] == 0.0:
+                    continue
+                # floating point floor reached: step k + 1 kept no candidate
+                if not np.isfinite(rows[j + 1]).all():
+                    raise ValueError("values must be finite")
+                self.repeat(k, end)
+                energy[k + 1:end + 1] = energy[k]
+                log.outer[k:end], log.ends[k:end] = 1, len(trace)
+                k = end
+        log.steps = k
+
+    def _solve_rows(self, rows, tau: float, edge_sigma=None, node_nu=None):
+        """Solve rows[1:] in place, each a step of size tau from the row
+        before with every branch pairing frozen: the frozen-pairing solve
+        of every chain, over a block's rows for n = 1 and into one sweep's
+        row for n > 1.
+
+        Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at
+        b; interior node j compares its branch i with branch node_nu[j, i]
+        of the start; None, and only None, stands for the identity pairing
+        on every row.  The factor, boundary term and right-hand side layout
+        are those of the last solve when tau and the edge pairing are the
+        same, new ones otherwise.  For the identity edge pairing the matrix
+        is q copies of one scalar block over the interior nodes and the
+        right-hand side has one column per (branch, coordinate); otherwise
+        the columns are the n coordinates of every branch lane.  Either way
+        all columns go through one block solve, in which a negated column
+        is solved with the same arithmetic, so +/- data (q = 2) stay
+        exactly symmetric.
+
+        The start's interior values are gathered once into a work array,
+        node_nu applied; a step is three numpy calls, given their output
+        by position: it scales its start row, adds the boundary term and
+        solves into the next row.  The rows, a contiguous slice of the
+        window whose reshape is a view, are scattered back at the end in
+        one assignment over the flat interior lanes, and the work array is
+        freed before the rows are scored."""
         key = None if edge_sigma is None else edge_sigma.tobytes()
         if tau != self.tau or key != self.key:
             start = self.states[0]
@@ -509,67 +591,14 @@ class _ChainState:
             self.factor = _BlockFactor(self.domain, tau, sigma)
             self.tau, self.key = tau, key
             self.boundary = self.factor.boundary(start.reshape(self.shape))
-
-    def solve(self, tau: float, prev, edge_sigma, node_nu):
-        """Interior values minimizing the step objective of size tau from
-        prev with every branch pairing frozen, from the factor and boundary
-        term of the last solve when tau and the edge pairing are the same,
-        from new ones otherwise.
-
-        Across edge (a, b), branch i at a meets branch edge_sigma[e, i] at
-        b; interior node j compares its branch i with branch node_nu[j, i]
-        of prev; None, and only None, stands for the identity pairing on
-        every row.  For the identity edge pairing the matrix is q copies of
-        one scalar block over the interior nodes and the right-hand side
-        has one column per (branch, coordinate); otherwise the columns are
-        the n coordinates of every branch lane.  Either way all columns go
-        through one block solve, in which a negated column is solved with
-        the same arithmetic, so +/- data (q = 2) stay exactly symmetric."""
-        self.prepare(tau, edge_sigma)
-        matched = prev.take(self.inner, axis=0)
-        if node_nu is not None:
-            matched = np.take_along_axis(matched, node_nu[:, :, None], axis=1)
-        rhs = self.w_n / tau * matched.reshape(self.shape) + self.boundary
-        return self.factor.solve(rhs).reshape(matched.shape)
-
-    def run(self, last: int):
-        """Take the steps up to `last` from where the chain stands.
-
-        Each step minimizes its objective from the step's start, and the
-        floor guard keeps a candidate only if its objective is below the
-        last kept value, at first the start's energy; a step with no kept
-        candidate keeps its start.  A start of zero energy is a fixed
-        point of every step.
-
-        For n = 1 the canonical (sorted) storage makes every pairing the
-        identity and the frozen matrix is an M-matrix, whose solve keeps
-        each node's branches in order, so one sweep is exact and a step is
-        solved and scored as is (FlowTrajectory rejects a state out of
-        order).  Such a chain steps in blocks, `_blocks`: runs of steps of
-        equal tau, guarded all at once.  Every other chain steps sweep by
-        sweep, `_sweeps`."""
-        if self.log.converged:
-            if self.states.shape[3] == 1:
-                self._blocks(last)
-            else:
-                self._sweeps(last)
-
-    def _solve_rows(self, rows, tau: float):
-        """Solve rows[1:] of an n = 1 block in place, each a step of size tau
-        from the row before.  The start's interior values are gathered once
-        into a work array; a step is three numpy calls, given their output
-        by position: it scales its start row, adds the boundary term and
-        solves into the next row.  The rows, a contiguous slice of the
-        window whose reshape is a view, are scattered back at the end in
-        one assignment over the flat interior lanes, and the work array is
-        freed before the block is scored."""
-        self.prepare(tau, None)
         solve, boundary, scale = self.factor.solve, self.boundary, self.w_n / tau
         multiply, add, inner = np.multiply, np.add, self.inner
         work = np.empty((len(rows), len(inner)) + rows.shape[2:])
-        steps = work.reshape(len(rows), len(inner), rows.shape[2])
-        rhs = np.empty(steps.shape[1:])
         np.take(rows[0], inner, axis=0, out=work[0])
+        if node_nu is not None:
+            work[0] = np.take_along_axis(work[0], node_nu[:, :, None], axis=1)
+        steps = work.reshape((len(rows),) + self.shape)
+        rhs = np.empty(steps.shape[1:])
         start = steps[0]
         for step in steps[1:]:
             multiply(scale, start, rhs)
@@ -580,115 +609,73 @@ class _ChainState:
         rows.reshape(len(rows), -1)[1:, self.lanes] = work[1:].reshape(
             len(work) - 1, -1)
 
-    # a solve that overflows makes a non-finite candidate, which the floor
-    # guard turns into a ValueError: its overflowing and invalid operations
-    # need no warning, nor do those of the rows a block solves after it
-    @np.errstate(invalid="ignore", over="ignore")
-    def _blocks(self, last: int):
-        """The n = 1 floor guard per block of steps.  A block is a run of
-        consecutive steps of equal tau, the first of a run one step long
-        and each next twice the last, up to _BLOCK_VALUES values per node
-        or edge array, so a run solves no more rows after a rejection than
-        it kept before it.  Its rows are solved one after the other,
-        `_solve_rows`; then all are scored in one pass, E_k and P_k by one
-        `grid._paired_sums` call each over the block's rows, and the steps
-        are kept up to the first whose E_k + P_k / tau is not below E_k-1.
-        That step keeps its start, or raises if its row is not finite; it
-        leaves state, tau and floor unchanged, so every later step of the
-        same tau is rejected alike and repeats the state without a solve.
-        A kept state of zero energy ends the block."""
-        log, k = self.log, self.log.steps
-        taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
-        ea, eb, w_e, w_n = self.ea, self.eb, self.w_e, self.w_n
-        for tau, run in groupby(islice(taus, k, last)):
-            end, size = k + sum(1 for _ in run), 1
-            while k < end:
-                if energy[k] == 0.0:
-                    # a fixed point of every step: energy 0 and no sweep
-                    self.repeat(k, last)
-                    log.ends[k:last], log.steps = len(trace), last
-                    return
-                rows = self.rows(k, min(end - k, size))
-                size = min(2 * size, self.cap)
-                self._solve_rows(rows, tau)
-                cand = rows[1:]
-                en = w_e * _paired_sums(cand.take(ea, axis=1),
-                                        cand.take(eb, axis=1))[1]
-                dist = w_n * _paired_sums(cand, rows[:-1])[1]
-                value = en + dist / tau
-                kept = value < np.concatenate(([energy[k]], en[:-1]))
-                kept[1:] &= en[:-1] != 0.0  # a kept zero energy ends the block
-                j = len(kept) if kept.all() else int(kept.argmin())
-                trace_end = len(trace)
-                trace.frombytes(value[:j].tobytes())
-                energy[k + 1:k + j + 1], penalty[k:k + j] = en[:j], dist[:j]
-                log.outer[k:k + j] = 1
-                log.ends[k:k + j] = np.arange(trace_end + 1, trace_end + j + 1)
-                k += j
-                if j == len(kept) or energy[k] == 0.0:
-                    continue
-                # floating point floor reached
-                if not np.isfinite(cand[j]).all():
-                    raise ValueError("values must be finite")
-                self.repeat(k, end)
-                energy[k + 1:end + 1] = energy[k]
-                log.outer[k:end], log.ends[k:end] = 1, len(trace)
-                k = end
-        log.steps = k
-
-    @np.errstate(invalid="ignore")
-    def _sweeps(self, last: int):
-        """Steps of n > 1, sweep by sweep.  Each sweep solves the frozen
-        system into a reused candidate row, puts it in canonical order and
-        matches it once across the edges and once against the step's start,
-        which gives its objective and the next sweep's pairings; the first
-        sweep takes the start's edge pairing and the identity at the nodes.
-        A sweep that does not lower the objective below the last kept value
-        ends the step, as does the pairing fixed point, which for q = 1 is
-        the first kept sweep.  A step still moving after _MAX_OUTER sweeps
-        is flagged as not converged and ends the chain."""
+    def _block(self, rows, tau: float, k: int) -> int:
+        """Steps k + 1 to k + len(rows) - 1 of an n = 1 chain, solved one
+        after the other, `_solve_rows`, then all scored in one pass: E_k
+        and P_k by one `grid._paired_sums` call each over the block's rows.
+        The steps are kept up to the first whose E_k + P_k / tau is not
+        below E_k-1, or the first after a kept state of zero energy, which
+        is a fixed point; returns how many were kept."""
         log = self.log
-        taus, trace, energy, penalty = log.taus, log.trace, log.energy, log.penalty
+        self._solve_rows(rows, tau)
+        cand = rows[1:]
+        en = self.w_e * _paired_sums(cand.take(self.ea, axis=1),
+                                     cand.take(self.eb, axis=1))[1]
+        dist = self.w_n * _paired_sums(cand, rows[:-1])[1]
+        value = en + dist / tau
+        kept = value < np.concatenate(([log.energy[k]], en[:-1]))
+        kept[1:] &= en[:-1] != 0.0  # a kept zero energy ends the block
+        j = len(kept) if kept.all() else int(kept.argmin())
+        trace_end = len(log.trace)
+        log.trace.frombytes(value[:j].tobytes())
+        log.energy[k + 1:k + j + 1], log.penalty[k:k + j] = en[:j], dist[:j]
+        log.outer[k:k + j] = 1
+        log.ends[k:k + j] = np.arange(trace_end + 1, trace_end + j + 1)
+        return j
+
+    def _sweeps(self, rows, tau: float, k: int) -> int:
+        """Step k + 1 of an n > 1 chain, sweep by sweep.  Each sweep solves
+        the frozen system into rows[1], `_solve_rows`, puts it in canonical
+        order and matches it once across the edges and once against the
+        step's start, which gives its objective and the next sweep's
+        pairings; the first sweep takes the start's edge pairing and the
+        identity at the nodes.  A sweep that does not lower the objective
+        below the last kept value ends the step, as does the pairing fixed
+        point, which for q = 1 is the first kept sweep; the last kept sweep
+        is written back to rows[1] from its canonical copy.  A step still
+        moving after _MAX_OUTER sweeps is flagged as not converged.
+        Returns 1 if a sweep was kept, 0 otherwise."""
+        log, (prev, row) = self.log, rows
         ea, eb, inner, w_e, w_n = self.ea, self.eb, self.inner, self.w_e, self.w_n
-        sweeps = range(1, _MAX_OUTER + 1)
-        cand = self.states[0].copy()  # the boundary rows
-        edge, e = self.edge_sigma, energy[log.steps]
-        outers, ends, k = log.outer, log.ends, log.steps
-        for k, tau in enumerate(taus[k:last], start=k + 1):
-            (prev, row), best = self.rows(k - 1, 1), e
-            edge_in, nu_in = edge, None
-            if e == 0.0:
-                row[...], outer = prev, 0
-            else:
-                for outer in sweeps:
-                    cand[inner] = self.solve(tau, prev, edge_in, nu_in)
-                    c = _canonical(cand)
-                    edge_out, en = _paired(c.take(ea, axis=0), c.take(eb, axis=0))
-                    node_sigma, dist = _paired(c, prev)
-                    en, dist = w_e * en, w_n * dist
-                    value = en + dist / tau
-                    if not value < best:
-                        # floating point floor reached
-                        if not np.isfinite(c).all():
-                            raise ValueError("values must be finite")
-                        if outer == 1:
-                            row[...] = prev  # no sweep kept
-                        break
-                    row[...] = c
-                    trace.append(value)
-                    best, e = value, en
-                    edge, penalty[k - 1] = edge_out, dist
-                    nu_out = None if node_sigma is None else node_sigma[inner]
-                    if ((edge_out is edge_in or np.array_equal(edge_out, edge_in))
-                            and (nu_out is nu_in or np.array_equal(nu_out, nu_in))):
-                        break
-                    edge_in, nu_in = edge_out, nu_out
-                else:
-                    log.converged = False
-            energy[k], outers[k - 1], ends[k - 1] = e, outer, len(trace)
-            if not log.converged:
+        best = e = log.energy[k]
+        edge_in, nu_in, kept = self.edge_sigma, None, None
+        for outer in range(1, _MAX_OUTER + 1):
+            self._solve_rows(rows, tau, edge_in, nu_in)
+            c = _canonical(row)
+            edge_out, en = _paired(c.take(ea, axis=0), c.take(eb, axis=0))
+            node_sigma, dist = _paired(c, prev)
+            en, dist = w_e * en, w_n * dist
+            value = en + dist / tau
+            if not value < best:
+                # floating point floor reached
+                if kept is None:
+                    return 0
+                if not np.isfinite(c).all():
+                    raise ValueError("values must be finite")
                 break
-        log.steps, self.edge_sigma = k, edge
+            log.trace.append(value)
+            kept, best, e = c, value, en
+            self.edge_sigma, log.penalty[k] = edge_out, dist
+            nu_out = None if node_sigma is None else node_sigma[inner]
+            if ((edge_out is edge_in or np.array_equal(edge_out, edge_in))
+                    and (nu_out is nu_in or np.array_equal(nu_out, nu_in))):
+                break
+            edge_in, nu_in = edge_out, nu_out
+        else:
+            log.converged = False
+        row[...] = kept
+        log.energy[k + 1], log.outer[k], log.ends[k] = e, outer, len(log.trace)
+        return 1
 
 
 def minimize_step(f_prev: QGridFunction, tau: float, step_index: int = 0,

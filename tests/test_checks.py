@@ -420,11 +420,17 @@ def test_trajectory_checks_pass_on_a_healthy_run(healthy):
 
 
 def test_corrupted_run_fails_the_energy_checks(healthy):
+    """Doubling one state's interior breaks energy monotonicity, the step
+    estimate and the max principle, all three of which the healthy run
+    keeps."""
     bad = corrupt_middle(healthy)
     mono = check_energy_monotonicity(bad)
     assert not mono.passed and mono.margin < 0.0
     est = check_step_estimate(bad)
     assert not est.passed and est.margin < 0.0
+    assert check_max_principle([healthy]).passed
+    peak = check_max_principle([bad])
+    assert not peak.passed and peak.margin < 0.0
 
 
 def test_holder_fails_on_a_run_that_jumps_between_states(healthy):

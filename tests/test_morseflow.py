@@ -235,8 +235,9 @@ def frozen_solve(f, tau, edge_sigma, node_nu):
     delta^m, with the system and right-hand side built here by the
     csr-pipeline reference."""
     d, (q, n) = f.domain, f.values.shape[1:]
-    vals = morseflow._ChainState(f, [tau]).solve(tau, f.values, edge_sigma,
-                                                 node_nu)
+    chain = morseflow._ChainState(f, [tau])
+    chain._solve_rows(chain.states, tau, edge_sigma, node_nu)
+    vals = chain.states[1, d.interior]
     if edge_sigma is None:
         sigma, shape = np.zeros((d.num_edges, 1), dtype=np.int64), (-1, q * n)
     else:
@@ -527,7 +528,8 @@ def test_scalar_solve_keeps_sorted_branches_sorted(m, res, q):
         vals = np.sort(vals, axis=1)
         for tau in (0.01 / 2**40, 1e-4, 0.05, 10.0):
             chain = morseflow._ChainState(QGridFunction(d, vals), [tau])
-            sol = chain.solve(tau, vals, None, None)
+            chain._solve_rows(chain.states, tau)
+            sol = chain.states[1, d.interior]
             assert (np.diff(sol, axis=1) >= 0.0).all()
             assert all((s >= 0.0).all() for s in chain.factor.inv)
             assert all((g <= 0.0).all() for g in chain.factor.g)
@@ -696,16 +698,41 @@ def test_flow_computes_each_start_energy_once(monkeypatch):
     assert [r.energy_before for r in traj.reports] == list(traj.energies[:-1])
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_flow_matches_stepping_by_hand(n):
-    """run_flow shares one factorization across steps; the chain must be
-    bit-identical to independent minimize_step calls."""
+STEPPING_CASES = [(1, 15, 2, 1, "uniform"), (1, 15, 2, 2, "uniform")] + [
+    (m, 11, q, 2, mode) for mode in ("geometric", "floor")
+    for m in (1, 2) for q in (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "m, res, q, n, mode", STEPPING_CASES,
+    ids=["1", "2"] + [f"{c[4]}-{c[0]}-{c[2]}" for c in STEPPING_CASES[2:]])
+def test_flow_matches_stepping_by_hand(m, res, q, n, mode, monkeypatch):
+    """run_flow shares one factorization across steps, and a step that
+    keeps no sweep repeats its start for the rest of its run of equal tau;
+    the chain must be bit-identical to independent minimize_step calls:
+    six uniform steps with no rejection, and for n = 2 a geometric tail
+    and a uniform run that reaches the floor, both rejecting steps.  A
+    step solves the sweeps it reports, so the geometric run, whose taus
+    all differ, solves every step's, and the floor run only those of the
+    steps up to its first rejection."""
     rng = np.random.default_rng(67)
-    d = build_domain(1, 15)
-    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(15, 2, n)))
-    sched = uniform_schedule(0.25, 6)
+    d = build_domain(m, res)
+    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
+    sched = {"uniform": uniform_schedule(0.25, 6),
+             "geometric": geometric_schedule(0.25, 64),
+             "floor": uniform_schedule(50.0, 300)}[mode]
+    solves = count_solves(monkeypatch)
     traj = run_flow(f0, sched)
     assert traj.converged
+    sweeps = [r.outer_iterations for r in traj.reports]
+    rejected = [len(r.objective_trace) == 1 for r in traj.reports]
+    assert any(rejected) == (mode != "uniform")
+    if mode == "floor":
+        first = rejected.index(True)
+        assert all(rejected[first:])
+        assert len(solves) == sum(sweeps[:first + 1])
+    else:
+        assert len(solves) == sum(sweeps)
     current = f0
     for k in range(1, sched.steps + 1):
         current, report = minimize_step(current, sched.tau(k), step_index=k)
@@ -1090,8 +1117,9 @@ def count_grid_functions(monkeypatch):
 
 
 def test_vector_flow_builds_no_grid_function_per_sweep(monkeypatch):
-    """An n = 2 chain solves every sweep into one reused candidate row: the
-    QGridFunctions a run builds do not grow with its steps or sweeps."""
+    """An n = 2 chain solves every sweep into its step's row of the state
+    array: the QGridFunctions a run builds do not grow with its steps or
+    sweeps."""
     rng = np.random.default_rng(6)
     d = build_domain(1, 11)
     f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
