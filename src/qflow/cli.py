@@ -226,13 +226,11 @@ def _apply_injection(traj: FlowTrajectory, config: RunConfig) -> FlowTrajectory:
 def _run_check_names(config: RunConfig) -> tuple:
     """Checks applicable to a single run of this config."""
     names = ["energy_monotonicity", "step_estimate", "eta_residual",
-             "boundary_trace", "holder"]
+             "max_principle", "boundary_trace", "holder"]
     if config.preset.startswith("symmetric"):
         names += ["symmetry", "positivity"]
-    if config.mode == "uniform":
-        names.append("max_principle")
-        if config.q == 1 and config.m == 1:
-            names.append("oracle_equivalence")
+    if config.m == 1:
+        names.append("oracle_equivalence")
     return tuple(n for n in checks.CHECK_NAMES if n in names)
 
 
@@ -339,6 +337,9 @@ def cmd_verify(config: RunConfig) -> int:
         sym_cfg = replace(config, preset="symmetric-cos", coeffs=(),
                           branch_coeffs=(), q=2)
         sym = run_flow(make_initial(sym_cfg, domain), schedule)
+    # the one-branch run stays uniform: eta_residual's threshold does not
+    # scale with tau, and below tau of about 1e-8 (step 25 of a geometric
+    # run at h = 0.25) a state's rounding divided by tau exceeds it
     q1_cfg = replace(config, q=1, preset="branches", coeffs=(),
                      branch_coeffs=((1.0, 0.0, -1.0),))
     q1 = run_flow(make_initial(q1_cfg, domain),

@@ -523,17 +523,23 @@ def test_eta_residual_holds_for_vector_values():
     assert not res.passed and res.margin < 0.0
 
 
-def test_max_principle_check_needs_a_uniform_run(healthy):
+def test_max_principle_check_reads_every_run(healthy):
+    """A geometric run is read and counted like a uniform one; a doubled
+    middle state fails either, and a list with no step cannot apply."""
     d = build_domain(1, 11)
     f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
     geo = run_flow(f0, geometric_schedule(0.25, 4))
     res = check_max_principle([geo])
-    assert not res.passed and res.margin < 0.0
-    assert "no uniform" in res.detail
-    # geometric runs are ignored, not counted
+    assert res.passed and res.detail.startswith("1 run(s)")
     both = check_max_principle([geo, healthy])
-    assert both.passed
-    assert "1 uniform run(s)" in both.detail
+    assert both.passed and both.detail.startswith("2 run(s)")
+    assert both.margin == min(res.margin, check_max_principle([healthy]).margin)
+    bad = check_max_principle([healthy, corrupt_middle(geo)])
+    assert not bad.passed and bad.margin < 0.0
+    lone = trajectory_of(geo.schedule, (f0,), ())
+    for runs in ([], [lone]):
+        res = check_max_principle(runs)
+        assert not res.passed and res.margin == -math.inf
 
 
 def test_boundary_trace_detects_a_moved_boundary(healthy):
@@ -632,20 +638,15 @@ def max_principle_by_loop(trajs):
     margin = math.inf
     counted = 0
     for traj in trajs:
-        if traj.schedule.mode != "uniform":
-            continue
         counted += 1
         norms = traj.max_norms
         for k in range(1, len(norms)):
             margin = min(margin, norms[k - 1] + 1e-12 - norms[k])
-    if counted == 0:
-        return CheckResult("max_principle", -math.inf,
-                           "no uniform-schedule run available")
     if math.isinf(margin):
-        margin = -math.inf  # no uniform run with a step: cannot apply
+        margin = -math.inf  # no run with a step: cannot apply
     return CheckResult(
         "max_principle", margin,
-        f"{counted} uniform run(s), tightest monotonicity clearance {margin:.3e}",
+        f"{counted} run(s), tightest monotonicity clearance {margin:.3e}",
     )
 
 
@@ -749,7 +750,8 @@ def test_reference_trajectories_reach_each_branch(reference_trajectories):
     mono = check_energy_monotonicity(trajs["injected"])
     assert not mono.passed and mono.margin < 0.0
     assert mono.detail.endswith("at step 8")
-    assert check_max_principle([trajs["geometric"]]).margin == -math.inf
+    assert check_max_principle([trajs["geometric"]]).passed
+    assert check_max_principle([trajs["zero steps"]]).margin == -math.inf
     truncated = check_eta_residual(trajs["truncated n = 2"])
     assert truncated.detail == "no converged steps, 1 non-converged steps skipped"
     assert not truncated.passed and truncated.margin == -math.inf
@@ -759,11 +761,15 @@ def test_reference_trajectories_reach_each_branch(reference_trajectories):
 
 
 def test_checks_with_nothing_to_reduce_cannot_apply(reference_trajectories):
-    """A trajectory check with no step, no converged step, no uniform run
-    with a step, no sampled time pair or nothing to compare fails with a
-    -inf margin (null in the reports) instead of passing vacuously."""
+    """A trajectory check with no step, no converged step, no run with a
+    step, no sampled time pair or nothing to compare fails with a -inf
+    margin (null in the reports) instead of passing vacuously."""
     zero = reference_trajectories["zero steps"]
     healthy = reference_trajectories["healthy"]
+    f0 = sample_initial(
+        InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),)),
+        build_domain(1, 21), 1)
+    zero_q1 = trajectory_of(uniform_schedule(0.1, 4), (f0,), ())
     rng = np.random.default_rng(5)
     for res in (check_energy_monotonicity(zero), check_step_estimate(zero),
                 check_eta_residual(zero),
@@ -771,6 +777,9 @@ def test_checks_with_nothing_to_reduce_cannot_apply(reference_trajectories):
                 check_max_principle([zero]), check_boundary_trace(zero, rng),
                 check_holder(zero, rng), check_holder(healthy, rng, 0)):
         assert not res.passed and res.margin == -math.inf, res
+    res = check_oracle_equivalence(zero_q1)
+    assert not res.passed and res.margin == -math.inf, res
+    assert res.detail == "needs at least one step"
 
 
 def test_max_principle_matches_its_loop_on_a_mixed_list(reference_trajectories):
@@ -782,15 +791,21 @@ def test_max_principle_matches_its_loop_on_a_mixed_list(reference_trajectories):
     assert check_max_principle(iter(mixed)) == max_principle_by_loop(mixed)
 
 
-def test_oracle_equivalence_requires_single_branch_uniform(healthy):
-    res = check_oracle_equivalence(healthy)  # q = 2
-    assert not res.passed and res.margin < 0.0
+def test_oracle_equivalence_applies_to_every_scalar_interval_run(
+        healthy, reference_trajectories):
+    """Every branch column of an m = 1, n = 1 run is its own heat chain,
+    for any q and either schedule; an n = 2 run cannot apply."""
+    assert check_oracle_equivalence(healthy).passed  # q = 2
+    assert check_oracle_equivalence(reference_trajectories["geometric"]).passed
     d = build_domain(1, 21)
     f0 = sample_initial(
         InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),)), d, 1
     )
-    good = run_flow(f0, uniform_schedule(0.1, 4))
-    assert check_oracle_equivalence(good).passed
+    for schedule in (uniform_schedule(0.1, 4), geometric_schedule(0.1, 4)):
+        assert check_oracle_equivalence(run_flow(f0, schedule)).passed
+    res = check_oracle_equivalence(reference_trajectories["truncated n = 2"])
+    assert not res.passed and res.margin == -math.inf
+    assert res.detail == "needs an m = 1, n = 1 run"
 
 
 def test_oracle_equivalence_cannot_apply_on_the_disk():
@@ -803,7 +818,7 @@ def test_oracle_equivalence_cannot_apply_on_the_disk():
     res = check_oracle_equivalence(run_flow(f0, uniform_schedule(0.1, 2)))
     assert not res.passed
     assert res.margin == -math.inf
-    assert res.detail == "needs an m = 1, q = 1, n = 1 uniform run"
+    assert res.detail == "needs an m = 1, n = 1 run"
 
 
 def test_oracle_equivalence_detects_a_moved_value():
@@ -823,6 +838,76 @@ def test_oracle_equivalence_detects_a_moved_value():
     res = check_oracle_equivalence(bad)
     assert not res.passed
     assert res.margin == pytest.approx(1e-8 - 1e-6, rel=0.0, abs=1e-13)
+
+
+# --- every proven property on every value shape -----------------------------
+
+SHAPE_DOMAINS = {1: build_domain(1, 15), 2: build_domain(2, 9)}
+SHAPE_SCHEDULES = {"uniform": uniform_schedule(0.25, 8),
+                   "geometric": geometric_schedule(0.05, 6)}
+
+
+def shape_run(m, q, n, mode, seed):
+    """run_flow on seeded normal data of shape (q, n) per node."""
+    domain = SHAPE_DOMAINS[m]
+    rng = np.random.default_rng(seed)
+    f0 = QGridFunction(domain, rng.normal(size=(domain.num_nodes, q, n)))
+    return run_flow(f0, SHAPE_SCHEDULES[mode])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mode", sorted(SHAPE_SCHEDULES))
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("q", (1, 2, 3))
+@pytest.mark.parametrize("m", (1, 2))
+def test_proven_properties_hold_on_every_value_shape(m, q, n, mode, seed):
+    """Each run converges and keeps energy monotonicity, the step
+    estimate, the branch-mean step equation, its boundary, the time
+    regularity bound and the max principle; the heat oracle applies to
+    exactly the m = 1, n = 1 runs and passes there."""
+    traj = shape_run(m, q, n, mode, seed)
+    assert traj.converged and traj.completed_steps == traj.schedule.steps
+    rng = np.random.default_rng(seed)
+    for res in (check_energy_monotonicity(traj), check_step_estimate(traj),
+                check_eta_residual(traj), check_boundary_trace(traj, rng),
+                check_holder(traj, rng), check_max_principle([traj])):
+        assert res.passed and res.margin >= 0.0, res
+    res = check_oracle_equivalence(traj)
+    if (m, n) == (1, 1):
+        assert res.passed and res.margin >= 0.0, res
+    else:
+        assert not res.passed and res.margin == -math.inf, res
+
+
+def test_oracle_equivalence_detects_a_moved_value_on_a_geometric_q2_run():
+    """One interior value of a middle state of an m = 1, q = 2 geometric
+    run moved by 1e-6 fails the oracle by that move less its tolerance."""
+    d = build_domain(1, 21)
+    good = run_flow(sample_initial(InitialSpec("symmetric-cos"), d, 2),
+                    geometric_schedule(0.25, 6))
+    assert check_oracle_equivalence(good).passed
+    states = good.states.copy()
+    states[3, d.interior[5], 1, 0] += 1e-6  # the top branch stays on top
+    bad = FlowTrajectory(good.schedule, d, states, good.reports)
+    res = check_oracle_equivalence(bad)
+    assert not res.passed
+    assert res.margin == pytest.approx(1e-8 - 1e-6, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("m, q, n", [(1, 2, 1), (2, 2, 2), (2, 3, 3)])
+def test_max_principle_detects_a_raised_node_on_a_geometric_run(m, q, n):
+    """One interior node of a middle state scaled, by a positive factor
+    that keeps its canonical order, to twice the run's largest node norm
+    fails the max principle that the healthy run keeps."""
+    good = shape_run(m, q, n, "geometric", 7)
+    assert check_max_principle([good]).passed
+    states = good.states.copy()
+    k = good.completed_steps // 2
+    node = good.domain.interior[len(good.domain.interior) // 2]
+    states[k, node] *= 2.0 * max(good.max_norms) / np.linalg.norm(states[k, node])
+    bad = FlowTrajectory(good.schedule, good.domain, states, good.reports)
+    res = check_max_principle([bad])
+    assert not res.passed and res.margin < 0.0, res
 
 
 ACCEPTANCE_CONFIG = """\
@@ -877,8 +962,8 @@ def test_a_result_passes_exactly_when_its_margin_is_nonnegative(
     controls += [
         positivity_at(1e-12), positivity_at(-1.0),
         check_energy_monotonicity(bad), check_step_estimate(bad),
-        check_oracle_equivalence(healthy),
-        check_max_principle([reference_trajectories["geometric"]]),
+        check_oracle_equivalence(reference_trajectories["truncated n = 2"]),
+        check_max_principle([corrupt_middle(healthy)]),
         check_eta_residual(zero), check_boundary_trace(zero, rng),
         check_holder(zero, rng),
     ]
@@ -943,7 +1028,7 @@ def test_evaluate_falls_back_to_the_configured_run(three_runs):
     results = checks.evaluate(names, np.random.default_rng(0), traj)
     assert results == [check_eta_residual(traj), check_symmetry(traj),
                        check_max_principle([traj])]
-    assert results[2].detail.startswith("1 uniform run(s)")
+    assert results[2].detail.startswith("1 run(s)")
 
 
 def test_evaluate_rejects_an_unknown_name_before_running_any(
