@@ -25,15 +25,12 @@ from .grid import (
     InitialSpec,
     QGridFunction,
     branch_mean_field,
-    branch_mean_residual,
     build_domain,
     dirichlet_energy,
     domain_manifest,
     l2_distance_sq,
     read_snapshot_csv,
     sample_initial,
-    scalar_dirichlet_energy,
-    translate_field,
     write_snapshot_csv,
 )
 from .morseflow import (
@@ -53,7 +50,6 @@ from .oracle import (
     brute_force_step,
     exact_eigen_solution,
     implicit_euler_chain,
-    max_principle_check,
 )
 from .checks import CHECK_NAMES, CheckResult
 
@@ -62,14 +58,12 @@ __all__ = [
     "Matching", "QPoint", "ascending_projection", "make_qpoint",
     "match_rows", "matching_distance", "optimal_matching", "sorted_embedding",
     "GridDomain", "InitialSpec", "QGridFunction", "branch_mean_field",
-    "branch_mean_residual", "build_domain", "dirichlet_energy",
-    "domain_manifest", "l2_distance_sq", "read_snapshot_csv",
-    "sample_initial", "scalar_dirichlet_energy", "translate_field",
-    "write_snapshot_csv",
+    "build_domain", "dirichlet_energy", "domain_manifest", "l2_distance_sq",
+    "read_snapshot_csv", "sample_initial", "write_snapshot_csv",
     "FlowTrajectory", "StepReport", "StepSchedule",
     "evaluate_at_time", "final_state", "geometric_schedule", "holder_margin",
     "minimize_step", "run_flow", "uniform_schedule",
     "EigenMode", "brute_force_step", "exact_eigen_solution",
-    "implicit_euler_chain", "max_principle_check",
+    "implicit_euler_chain",
     "CHECK_NAMES", "CheckResult",
 ]

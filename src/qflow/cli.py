@@ -159,8 +159,8 @@ def validate(config: RunConfig):
     if not 0 < config.total_time < math.inf:
         raise ConfigError("total_time", "must be positive and finite")
     _check_step_count("steps", config.steps)
-    # the node weight delta^m / tau must stay finite for run's smallest step
-    # and for verify's uniform one-branch run (delta as in build_domain)
+    # the node weight delta^m / tau must stay finite for the smallest step
+    # of either schedule (delta as in build_domain)
     delta = 2.0 / (config.resolution - 1)
     taus = {"total_time": config.total_time / config.steps}
     if config.mode == "geometric":
@@ -337,13 +337,9 @@ def cmd_verify(config: RunConfig) -> int:
         sym_cfg = replace(config, preset="symmetric-cos", coeffs=(),
                           branch_coeffs=(), q=2)
         sym = run_flow(make_initial(sym_cfg, domain), schedule)
-    # the one-branch run stays uniform: eta_residual's threshold does not
-    # scale with tau, and below tau of about 1e-8 (step 25 of a geometric
-    # run at h = 0.25) a state's rounding divided by tau exceeds it
     q1_cfg = replace(config, q=1, preset="branches", coeffs=(),
                      branch_coeffs=((1.0, 0.0, -1.0),))
-    q1 = run_flow(make_initial(q1_cfg, domain),
-                  uniform_schedule(config.total_time, config.steps))
+    q1 = run_flow(make_initial(q1_cfg, domain), schedule)
     results = checks.evaluate(_selected(config, checks.CHECK_NAMES),
                               np.random.default_rng(config.seed), traj, sym, q1)
     passed = all(r.passed for r in results)

@@ -35,9 +35,6 @@ __all__ = [
     "dirichlet_energy",
     "l2_distance_sq",
     "branch_mean_field",
-    "branch_mean_residual",
-    "translate_field",
-    "scalar_dirichlet_energy",
     "write_snapshot_csv",
     "read_snapshot_csv",
 ]
@@ -244,10 +241,52 @@ def _paired_sums(a: np.ndarray, b: np.ndarray):
     if n == 1 or q == 1:
         d = np.subtract(a, b, order="C")
         d *= d
-        return None, d.reshape(p, -1).sum(axis=1)
+        return None, d.reshape(p, rows * q * n).sum(axis=1)
     sigma, cost = match_rows(a.reshape(-1, q, n), b.reshape(-1, q, n))
     sigma = None if (sigma == np.arange(q)).all() else sigma.reshape(p, rows, q)
     return sigma, np.add.accumulate(cost.reshape(p, rows), axis=1)[:, -1]
+
+
+def _state_sums(d: GridDomain, states: np.ndarray, taus, cap: int) -> tuple:
+    """Energy, largest |branch mean| and largest node norm of each of the
+    (count, num_nodes, q, n) states, and penalty and branch-mean residual
+    of each step of sizes taus, as five tuples of floats, scored over
+    blocks of consecutive states with scratch arrays of at most cap
+    values.  A block scores its states and the steps into them, reaching
+    back one state, whose branch mean the block before took.  Every value
+    is one slice of a stacked `_paired_sums` or offset-index `bincount`,
+    with the bits of that state scored alone."""
+    count, nodes, q, n = states.shape
+    ea, eb = np.ascontiguousarray(d.edges.T)
+    inner = d.interior
+    w_e, w_n, d2 = d.delta ** (d.m - 2), d.delta**d.m, d.delta**2
+    size = max(1, cap // (max(nodes, len(ea)) * q * n))
+    # bin of (state s, node, coordinate c) for edge ends ea, eb
+    bins = [((np.arange(size)[:, None] * nodes + end)[:, :, None] * n
+             + np.arange(n)).ravel() for end in (ea, eb)]
+    taus = np.array(taus, dtype=float)[:, None, None]
+    out = [[], [], [], [], []]
+    for lo in range(0, count, size):
+        new = states[lo:lo + size]
+        mean = new.mean(axis=2)
+        # the steps into the block's states, from the one before it
+        first = max(lo - 1, 0)
+        steps = states[first:lo + size]
+        means = np.concatenate([last[None], mean]) if lo else mean
+        last, now = mean[-1], means[1:]
+        diff = (now.take(ea, axis=1) - now.take(eb, axis=1)).ravel()
+        lap = (np.bincount(bins[0][:diff.size], diff, now.size)
+               - np.bincount(bins[1][:diff.size], diff, now.size))
+        lap = lap.reshape(now.shape) / d2
+        tau = taus[first:first + len(now)]
+        res = (now - means[:-1])[:, inner] / tau + lap[:, inner]
+        out[0].append(w_e * _paired_sums(new.take(ea, axis=1),
+                                         new.take(eb, axis=1))[1])
+        out[1].append(w_n * _paired_sums(steps[:-1], steps[1:])[1])
+        out[2].append(np.abs(res).max(axis=(1, 2), initial=0.0))
+        out[3].append(np.abs(mean).max(axis=(1, 2)))
+        out[4].append(np.sqrt(np.square(new).sum(axis=(2, 3)).max(axis=1)))
+    return tuple(tuple(np.concatenate(part).tolist()) for part in out)
 
 
 def _paired(a_vals: np.ndarray, b_vals: np.ndarray):
@@ -275,60 +314,6 @@ def l2_distance_sq(f: QGridFunction, g: QGridFunction) -> float:
 def branch_mean_field(f: QGridFunction) -> np.ndarray:
     """Nodewise average of the branches, shape (num_nodes, n)."""
     return f.values.mean(axis=1)
-
-
-def scalar_dirichlet_energy(domain: GridDomain, u: np.ndarray) -> float:
-    """Dirichlet energy of a single-valued field, u of shape (num_nodes,)
-    or (num_nodes, n)."""
-    arr = np.asarray(u, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    ends = (arr.take(domain.edges[:, i], axis=0)[:, None] for i in (0, 1))
-    return domain.delta ** (domain.m - 2) * _paired(*ends)[1]
-
-
-def _neighbor_sums(domain: GridDomain, u: np.ndarray) -> np.ndarray:
-    """For each node j: sum over incident edges of (u_j - u_neighbor)."""
-    ea, eb = domain.edges[:, 0], domain.edges[:, 1]
-    diff = u.take(ea, axis=0) - u.take(eb, axis=0)
-    nn = domain.num_nodes
-    return np.bincount(ea, weights=diff, minlength=nn) - np.bincount(
-        eb, weights=diff, minlength=nn
-    )
-
-
-def branch_mean_residual(f_prev: QGridFunction, f_curr: QGridFunction, tau: float) -> float:
-    """Max-norm residual of the implicit step equation for the branch mean.
-
-    At interior nodes the mean of a converged step satisfies
-    (mean_k - mean_{k-1}) / tau = discrete Laplacian of mean_k in each of
-    its n coordinates, whatever the branch pairings; the return value is
-    the largest interior violation over all coordinates.  Equals the
-    hat-function weak form divided by the node weight delta^m.
-    """
-    _check_same(f_prev, f_curr)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return _mean_residual(f_prev.domain, branch_mean_field(f_prev),
-                          branch_mean_field(f_curr), tau)
-
-
-def _mean_residual(d: GridDomain, mp, mc, tau: float) -> float:
-    """`branch_mean_residual` from the (num_nodes, n) branch means of the
-    two states."""
-    lap = np.column_stack([_neighbor_sums(d, c) for c in mc.T]) / d.delta**2
-    res = (mc - mp)[d.interior] / tau + lap[d.interior]
-    return float(np.max(np.abs(res), initial=0.0))
-
-
-def translate_field(f: QGridFunction, phi) -> QGridFunction:
-    """Shift every branch at node x by the single-valued field phi(x)."""
-    arr = np.asarray(phi, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape != (f.domain.num_nodes, f.n):
-        raise ValueError("phi must have shape (num_nodes, n)")
-    return QGridFunction(f.domain, f.values + arr[:, None, :])
 
 
 # `'%.17e'` of a double takes at most 25 bytes, as in

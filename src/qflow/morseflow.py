@@ -51,12 +51,10 @@ import numpy as np
 from .grid import (
     GridDomain,
     QGridFunction,
-    _mean_residual,
     _paired,
     _paired_sums,
+    _state_sums,
     _view,
-    branch_mean_field,
-    dirichlet_energy,
     l2_distance_sq,
 )
 from .qspace import _canonical, match_rows
@@ -206,9 +204,9 @@ class FlowTrajectory:
     and `snapshots` are QGridFunction views of its rows, built on first
     use.  `reports` is the solver's log, a sequence of StepReports; a run
     builds each on demand from its per-step arrays.  Each quantity below
-    is computed from the snapshots, not taken from the reports, once per
-    trajectory on first use, state by state, never as one stack: each
-    snapshot's branch mean is taken once, for eta_residuals and mean_norms."""
+    is computed from the states, not taken from the reports, once per
+    trajectory on first use, in bounded blocks of states, never as one
+    stack: each state's energy and branch mean is taken once."""
 
     schedule: StepSchedule
     domain: GridDomain
@@ -238,15 +236,22 @@ class FlowTrajectory:
         return len(self.states) - 1
 
     @functools.cached_property
+    def _quantities(self) -> tuple:
+        """energies, penalties, eta_residuals, mean_norms and max_norms,
+        `grid._state_sums` over blocks of states whose scratch arrays hold
+        at most _BLOCK_VALUES values."""
+        taus = self.schedule.taus()[:self.completed_steps]
+        return _state_sums(self.domain, self.states, taus, _BLOCK_VALUES)
+
+    @property
     def energies(self) -> tuple:
         """Dirichlet energy of every snapshot."""
-        return tuple(dirichlet_energy(f) for f in self.snapshots)
+        return self._quantities[0]
 
-    @functools.cached_property
+    @property
     def penalties(self) -> tuple:
         """Movement penalty of step k, at index k - 1."""
-        snaps = self.snapshots
-        return tuple(l2_distance_sq(a, b) for a, b in zip(snaps, snaps[1:]))
+        return self._quantities[1]
 
     @functools.cached_property
     def estimate_margins(self) -> tuple:
@@ -255,34 +260,22 @@ class FlowTrajectory:
         return tuple(self.schedule.tau(k) * (e[k - 1] - e[k]) - p
                      for k, p in enumerate(self.penalties, start=1))
 
-    @functools.cached_property
-    def _branch_means(self) -> tuple:
-        """eta_residuals and mean_norms, one branch mean per snapshot."""
-        residuals, norms, prev = [], [], None
-        for k, f in enumerate(self.snapshots):
-            mean = branch_mean_field(f)
-            norms.append(float(np.max(np.abs(mean))))
-            if k:
-                residuals.append(_mean_residual(
-                    self.domain, prev, mean, self.schedule.tau(k)))
-            prev = mean
-        return tuple(residuals), tuple(norms)
-
     @property
     def eta_residuals(self) -> tuple:
-        """`grid.branch_mean_residual` of every step."""
-        return self._branch_means[0]
+        """Max-norm residual of each step's interior equation for the
+        branch mean, (mean_k - mean_k-1) / tau_k = discrete Laplacian of
+        mean_k, which a converged step meets whatever its pairings."""
+        return self._quantities[2]
 
     @property
     def mean_norms(self) -> tuple:
         """Largest |branch mean| coordinate of every snapshot."""
-        return self._branch_means[1]
+        return self._quantities[3]
 
-    @functools.cached_property
+    @property
     def max_norms(self) -> tuple:
         """Largest node norm of every snapshot."""
-        return tuple(float(np.sqrt((f.values**2).sum(axis=(1, 2)).max()))
-                     for f in self.snapshots)
+        return self._quantities[4]
 
     @functools.cached_property
     def horizon(self) -> float:

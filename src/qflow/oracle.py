@@ -24,7 +24,6 @@ __all__ = [
     "exact_eigen_solution",
     "implicit_euler_chain",
     "brute_force_step",
-    "max_principle_check",
 ]
 
 BRUTE_FORCE_MAX_CONFIGS = 2**14
@@ -106,17 +105,21 @@ def implicit_euler_chain(domain: GridDomain, u0: np.ndarray, taus) -> np.ndarray
     return states
 
 
-# configurations per batched dense solve; bounds a batch's incidence at
+# matrices per batched dense solve; bounds a batch's incidence at
 # (block, live lanes, nu + 1)
 _CONFIG_BLOCK = 512
 
 
-def brute_force_step(f_prev: QGridFunction, tau: float):
+def brute_force_step(f_prev, tau):
     """Global minimizer of the implicit step objective on tiny grids.
 
     Enumerates every branch pairing on edges and nodes, solves each frozen
     convex quadratic exactly, and keeps the overall minimum (first
     configuration wins ties).  Returns (minimizer, objective value).
+    f_prev and tau may also be equal-length sequences of grid functions on
+    one domain, of one value shape, and their step sizes; a list of
+    (minimizer, objective value) pairs comes back, each with the bits of
+    its instance solved alone.
 
     A configuration is one permutation per live edge (an edge with an
     interior end), then one per interior node, in `itertools.product`
@@ -128,15 +131,24 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
     with two fixed ends adds the same constant to every configuration and
     is left out.  The minimizer solves the normal equations
     (w_e D^T D + w_p I) z = w_e D^T c + w_p p, one right-hand side per value
-    coordinate, so every n is handled alike.  The configurations are solved
-    in blocks of _CONFIG_BLOCK, each block by one batched dense solve.  An
-    instance of more than BRUTE_FORCE_MAX_CONFIGS configurations raises
-    ValueError before anything is assembled.
+    coordinate, so every n is handled alike.  The configurations are
+    enumerated in blocks, and D and D^T D are built once per block for
+    every instance; each block is solved by one batched dense solve of at
+    most _CONFIG_BLOCK matrices, or one per instance when there are more
+    instances.  An instance of more than BRUTE_FORCE_MAX_CONFIGS
+    configurations raises ValueError before anything is assembled.
     """
-    if not 0 < tau < math.inf:
+    single = isinstance(f_prev, QGridFunction)
+    f_prevs, taus = ([f_prev], [tau]) if single else (list(f_prev), list(tau))
+    if not f_prevs or len(f_prevs) != len(taus):
+        raise ValueError("need equal, nonzero numbers of grid functions and taus")
+    if not all(0 < t < math.inf for t in taus):
         raise ValueError("tau must be positive and finite")
-    d = f_prev.domain
-    qq, nn = f_prev.q, f_prev.n
+    d = f_prevs[0].domain
+    shape = f_prevs[0].values.shape
+    if not all(f.domain.same_as(d) and f.values.shape == shape for f in f_prevs):
+        raise ValueError("grid functions must share one domain and value shape")
+    _, qq, nn = shape
     interior = d.interior
     int_of = -np.ones(d.num_nodes, dtype=int)
     int_of[interior] = np.arange(len(interior))
@@ -150,8 +162,10 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
         )
     nu = len(interior) * qq
     w_e = d.delta ** (d.m - 2)
-    w_p = d.delta**d.m / tau
-    vals = f_prev.values
+    batch = len(f_prevs)
+    # one w_p per instance, shaped (instance, 1, 1, 1) against a block's axes
+    w_p = (d.delta**d.m / np.array(taus, dtype=float))[:, None, None, None]
+    vals = np.stack([f.values for f in f_prevs])
     perms = np.array(list(permutations(range(qq))))
 
     ea, eb = d.edges[live].T
@@ -159,12 +173,13 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
     # a fixed end's lane points at the spare column nu, dropped after
     a_fixed, b_fixed = int_of[ea, None] < 0, int_of[eb, None] < 0
     col_a = np.where(a_fixed, nu, int_of[ea, None] * qq + np.arange(qq)).ravel()
-    c_a = np.where(a_fixed[..., None], vals[ea], 0.0)
+    c_a = np.where(a_fixed[..., None], vals[:, ea], 0.0)[:, None]
 
     digits = len(perms) ** np.arange(slots - 1, -1, -1)
-    best_value, best_z = math.inf, None
-    for start in range(0, count, _CONFIG_BLOCK):
-        cfg = np.arange(start, min(start + _CONFIG_BLOCK, count))
+    block = max(1, _CONFIG_BLOCK // batch)
+    best_value, best_z = np.full(batch, math.inf), np.empty((batch, nu, nn))
+    for start in range(0, count, block):
+        cfg = np.arange(start, min(start + block, count))
         sigma = perms[cfg[:, None] // digits % len(perms)]
         edge_sigma, node_nu = sigma[:, :len(ea)], sigma[:, len(ea):]
         size = len(cfg)
@@ -173,31 +188,25 @@ def brute_force_step(f_prev: QGridFunction, tau: float):
         dmat[:, rows, col_a] = 1.0
         dmat[np.arange(size)[:, None], rows, col_b.reshape(size, -1)] = -1.0
         dmat = dmat[:, :, :nu]
-        c = (np.where(b_fixed[..., None], vals[eb[:, None], edge_sigma], 0.0)
-             - c_a).reshape(size, -1, nn)
-        p = vals[interior[:, None], node_nu].reshape(size, nu, nn)
+        # (instance, configuration, ...) from here on
+        c = (np.where(b_fixed[..., None], vals[:, eb[:, None], edge_sigma], 0.0)
+             - c_a).reshape(batch, size, -1, nn)
+        p = vals[:, interior[:, None], node_nu].reshape(batch, size, nu, nn)
 
         dt = dmat.transpose(0, 2, 1)
         z = np.linalg.solve(w_e * (dt @ dmat) + w_p * np.eye(nu),
                             w_e * (dt @ c) + w_p * p)
-        value = (w_e * ((dmat @ z - c) ** 2).sum(axis=(1, 2))
-                 + w_p * ((z - p) ** 2).sum(axis=(1, 2)))
-        first = int(np.argmin(value))
-        if value[first] < best_value:
-            best_value, best_z = value[first], z[first]
+        value = (w_e * ((dmat @ z - c) ** 2).sum(axis=(2, 3))
+                 + w_p[:, :, 0, 0] * ((z - p) ** 2).sum(axis=(2, 3)))
+        pick = np.arange(batch), value.argmin(axis=1)
+        better = value[pick] < best_value
+        best_value[better], best_z[better] = value[pick][better], z[pick][better]
 
-    vals = f_prev.values.copy()
-    vals[interior] = best_z.reshape(len(interior), qq, nn)
-    minimizer = QGridFunction(d, vals)
-    objective = dirichlet_energy(minimizer) + l2_distance_sq(minimizer, f_prev) / tau
-    return minimizer, objective
-
-
-def max_principle_check(snapshots) -> bool:
-    """True iff the largest node norm never increases along the sequence
-    (within 1e-12)."""
-    norms = [float(np.sqrt((f.values**2).sum(axis=(1, 2))).max())
-             for f in snapshots]
-    if not norms:
-        raise ValueError("empty snapshot sequence")
-    return not any(curr > prev + 1e-12 for prev, curr in zip(norms, norms[1:]))
+    results = []
+    for f, t, z in zip(f_prevs, taus, best_z):
+        v = f.values.copy()
+        v[interior] = z.reshape(len(interior), qq, nn)
+        minimizer = QGridFunction(d, v)
+        results.append((minimizer, dirichlet_energy(minimizer)
+                        + l2_distance_sq(minimizer, f) / t))
+    return results[0] if single else results

@@ -15,7 +15,6 @@ from qflow.grid import (
     InitialSpec,
     QGridFunction,
     branch_mean_field,
-    branch_mean_residual,
     build_domain,
     dirichlet_energy,
     l2_distance_sq,
@@ -34,7 +33,6 @@ from qflow.oracle import (
     brute_force_step,
     exact_eigen_solution,
     implicit_euler_chain,
-    max_principle_check,
 )
 from qflow.qspace import (
     ascending_projection,
@@ -42,6 +40,12 @@ from qflow.qspace import (
     matching_distance,
     optimal_matching,
     sorted_embedding,
+)
+from reference import (
+    branch_mean_residual,
+    max_principle_check,
+    scalar_dirichlet_energy,
+    translate_field,
 )
 
 RESOLUTION = 201
@@ -294,8 +298,6 @@ def test_criterion_10_translation_identity(battery):
     ea, eb = d.edges[:, 0], d.edges[:, 1]
     w = d.delta ** (d.m - 2)
     worst = 0.0
-    from qflow.grid import scalar_dirichlet_energy, translate_field
-
     for _ in range(50):
         q = int(rng.integers(1, 4))
         f = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))

@@ -36,8 +36,6 @@ from qflow.grid import (
     build_domain,
     dirichlet_energy,
     sample_initial,
-    scalar_dirichlet_energy,
-    translate_field,
 )
 from qflow.morseflow import (
     FlowTrajectory,
@@ -55,6 +53,7 @@ from qflow.qspace import (
     optimal_matching,
     sorted_embedding,
 )
+from reference import scalar_dirichlet_energy, translate_field
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +522,41 @@ def test_eta_residual_holds_for_vector_values():
     assert not res.passed and res.margin < 0.0
 
 
+def _one_branch_tail():
+    """verify's one-branch datum 1 - x^2 on a geometric tail: resolution
+    51, h = 0.25, 64 steps, down to tau = 0.25 / 2^64."""
+    d = build_domain(1, 51)
+    spec = InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),))
+    return run_flow(sample_initial(spec, d, 1), geometric_schedule(0.25, 64))
+
+
+def test_eta_residual_passes_on_a_geometric_tail():
+    """Past step 24 the residual is the states' rounding divided by tau and
+    exceeds 1e-8 (1 + max |branch mean|) (-1.42 at step 52); the rounding
+    term 256 eps / tau of the threshold covers it on every step."""
+    traj = _one_branch_tail()
+    assert traj.converged
+    old = [1e-8 * (1.0 + m) - r
+           for r, m in zip(traj.eta_residuals, traj.mean_norms[1:])]
+    assert min(old) < -1.0 and min(old[:24]) > 0.0
+    res = check_eta_residual(traj)
+    assert res.passed and res.margin > 0.0, res.detail
+
+
+@pytest.mark.parametrize("k", [30, 64])
+def test_eta_residual_fails_on_a_moved_tail_state(k):
+    """A tail state whose interior value moves by 1e-6 still fails, at the
+    step that ends in it, or the step after it, whose smaller tau divides
+    the same jump."""
+    traj = _one_branch_tail()
+    states = traj.states.copy()
+    states[k, traj.domain.interior[10]] += 1e-6
+    moved = FlowTrajectory(traj.schedule, traj.domain, states, traj.reports)
+    res = check_eta_residual(moved)
+    assert not res.passed and res.margin < 0.0
+    assert res.detail.endswith(f"at step {min(k + 1, 64)}")
+
+
 def test_max_principle_check_reads_every_run(healthy):
     """A geometric run is read and counted like a uniform one; a doubled
     middle state fails either, and a list with no step cannot apply."""
@@ -598,7 +632,8 @@ def eta_residual_by_loop(traj):
             skipped += 1
             continue
         eta_max = float(np.max(np.abs(branch_mean_field(traj.snapshots[k]))))
-        clearance = 1e-8 * (1.0 + eta_max) - res
+        rounding = 256 * np.finfo(float).eps / report.tau
+        clearance = max(1e-8, rounding) * (1.0 + eta_max) - res
         if clearance < margin:
             margin = clearance
             worst = f"residual {res:.3e} at step {k}"
@@ -716,7 +751,7 @@ def reference_trajectories(healthy):
     zero_step = trajectory_of(uniform_schedule(0.1, 2), (f0,), ())
     return {"healthy": healthy, "geometric": geo, "injected": injected,
             "one step": one_step, "truncated n = 2": _truncated_vector_run(),
-            "zero steps": zero_step}
+            "zero steps": zero_step, "geometric tail": _one_branch_tail()}
 
 
 def test_trajectory_checks_match_their_loop_references(reference_trajectories):

@@ -28,7 +28,7 @@ from qflow.grid import (
     build_domain,
     dirichlet_energy,
 )
-from qflow.morseflow import FlowTrajectory, run_flow
+from qflow.morseflow import FlowTrajectory, geometric_schedule, run_flow
 from test_grid import write_snapshot_by_rows
 
 SMALL = """
@@ -472,47 +472,77 @@ def test_energy_csv_columns_are_the_trajectory_quantities(tmp_path):
 
 def test_artifacts_and_checks_share_one_energy_per_snapshot(tmp_path,
                                                             monkeypatch):
-    """energy.csv and the checks that read energies together evaluate the
-    Dirichlet energy of each snapshot exactly once."""
+    """energy.csv and the checks that read energies together score the
+    Dirichlet energy of each snapshot exactly once, in one pass over
+    blocks of states (two states a block here): the edge operands of the
+    pass's energy sums are the states, each once and in order, and no
+    per-state `dirichlet_energy` call is made."""
     traj = small_trajectory(tmp_path)
-    seen = []
+    d = traj.domain
+    scored, paired_sums = [], grid._paired_sums
 
-    def counted(f):
-        seen.append(id(f))
-        return dirichlet_energy(f)
+    def recording(a, b):
+        if a.shape[1] == d.num_edges:  # the edge ends of energies
+            scored.append(a)
+        return paired_sums(a, b)
 
+    def per_state(f):
+        raise AssertionError("per-state dirichlet_energy call")
+
+    monkeypatch.setattr(morseflow, "_BLOCK_VALUES", 2 * d.num_nodes * 2)
+    monkeypatch.setattr(grid, "_paired_sums", recording)
     for module in (grid, morseflow, checks, cli):
         if hasattr(module, "dirichlet_energy"):
-            monkeypatch.setattr(module, "dirichlet_energy", counted)
+            monkeypatch.setattr(module, "dirichlet_energy", per_state)
     rng = np.random.default_rng(3)
     _write_energy_csv(tmp_path / "energy.csv", traj)
     for res in (checks.check_energy_monotonicity(traj),
                 checks.check_step_estimate(traj),
                 checks.check_holder(traj, rng)):
         assert res.passed, res.detail
-    assert sorted(seen) == sorted(id(f) for f in traj.snapshots)
+    assert [len(a) for a in scored] == [2, 2, 2, 1]
+    assert np.array_equal(np.concatenate(scored),
+                          traj.states.take(d.edges[:, 0], axis=1))
+
+
+class _MeanRecorder(np.ndarray):
+    """States that record every block of them whose branch mean is
+    taken."""
+
+    taken = []
+
+    def mean(self, *args, **kwargs):
+        _MeanRecorder.taken.append(np.asarray(self))
+        return np.asarray(self).mean(*args, **kwargs)
 
 
 def test_artifacts_and_checks_share_one_branch_mean_per_snapshot(tmp_path,
                                                                  monkeypatch):
-    """energy.csv and the trajectory checks together evaluate the branch
-    mean of each snapshot exactly once."""
-    traj = small_trajectory(tmp_path)
-    seen = []
+    """energy.csv and the trajectory checks together take the branch mean
+    of each snapshot exactly once, over blocks of states (two states a
+    block here): the blocks whose means are taken are the states, each
+    once and in order, and no per-state `branch_mean_field` call is
+    made."""
+    run = small_trajectory(tmp_path)
+    traj = FlowTrajectory(run.schedule, run.domain,
+                          run.states.view(_MeanRecorder), run.reports)
 
-    def counted(f):
-        seen.append(id(f))
-        return branch_mean_field(f)
+    def per_state(f):
+        raise AssertionError("per-state branch_mean_field call")
 
+    monkeypatch.setattr(morseflow, "_BLOCK_VALUES", 2 * run.domain.num_nodes * 2)
+    monkeypatch.setattr(_MeanRecorder, "taken", [])
     for module in (grid, morseflow, checks, cli):
         if hasattr(module, "branch_mean_field"):
-            monkeypatch.setattr(module, "branch_mean_field", counted)
+            monkeypatch.setattr(module, "branch_mean_field", per_state)
     _write_energy_csv(tmp_path / "energy.csv", traj)
     names = cli._run_check_names(load_config(write_config(tmp_path, SMALL)))
     assert {"eta_residual", "symmetry", "positivity"} <= set(names)
     for res in checks.evaluate(names, np.random.default_rng(3), traj):
         assert res.passed, res.detail
-    assert sorted(seen) == sorted(id(f) for f in traj.snapshots)
+    taken = _MeanRecorder.taken
+    assert [len(block) for block in taken] == [2, 2, 2, 1]
+    assert np.array_equal(np.concatenate(taken), run.states)
 
 
 def test_truncation_is_reported_before_the_failed_checks(tmp_path,
@@ -583,18 +613,52 @@ def test_verify_runs_the_full_battery(tmp_path):
     assert detail.startswith("2 run(s)")
 
 
-def test_verify_passes_on_a_deep_geometric_config(tmp_path):
-    """The one-branch run steps uniformly in either mode, so its step
-    equation residual never meets a geometric tail step: from tau of about
-    1e-8 on, rounding divided by tau alone exceeds the 1e-8 threshold."""
-    cfg = write_config(tmp_path, "mode = geometric\nm = 1\nresolution = 21\n"
+def test_verify_passes_on_a_deep_geometric_config(tmp_path, monkeypatch):
+    """Every run of verify, the one-branch run included, steps the config's
+    geometric schedule, down to tau = 0.25 / 2^64: eta_residual reads the
+    one-branch run's tail, whose residual is rounding divided by tau, and
+    passes there by its threshold's rounding term."""
+    schedules = []
+
+    def recording(f0, schedule):
+        schedules.append(schedule)
+        return run_flow(f0, schedule)
+
+    monkeypatch.setattr(cli, "run_flow", recording)
+    cfg = write_config(tmp_path, "mode = geometric\nm = 1\nresolution = 51\n"
                                  "q = 2\npreset = symmetric-cos\nh = 0.25\n"
-                                 "steps = 40\n")
+                                 "steps = 64\n")
     out = tmp_path / "out"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert schedules == [geometric_schedule(0.25, 64)] * 2
     checks = json.loads((out / "verify.json").read_text())["checks"]
     assert [c["name"] for c in checks] == list(CHECK_NAMES)
     assert all(c["passed"] for c in checks)
+
+
+ONE_BRANCH_TAIL = """
+mode = geometric
+m = 1
+resolution = 51
+q = 1
+preset = branches
+branch_coeffs = 1, 0, -1
+h = 0.25
+steps = 64
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_one_branch_geometric_tail_passes(tmp_path, command):
+    """The non-symmetric one-branch datum 1 - x^2 down to tau = 0.25 / 2^64:
+    eta_residual failed its tail by rounding alone (margin -1.42 at step
+    52) before its threshold gained the rounding term."""
+    cfg = write_config(tmp_path, ONE_BRANCH_TAIL)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / f"{command}.json").read_text())
+    eta = [c for c in report["checks"] if c["name"] == "eta_residual"]
+    assert len(eta) == 1 and eta[0]["passed"]
 
 
 def test_verify_reports_injected_failures(tmp_path, capsys):

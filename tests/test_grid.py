@@ -9,24 +9,26 @@ import pytest
 
 from qflow.grid import (
     _format_cells,
-    _neighbor_sums,
     _paired,
     InitialSpec,
     QGridFunction,
     build_domain,
     branch_mean_field,
-    branch_mean_residual,
     dirichlet_energy,
     domain_manifest,
     l2_distance_sq,
     read_snapshot_csv,
     sample_initial,
-    scalar_dirichlet_energy,
-    translate_field,
     write_snapshot_csv,
 )
 from qflow.oracle import implicit_euler_chain
 from qflow.qspace import make_qpoint, optimal_matching
+from reference import (
+    branch_mean_residual,
+    neighbor_sums,
+    scalar_dirichlet_energy,
+    translate_field,
+)
 
 
 def random_function(rng, domain, q, n=1, scale=1.0):
@@ -406,7 +408,7 @@ def test_edge_gathers_have_the_bits_of_a_fancy_index(q, n):
     diff = c[ea] - c[eb]
     want = (np.bincount(ea, weights=diff, minlength=d.num_nodes)
             - np.bincount(eb, weights=diff, minlength=d.num_nodes))
-    assert _neighbor_sums(d, c).tobytes() == want.tobytes()
+    assert neighbor_sums(d, c).tobytes() == want.tobytes()
 
 
 # --- snapshot files --------------------------------------------------------

@@ -14,7 +14,6 @@ from qflow.grid import (
     QGridFunction,
     build_domain,
     branch_mean_field,
-    branch_mean_residual,
     dirichlet_energy,
     l2_distance_sq,
     sample_initial,
@@ -37,6 +36,7 @@ from qflow.morseflow import (
     uniform_schedule,
 )
 from qflow.oracle import implicit_euler_chain
+from reference import branch_mean_residual
 
 
 # --- schedules -------------------------------------------------------------
@@ -1152,18 +1152,33 @@ def test_scalar_flow_builds_no_grid_function_per_step(monkeypatch):
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("m, res, q, n", [(1, 15, 2, 1), (1, 15, 2, 2),
-                                           (2, 9, 2, 1), (1, 15, 3, 2)],
-                         ids=["1", "2", "disk", "q3"])
-def test_trajectory_quantities_are_those_of_the_states(m, res, q, n):
+@pytest.mark.parametrize("m, res, q, n, schedule, max_outer", [
+    (1, 15, 2, 1, uniform_schedule(0.25, 6), None),
+    (1, 15, 2, 2, uniform_schedule(0.25, 6), None),
+    (2, 9, 2, 1, uniform_schedule(0.25, 6), None),
+    (1, 15, 3, 2, uniform_schedule(0.25, 6), None),
+    (1, 201, 2, 1, uniform_schedule(0.25, 64), None),
+    (2, 21, 2, 1, uniform_schedule(0.25, 40), None),
+    (1, 51, 1, 1, geometric_schedule(0.25, 64), None),
+    (1, 15, 3, 2, uniform_schedule(0.25, 12), 2),
+], ids=["1", "2", "disk", "q3", "blocks", "disk-blocks", "geometric",
+        "truncated"])
+def test_trajectory_quantities_are_those_of_the_states(m, res, q, n, schedule,
+                                                       max_outer, monkeypatch):
     """Energies, penalties, branch-mean residuals and the per-state norms
-    come from the stored states, not from the solver's guard, bit for bit;
-    doubling one state's interior still fails the energy check."""
+    come from the stored states, not from the solver's guard, bit for bit
+    those of the per-state references, also over several blocks of states
+    (the interval and disk runs of 41 and more states), on a geometric
+    tail and on a run that a non-converged n = 2 step truncates; doubling
+    one state's interior still fails the energy check."""
+    if max_outer is not None:
+        monkeypatch.setattr(morseflow, "_MAX_OUTER", max_outer)
     rng = np.random.default_rng(71)
     d = build_domain(m, res)
     f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, n)))
-    traj = run_flow(f0, uniform_schedule(0.25, 6))
-    assert traj.converged
+    traj = run_flow(f0, schedule)
+    assert traj.converged == (max_outer is None)
+    assert (traj.completed_steps < schedule.steps) == (max_outer is not None)
     fresh = [QGridFunction(d, state) for state in traj.states]
     assert traj.energies == tuple(dirichlet_energy(f) for f in fresh)
     assert traj.penalties == tuple(

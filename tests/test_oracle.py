@@ -15,8 +15,8 @@ from qflow.oracle import (
     brute_force_step,
     exact_eigen_solution,
     implicit_euler_chain,
-    max_principle_check,
 )
+from reference import max_principle_check
 
 
 def test_eigen_mode_basics():
@@ -272,20 +272,64 @@ def assert_same_minimum(f_prev, tau, got=None):
 
 @pytest.mark.parametrize("seed", [5, 11])
 def test_batched_step_matches_the_loop_on_check_instances(seed, monkeypatch):
-    """Every instance `check_brute_force` draws gets the loop's minimizer
-    and objective, bit for bit."""
-    seen = []
+    """`check_brute_force` solves its instances by one stacked call per
+    domain; every instance it draws gets the minimizer and objective of a
+    one-instance `brute_force_step` and of the loop, bit for bit."""
+    calls, seen = [], []
 
-    def recording(f_prev, tau):
-        result = brute_force_step(f_prev, tau)
-        seen.append((f_prev, tau, result))
-        return result
+    def recording(f_prevs, taus):
+        results = brute_force_step(f_prevs, taus)
+        calls.append(len(results))
+        seen.extend(zip(f_prevs, taus, results))
+        return results
 
     monkeypatch.setattr(checks, "brute_force_step", recording)
     assert checks.check_brute_force(np.random.default_rng(seed)).passed
-    assert len(seen) == 20
+    assert calls == [5, 15]
     for f_prev, tau, result in seen:
+        alone = brute_force_step(f_prev, tau)
+        assert alone[0].values.tobytes() == result[0].values.tobytes()
+        assert alone[1] == result[1]
         assert_same_minimum(f_prev, tau, result)
+
+
+@pytest.mark.parametrize("res, n, count", [(3, 1, 6), (5, 1, 6), (5, 2, 1)])
+def test_stacked_step_has_the_bits_of_single_steps(res, n, count):
+    """q = 2 instances stacked on one domain: each gets the bits of its
+    one-instance call (six at resolution 5 split its 128 configurations
+    into two blocks of solves)."""
+    d = build_domain(1, res)
+    rng = np.random.default_rng(10 * res + n)
+    f_prevs = [QGridFunction(d, rng.normal(size=(d.num_nodes, 2, n)))
+               for _ in range(count)]
+    taus = [float(10.0 ** rng.uniform(-1.0, 0.0)) for _ in range(count)]
+    stacked = brute_force_step(f_prevs, taus)
+    assert len(stacked) == count
+    for f_prev, tau, (got, got_obj) in zip(f_prevs, taus, stacked):
+        want, want_obj = brute_force_step(f_prev, tau)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got_obj == want_obj
+
+
+def test_stacked_step_rejects_mismatched_instances():
+    d3, d5 = build_domain(1, 3), build_domain(1, 5)
+    f3 = QGridFunction(d3, np.zeros((3, 2, 1)))
+    f5 = QGridFunction(d5, np.zeros((5, 2, 1)))
+    for f_prevs, taus in [([f3, f5], [0.1, 0.1]), ([f3, f3], [0.1]),
+                          ([], []), ([f3, f3], [0.1, 0.0])]:
+        with pytest.raises(ValueError):
+            brute_force_step(f_prevs, taus)
+
+
+def test_too_large_stacked_instance_raises_before_assembly(monkeypatch):
+    def assembling(*args):
+        raise AssertionError("assembled before the size check")
+
+    monkeypatch.setattr(oracle, "permutations", assembling)
+    d = build_domain(1, 9)
+    f = QGridFunction(d, np.zeros((d.num_nodes, 3, 1)))
+    with pytest.raises(ValueError, match="too large"):
+        brute_force_step([f, f], [0.1, 0.2])
 
 
 @pytest.mark.parametrize("res, q", [(7, 2), (3, 4)])
