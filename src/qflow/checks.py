@@ -30,9 +30,10 @@ from .grid import (
     l2_distance_sq,
 )
 from .morseflow import (
+    _BLOCK_VALUES as _STACK_VALUES,
     FlowTrajectory,
+    _holder_slacks,
     evaluate_at_time,
-    holder_margin,
     minimize_step,
 )
 from .oracle import brute_force_step, implicit_euler_chain
@@ -97,26 +98,17 @@ CHECK_NAMES = (
 def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
     """Symmetry to 1e-12, exact zero on equal multisets, positive distance
     on distinct random ones, triangle inequality with 1e-10 slack.  All
-    samples are drawn first; each (q, n) group's four operand stacks are
-    then put in canonical order by one call and scored by one `match_rows`
-    call."""
+    samples are drawn first, then scored by `_metric_distances`."""
     draws = []
     for _ in range(samples):
         q = int(rng.integers(1, 7))
         n = int(rng.integers(1, 4))
-        a = rng.normal(size=(q, n))
-        b = rng.normal(size=(q, n))
-        c = rng.normal(size=(q, n))
-        draws.append((q, n, a, b, c, a[rng.permutation(q)]))
-    # per sample: d(a, b), d(b, a), d(a, permuted a), d(b, c), d(a, c)
-    dist = np.empty((samples, 5))
-    for idx in _groups(d[:2] for d in draws).values():
-        a, b, c, perm = _canonical(
-            np.array([[draws[i][k] for i in idx] for k in range(2, 6)]))
-        cost = match_rows(np.concatenate([a, b, a, b, a]),
-                          np.concatenate([b, a, perm, c, c]))[1]
-        dist[idx] = np.sqrt(cost).reshape(5, -1).T
-    dab, dba, same, dbc, dac = dist.T
+        # a, b, c and a permuted copy of a, zero-padded to n = 3
+        ops = np.zeros((4, q, 3))
+        ops[:3, :, :n] = rng.normal(size=(3, q, n))
+        ops[3] = ops[0][rng.permutation(q)]
+        draws.append((q, ops))
+    dab, dba, same, dbc, dac = _metric_distances(draws).T
     margin = _tightest(np.concatenate([
         1e-12 - np.abs(dab - dba), dab - 1e-12, dab + dbc + 1e-10 - dac]))[0]
     nonzero = np.flatnonzero(same != 0.0)
@@ -130,12 +122,30 @@ def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
     return CheckResult("metric_axioms", margin, detail)
 
 
+def _metric_distances(draws) -> np.ndarray:
+    """d(a, b), d(b, a), d(a, permuted a), d(b, c) and d(a, c) of each
+    (q, operands) draw: each q group's operands put in canonical order by
+    one call and scored by one `match_rows` call.  The zero coordinates
+    padding n to 3 add exact zeros to every squared distance and keep the
+    lexicographic order, and for n = 1 the identity, the lexicographically
+    smallest pairing, is optimal, so each distance has the bits of its
+    (q, n) group scored alone."""
+    dist = np.empty((len(draws), 5))
+    for idx in _groups(d[0] for d in draws).values():
+        a, b, c, perm = _canonical(np.stack([draws[i][1] for i in idx], axis=1))
+        cost = match_rows(np.concatenate([a, b, a, b, a]),
+                          np.concatenate([b, a, perm, c, c]))[1]
+        dist[idx] = np.sqrt(cost).reshape(5, -1).T
+    return dist
+
+
 def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
     """For n = 1 the identity pairing of the canonical (ascending) forms
     must equal the exhaustive minimum over all pairings exactly.  All
     samples are drawn first; each q group is then matched by one
     `match_rows` call and its exhaustive minimum taken over the
-    permutations, a chunk of them at a time."""
+    permutations, in chunks of at most _STACK_VALUES squared
+    differences."""
     draws = []
     for _ in range(samples):
         q = int(rng.integers(2, 7))
@@ -148,8 +158,9 @@ def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
         identity_ok &= bool((sigma == np.arange(q)).all())
         perms = np.array(list(itertools.permutations(range(q))))
         best = np.full(len(idx), np.inf)
-        for chunk in range(0, len(perms), 24):
-            d = b[:, perms[chunk:chunk + 24]]
+        size = max(1, _STACK_VALUES // (len(idx) * q))
+        for chunk in range(0, len(perms), size):
+            d = b[:, perms[chunk:chunk + size]]
             np.subtract(a[:, None], d, out=d)
             np.square(d, out=d)
             best = np.minimum(best, d.sum(axis=2).min(axis=1))
@@ -193,27 +204,17 @@ _PROJECTION_FAULTS = ("", "projection output not a fixed ascending point",
 def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
     """The projection's output is a fixed ascending point, ascending input
     stays fixed exactly, and distances never expand (1e-12).  All samples
-    are drawn first; each q group is then projected as stacked rows."""
-    draws = []
-    for _ in range(samples):
-        q = int(rng.integers(2, 9))
-        x = rng.normal(size=q)
+    are drawn first, each into a row padded to q = 8, then scored by
+    `_projection_scores`."""
+    x, y = (np.full((samples, 8), np.finfo(float).max) for _ in range(2))
+    qs = np.empty(samples, dtype=np.int64)
+    for i in range(samples):
+        qs[i] = q = int(rng.integers(2, 9))
+        x[i, :q] = rng.normal(size=q)
         if rng.random() < 0.3:  # exercise ties
-            x[rng.integers(0, q)] = x[rng.integers(0, q)]
-        draws.append((q, x, rng.normal(size=q)))
-    lips = np.empty(samples)
-    # per sample: the index of its fault in _PROJECTION_FAULTS, 0 for none
-    faults = np.zeros(samples, dtype=np.int64)
-    for idx in _groups(d[0] for d in draws).values():
-        x, y = (np.stack([draws[i][k] for i in idx]) for k in (1, 2))
-        xs = np.sort(x)
-        px, py, pxs = np.split(ascending_projection(np.concatenate([x, y, xs])), 3)
-        fixed = ((ascending_projection(px) == px).all(axis=1)
-                 & (np.diff(px, axis=1) >= 0.0).all(axis=1))
-        faults[idx] = np.where((pxs != xs).any(axis=1), 2, ~fixed)
-        dx, dp = x - y, px - py
-        lips[idx] = (np.sqrt(np.vecdot(dx, dx)) + 1e-12
-                     - np.sqrt(np.vecdot(dp, dp)))
+            x[i, rng.integers(0, q)] = x[i, rng.integers(0, q)]
+        y[i, :q] = rng.normal(size=q)
+    lips, faults = _projection_scores(qs, x, y)
     margin = _tightest(lips)[0]
     faulty = np.flatnonzero(faults)
     detail = _PROJECTION_FAULTS[faults[faulty[-1]]] if faulty.size else ""
@@ -222,6 +223,30 @@ def check_ascending_projection(rng, samples: int = 200) -> CheckResult:
         -math.inf if detail else margin,
         detail or f"{samples} samples, smallest Lipschitz clearance {margin:.3e}",
     )
+
+
+def _projection_scores(qs, x, y) -> tuple:
+    """Lipschitz clearance and index of the fault in _PROJECTION_FAULTS,
+    0 for none, of each sample: the first qs entries of its rows x and y,
+    padded with the largest double.  Every sample's x, y and sorted x go
+    through one `ascending_projection` call, its projected x through one
+    more.  Pool-adjacent-violators never pools a block into a larger later
+    one, so the padding stays inert and each sample's entries keep the
+    bits of their own projection; faults read them alone, and clearances
+    take one `np.vecdot` per q group, the bits of its unpadded rows."""
+    own = np.arange(x.shape[1]) < qs[:, None]
+    xs = np.sort(x)
+    px, py, pxs = np.split(ascending_projection(np.concatenate([x, y, xs])), 3)
+    fixed = (((ascending_projection(px) == px) | ~own).all(axis=1)
+             & ((np.diff(px) >= 0.0) | ~own[:, 1:]).all(axis=1))
+    faults = np.where(((pxs != xs) & own).any(axis=1), 2, ~fixed)
+    dx, dp = x - y, px - py
+    lips = np.empty(len(qs))
+    for q, idx in _groups(qs.tolist()).items():
+        gx, gp = dx[idx, :q], dp[idx, :q]
+        lips[idx] = (np.sqrt(np.vecdot(gx, gx)) + 1e-12
+                     - np.sqrt(np.vecdot(gp, gp)))
+    return lips, faults
 
 
 # values per stacked array in check_translation_identity, about 32 KB:
@@ -377,16 +402,23 @@ def check_max_principle(trajs) -> CheckResult:
 
 def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResult:
     """Boundary rows of every snapshot and of the interpolated trajectory at
-    `times` sampled times, against those of the initial snapshot."""
+    `times` sampled times, against those of the initial snapshot, in
+    blocks of at most _STACK_VALUES values: one reduction per block of
+    snapshots' boundary rows, one `evaluate_at_time` call per block of
+    sampled states."""
     if traj.completed_steps == 0:
         return CheckResult("boundary_trace", -math.inf,
                            "needs at least one step")
-    bnd = traj.domain.is_boundary
-    ref = traj.states[0, bnd]
-    sampled = (evaluate_at_time(traj, float(t)).values
-               for t in rng.uniform(0.0, traj.horizon, size=times))
-    dev = max(float(np.max(np.abs(v[bnd] - ref)))
-              for v in itertools.chain(traj.states[1:], sampled))
+    states, bnd = traj.states, traj.domain.is_boundary
+    ref = states[0, bnd]
+    sampled = rng.uniform(0.0, traj.horizon, size=times)
+    rows = max(1, _STACK_VALUES // ref.size)
+    size = max(1, _STACK_VALUES // states[0].size)
+    blocks = itertools.chain(
+        (states[lo:lo + rows, bnd] for lo in range(1, len(states), rows)),
+        (evaluate_at_time(traj, sampled[lo:lo + size])[:, bnd]
+         for lo in range(0, times, size)))
+    dev = max(float(np.max(np.abs(v - ref))) for v in blocks)
     return CheckResult(
         "boundary_trace",
         -dev,
@@ -396,15 +428,22 @@ def check_boundary_trace(traj: FlowTrajectory, rng, times: int = 8) -> CheckResu
 
 
 def check_holder(traj: FlowTrajectory, rng, pairs: int = 100) -> CheckResult:
-    draws = [np.sort(rng.uniform(0.0, traj.horizon, size=2)) for _ in range(pairs)]
-    slack = [holder_margin(traj, float(t), float(s))
-             for t, s in draws if s - t >= 1e-12]
-    raw = _tightest(slack)[0]
+    """Time regularity bound, `holder_margin`, at `pairs` sampled time
+    pairs.  All pairs are drawn first; those at least 1e-12 apart are then
+    scored in blocks of at most _STACK_VALUES stacked state values, each
+    by one `evaluate_at_time` and one `grid._paired_sums` call."""
+    t, s = np.sort(rng.uniform(0.0, traj.horizon, size=(pairs, 2))).T
+    apart = s - t >= 1e-12
+    t, s = t[apart], s[apart]
+    size = max(1, _STACK_VALUES // (2 * traj.states[0].size))
+    slack = [_holder_slacks(traj, t[lo:lo + size], s[lo:lo + size])
+             for lo in range(0, len(t), size)]
+    raw = _tightest(np.concatenate([np.empty(0), *slack]))[0]
     margin = raw + 1e-8
     return CheckResult(
         "holder",
         margin,
-        f"{len(slack)} sampled time pairs, smallest bound slack {raw:.3e}",
+        f"{len(t)} sampled time pairs, smallest bound slack {raw:.3e}",
     )
 
 

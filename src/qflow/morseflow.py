@@ -34,7 +34,8 @@ window `StepSchedule.window(k)`: all of step k's wall time for the uniform
 schedule, its terminal tau_k for the geometric one, which holds each state
 on a plateau before it.  Across a window each node's branches move linearly
 along an optimal pairing, a constant-speed geodesic of the matching metric,
-for every value dimension n.
+for every value dimension n.  `evaluate_at_time` takes one time or a 1-D
+array of them, which it locates in one pass and blends as one stack.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .grid import (
     _paired_sums,
     _state_sums,
     _view,
-    l2_distance_sq,
 )
 from .qspace import _canonical, match_rows
 
@@ -285,6 +285,21 @@ class FlowTrajectory:
             return sched.total
         return self.completed_steps * sched.h
 
+    @functools.cached_property
+    def _windows(self) -> np.ndarray:
+        """Start, end and tau of every completed step's window
+        (`StepSchedule.window`), the rows of a (3, completed_steps) array."""
+        sched = self.schedule
+        return np.array([(*sched.window(k), sched.tau(k))
+                         for k in range(1, self.completed_steps + 1)]).T
+
+    @functools.cached_property
+    def _boundary_values(self) -> np.ndarray:
+        """Positions of the boundary nodes' values in a flattened state."""
+        width = self.states[0, 0].size
+        return (np.flatnonzero(self.domain.is_boundary)[:, None] * width
+                + np.arange(width)).ravel()
+
     @property
     def effective_time(self) -> float:
         """Sum of the step sizes actually taken."""
@@ -315,9 +330,10 @@ def _frozen_system(domain: GridDomain, tau: float, sigma):
     rows.  A block packs node rows up to _BLOCK_LANES lanes, unless one
     row is longer.
     Returns the lane slice of each block, the diagonal blocks A_ii, the
-    upper blocks A_i,i+1, and the coupling that carries fixed boundary
-    lanes into the right-hand side as (interior lane, boundary lane) index
-    pairs, each entry of weight w_e.  The blocks are assembled straight
+    upper blocks A_i,i+1 as transposed views of C-contiguous lower blocks
+    A_i+1,i, and the coupling that carries fixed boundary lanes into the
+    right-hand side as (interior lane, boundary lane) index pairs, each
+    entry of weight w_e.  The blocks are assembled straight
     from COO index arrays, never as the full matrix: w_e * degree + w_p on
     the diagonal and -w_e for each pair of joined interior lanes.  Each
     interior lane lists its boundary lanes in descending order, the order
@@ -354,19 +370,24 @@ def _frozen_system(domain: GridDomain, tau: float, sigma):
     local = np.arange(inner.size) - np.asarray(starts)[block]
     big = sizes.max()
     diag = np.zeros((sizes.size, big, big))
-    upper = np.zeros((sizes.size - 1, big, big))
+    # each A_i+1,i C-contiguous at the head of its row, which the solve's
+    # products read without a copy
+    lower = np.zeros((sizes.size - 1, big * big))
     diag[block, local, local] = w_e * degree + w_p
     coupled = cols >= 0
     r, c = rows[coupled], cols[coupled]
-    for out, hit in ((diag, block[c] == block[r]),
-                     (upper, block[c] == block[r] + 1)):
-        out[block[r[hit]], local[r[hit]], local[c[hit]]] = -w_e
+    hit = block[c] == block[r]
+    diag[block[r[hit]], local[r[hit]], local[c[hit]]] = -w_e
+    hit = block[c] == block[r] + 1
+    lower[block[r[hit]],
+          local[c[hit]] * sizes[block[r[hit]]] + local[r[hit]]] = -w_e
 
     c_rows, c_cols = rows[~coupled], dst[~coupled]
     order = np.argsort(c_rows * row_of.size - c_cols)
     return ([slice(a, b) for a, b in zip(starts[:-1], starts[1:])],
             [d[:s, :s] for d, s in zip(diag, sizes)],
-            [u[:s, :t] for u, s, t in zip(upper, sizes, sizes[1:])],
+            [low[:s * t].reshape(t, s).T
+             for low, s, t in zip(lower, sizes, sizes[1:])],
             (c_rows[order], c_cols[order]))
 
 
@@ -382,7 +403,7 @@ class _BlockFactor:
         self.blocks, diag, upper, self.couple = _frozen_system(
             domain, tau, sigma)
         self.w_e = domain.delta ** (domain.m - 2)
-        self.lower = [u.T for u in upper]
+        self.lower = [u.T for u in upper]  # C-contiguous
         self.inv, self.g = [], []
         for i, a in enumerate(diag):
             s = a - self.lower[i - 1] @ self.g[i - 1] if i else a
@@ -727,53 +748,96 @@ def final_state(f0: QGridFunction, schedule: StepSchedule) -> QGridFunction:
     return QGridFunction(f0.domain, chain.final().copy())
 
 
-def _blend(prev: QGridFunction, nxt: QGridFunction, a: float) -> QGridFunction:
-    """(1 - a) prev + a next, with the branches of each node paired
-    optimally, then canonicalized.  For n = 1 both rows are sorted and the
+def _locate(traj: FlowTrajectory, t: np.ndarray) -> tuple:
+    """For each time of the 1-D array t: the index j of the state it
+    reads, the weight a of state j + 1, and whether it lies inside a
+    window, where it reads their blend at weight a.  Times within 1e-12
+    max(1, horizon) of [0, horizon] are clamped into it; any other time
+    raises ValueError."""
+    horizon = traj.horizon
+    slack = 1e-12 * max(1.0, abs(horizon))
+    outside = ~((t >= -slack) & (t <= horizon + slack))
+    if outside.any():
+        raise ValueError(f"time {t[outside][0]} outside [0, {horizon}]")
+    if traj.completed_steps == 0:
+        return (np.zeros(len(t), dtype=np.int64), np.zeros(len(t)),
+                np.zeros(len(t), dtype=bool))
+    t = np.minimum(np.maximum(t, 0.0), horizon)
+    i = np.minimum((t / traj.schedule.h).astype(np.int64),
+                   traj.completed_steps - 1)
+    start, end, tau = traj._windows[:, i]
+    past = t > start
+    return i + (past & (t >= end)), (t - start) / tau, past & (t < end)
+
+
+def _blend(traj: FlowTrajectory, j: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(1 - a) state j + a state j + 1 for each index j and weight a, the
+    branches of each node paired optimally, as one read-only stack: for
+    n > 1 by one `match_rows` call over every stacked row, then put in
+    canonical order by one call.  For n = 1 both rows are sorted and the
     identity pairing is optimal; their blend is sorted too, since rounding
-    is monotone, so it is returned as a view without a re-sort.  Boundary
-    rows are pinned rather than blended: both endpoints share them bitwise
-    and (1-a)*v + a*v can drift by an ulp."""
-    prev_vals, next_vals = prev.values, nxt.values
-    if prev.n > 1:
-        sigma = match_rows(prev_vals, next_vals)[0]
-        next_vals = np.take_along_axis(next_vals, sigma[:, :, None], axis=1)
-    blend = (1.0 - a) * prev_vals + a * next_vals
-    bnd = prev.domain.is_boundary
-    blend[bnd] = prev_vals[bnd]
-    if prev.n > 1:
-        return QGridFunction(prev.domain, blend)
-    blend.flags.writeable = False
-    return _view(prev.domain, blend)
+    is monotone, so it is not re-sorted.  Boundary rows are pinned rather
+    than blended: both states share them bitwise and (1-a)*v + a*v can
+    drift by an ulp."""
+    prev, nxt = traj.states[j], traj.states[j + 1]
+    p, nodes, q, n = prev.shape
+    if n > 1:
+        sigma = match_rows(prev.reshape(-1, q, n), nxt.reshape(-1, q, n))[0]
+        nxt = np.take_along_axis(nxt, sigma.reshape(p, nodes, q, 1), axis=2)
+    flat, bnd = prev.reshape(p, nodes * q * n), traj._boundary_values
+    pinned = flat[:, bnd]
+    w = a[:, None, None, None]
+    prev *= 1.0 - w
+    nxt *= w
+    prev += nxt
+    flat[:, bnd] = pinned
+    if n > 1:
+        return _canonical(prev)
+    prev.flags.writeable = False
+    return prev
 
 
-def evaluate_at_time(traj: FlowTrajectory, t: float) -> QGridFunction:
-    """State of the interpolated trajectory at wall time t.
+def evaluate_at_time(traj: FlowTrajectory,
+                     t: float | np.ndarray) -> QGridFunction | np.ndarray:
+    """State of the interpolated trajectory at wall time t, or the states
+    at each time of a 1-D array t as one read-only (len(t), num_nodes, q,
+    n) array.
 
     With k the step whose wall time contains t, the trajectory is state
     k - 1 up to the start of `StepSchedule.window(k)`, state k from its end,
     and the matched blend of the two inside it: linear interpolation for
     the uniform schedule, a plateau and a terminal ramp of length tau_k for
-    the geometric one.  Works for every value shape.
+    the geometric one.  Works for every value shape.  A scalar t is the
+    one-element case, returned as a QGridFunction: the snapshot itself
+    outside the windows, a view of the blend inside one.
     """
-    sched = traj.schedule
-    completed = traj.completed_steps
-    horizon = traj.horizon
-    slack = 1e-12 * max(1.0, abs(horizon))
-    if t < -slack or t > horizon + slack:
-        raise ValueError(f"time {t} outside [0, {horizon}]")
-    t = min(max(t, 0.0), horizon)
-    if completed == 0:
-        return traj.snapshots[0]
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError("times must be a number or a 1-D array")
+    j, a, inside = _locate(traj, times.reshape(-1))
+    if times.ndim == 0:
+        if inside[0]:
+            return _view(traj.domain, _blend(traj, j, a)[0])
+        return traj.snapshots[j[0]]
+    if inside.all():
+        return _blend(traj, j, a)
+    states = traj.states[j]
+    if inside.any():
+        states[inside] = _blend(traj, j[inside], a[inside])
+    states.flags.writeable = False
+    return states
 
-    k = min(int(t / sched.h) + 1, completed)
-    start, end = sched.window(k)
-    if t <= start:
-        return traj.snapshots[k - 1]
-    if t >= end:
-        return traj.snapshots[k]
-    a = (t - start) / sched.tau(k)
-    return _blend(traj.snapshots[k - 1], traj.snapshots[k], a)
+
+def _holder_slacks(traj: FlowTrajectory, t: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
+    """`holder_margin` at each pair of times of the 1-D arrays t < s: one
+    `evaluate_at_time` call for both arrays and one `grid._paired_sums`
+    call for the distances, each pair's slack the bits of its own call."""
+    states = evaluate_at_time(traj, np.concatenate([t, s]))
+    d, p = traj.domain, len(t)
+    dist = np.sqrt(d.delta**d.m * _paired_sums(states[:p], states[p:])[1])
+    bound = np.sqrt((s - t) + traj.schedule.h) * math.sqrt(traj.energies[0])
+    return bound - dist
 
 
 def holder_margin(traj: FlowTrajectory, t: float, s: float) -> float:
@@ -781,8 +845,4 @@ def holder_margin(traj: FlowTrajectory, t: float, s: float) -> float:
     distance(F(t), F(s)) <= sqrt((s - t) + h) * sqrt(initial energy)."""
     if not t < s:
         raise ValueError("need t < s")
-    ft = evaluate_at_time(traj, t)
-    fs = evaluate_at_time(traj, s)
-    dist = math.sqrt(l2_distance_sq(ft, fs))
-    bound = math.sqrt((s - t) + traj.schedule.h) * math.sqrt(traj.energies[0])
-    return bound - dist
+    return float(_holder_slacks(traj, np.array([t]), np.array([s]))[0])

@@ -252,10 +252,14 @@ def test_ascending_projection_rejects_a_projection_that_does_not_move(
 
 
 def shifted_when_odd(values):
-    """An `ascending_projection` that returns rows of even length as they
-    are and moves rows of odd length by 1e-3."""
+    """An `ascending_projection` that returns rows of an even number of
+    entries as they are and moves the entries of the other rows by 1e-3.
+    A row's entries are those below the largest double, with which the
+    check pads its stacked rows."""
     x = np.asarray(values, dtype=float)
-    return x + 1e-3 if x.shape[-1] % 2 else x
+    own = x < np.finfo(float).max
+    odd = own.sum(axis=-1, keepdims=True) % 2 == 1
+    return np.where(own & odd, x + 1e-3, x)
 
 
 def test_ascending_projection_names_the_fault_of_the_last_failing_sample(
@@ -359,6 +363,97 @@ def test_value_checks_agree_with_their_per_sample_loops(seed):
                 (check_ascending_projection, ascending_projection_by_loop)):
             assert same_result(check(np.random.default_rng(seed), samples),
                                ref(np.random.default_rng(seed), samples))
+
+
+def metric_draws(rng, samples):
+    """The draws of `check_metric_axioms` as (q, n, a, b, c, permuted a),
+    unpadded."""
+    draws = []
+    for _ in range(samples):
+        q = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 4))
+        a, b, c = (rng.normal(size=(q, n)) for _ in range(3))
+        draws.append((q, n, a, b, c, a[rng.permutation(q)]))
+    return draws
+
+
+def metric_distances_by_q_n_group(draws):
+    """The five distances of each draw, scored per (q, n) group on the
+    unpadded operands: one `_canonical` and one `match_rows` call each."""
+    dist = np.empty((len(draws), 5))
+    for idx in checks._groups(d[:2] for d in draws).values():
+        a, b, c, perm = qspace._canonical(
+            np.array([[draws[i][k] for i in idx] for k in range(2, 6)]))
+        cost = match_rows(np.concatenate([a, b, a, b, a]),
+                          np.concatenate([b, a, perm, c, c]))[1]
+        dist[idx] = np.sqrt(cost).reshape(5, -1).T
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_metric_distances_keep_the_bits_of_their_q_n_groups(seed):
+    """Grouped by q alone, with coordinates zero-padded to n = 3, every
+    sample's five distances have the bits of its (q, n) group's."""
+    draws = metric_draws(np.random.default_rng(seed), 200)
+    padded = []
+    for q, n, *ops in draws:
+        ops3 = np.zeros((4, q, 3))
+        ops3[:, :, :n] = ops
+        padded.append((q, ops3))
+    assert checks._metric_distances(padded).tobytes() == \
+        metric_distances_by_q_n_group(draws).tobytes()
+
+
+def projection_draws(rng, samples):
+    """The draws of `check_ascending_projection` as (q, x, y), unpadded."""
+    draws = []
+    for _ in range(samples):
+        q = int(rng.integers(2, 9))
+        x = rng.normal(size=q)
+        if rng.random() < 0.3:
+            x[rng.integers(0, q)] = x[rng.integers(0, q)]
+        draws.append((q, x, rng.normal(size=q)))
+    return draws
+
+
+def projection_scores_by_q_group(draws):
+    """Lipschitz clearance and fault index of each draw, per q group on
+    the unpadded rows: one projection call for its x, y and sorted x, one
+    for the fixed-point test, one `np.vecdot` per norm."""
+    lips = np.empty(len(draws))
+    faults = np.zeros(len(draws), dtype=np.int64)
+    for idx in checks._groups(d[0] for d in draws).values():
+        x, y = (np.stack([draws[i][k] for i in idx]) for k in (1, 2))
+        xs = np.sort(x)
+        px, py, pxs = np.split(
+            ascending_projection(np.concatenate([x, y, xs])), 3)
+        fixed = ((ascending_projection(px) == px).all(axis=1)
+                 & (np.diff(px, axis=1) >= 0.0).all(axis=1))
+        faults[idx] = np.where((pxs != xs).any(axis=1), 2, ~fixed)
+        dx, dp = x - y, px - py
+        lips[idx] = (np.sqrt(np.vecdot(dx, dx)) + 1e-12
+                     - np.sqrt(np.vecdot(dp, dp)))
+    return lips, faults
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_padded_projection_scores_keep_the_bits_of_their_q_groups(seed):
+    """Rows padded to q = 8 with the largest double project each sample's
+    entries to the bits of its own row, and score every sample, tied ones
+    included, as its q group does."""
+    draws = projection_draws(np.random.default_rng(seed), 200)
+    assert any(len(np.unique(x)) < q for q, x, _ in draws)  # ties drawn
+    qs = np.array([d[0] for d in draws])
+    x, y = (np.full((len(draws), 8), np.finfo(float).max) for _ in range(2))
+    for i, (q, xi, yi) in enumerate(draws):
+        x[i, :q], y[i, :q] = xi, yi
+    projected = ascending_projection(x)
+    for (q, xi, _), row in zip(draws, projected):
+        assert row[:q].tobytes() == ascending_projection(xi).tobytes()
+    lips, faults = checks._projection_scores(qs, x, y)
+    want_lips, want_faults = projection_scores_by_q_group(draws)
+    assert lips.tobytes() == want_lips.tobytes()
+    assert np.array_equal(faults, want_faults) and not faults.any()
 
 
 @pytest.mark.parametrize("seed", [1, 5, 11, 123, 999])
@@ -778,6 +873,22 @@ def test_trajectory_checks_match_their_loop_references(reference_trajectories):
             assert rng.random() == ref_rng.random()
         for res, ref in pairs:
             assert res == ref, (label, res, ref)
+
+
+@pytest.mark.parametrize("cap", [1, 300, 5000])
+def test_sampled_trajectory_checks_match_their_loops_in_any_block(
+        reference_trajectories, monkeypatch, cap):
+    """Scored in blocks of at most `cap` stacked values, from one state or
+    pair per block up to all of them in one, the sampled checks equal
+    their loop references and draw the same random numbers."""
+    monkeypatch.setattr(checks, "_STACK_VALUES", cap)
+    for label, traj in reference_trajectories.items():
+        for check, ref, count in ((check_boundary_trace,
+                                   boundary_trace_by_loops, 8),
+                                  (check_holder, holder_by_loop, 40)):
+            rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+            assert check(traj, rng, count) == ref(traj, ref_rng, count), label
+            assert rng.random() == ref_rng.random()
 
 
 def test_reference_trajectories_reach_each_branch(reference_trajectories):

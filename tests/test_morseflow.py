@@ -481,6 +481,24 @@ def test_buffered_solve_has_the_bits_of_the_product_solve(m, res, blocks,
         assert factor.solve(rhs).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("m, res, width", [(1, 11, 1), (1, 201, 1),
+                                           (2, 21, 2), (2, 61, 1)])
+def test_block_factor_stores_every_block_c_contiguous(m, res, width):
+    """Every block `solve` reads, the inverses, the G blocks and the lower
+    blocks, is C-contiguous, so no product copies its block first; the
+    lower blocks, transposes of the upper ones, share one buffer."""
+    d = build_domain(m, res)
+    sigma = lane_pairing(d, width, np.random.default_rng(res))
+    factor = morseflow._BlockFactor(d, 0.05, sigma)
+    assert len(factor.lower) == len(factor.g) == len(factor.blocks) - 1
+    for block in factor.inv + factor.g + factor.lower:
+        assert block.flags.c_contiguous
+    if factor.lower:
+        buffer = factor.lower[0].base
+        assert buffer is not None
+        assert all(low.base is buffer for low in factor.lower)
+
+
 def test_a_one_block_solve_into_out_allocates_no_array():
     """A factor of one block (the interval up to resolution 65) solves
     into `out` with one product and no new array; the same probe sees the
@@ -1409,6 +1427,70 @@ def sqrt_branched(domain, rng, perturbation=1e-2):
     vals[domain.interior] += perturbation * rng.normal(
         size=(len(domain.interior), 2, 2))
     return QGridFunction(domain, vals)
+
+
+def interpolation_run(mode, n):
+    """A short run of either schedule: three scalar branches on the
+    interval for n = 1, the perturbed {+-sqrt(z)} disk datum for n = 2."""
+    sched = (uniform_schedule(0.05, 6) if mode == "uniform"
+             else geometric_schedule(0.01, 5))
+    if n == 1:
+        spec = InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),
+                                                      (0.0, 0.5), (-0.5, 2.0)))
+        return run_flow(sample_initial(spec, build_domain(1, 21), 3), sched)
+    return run_flow(sqrt_branched(build_domain(2, 11),
+                                  np.random.default_rng(5)), sched)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mode", ["uniform", "geometric"])
+def test_interpolation_at_an_array_of_times_stacks_the_one_time_calls(mode, n):
+    """`evaluate_at_time` on a 1-D array of times is the read-only stack of
+    its one-time calls, bit for bit: at 0 and the horizon, at every
+    window's ends, just inside them and at its middle, on every geometric
+    plateau, at times clamped within the slack at both ends, and at
+    random times."""
+    traj = interpolation_run(mode, n)
+    sched, horizon = traj.schedule, traj.horizon
+    slack = 0.5e-12 * max(1.0, horizon)
+    times = [0.0, -slack, horizon, horizon + slack]
+    for k in range(1, sched.steps + 1):
+        start, end = sched.window(k)
+        times += [start, end, 0.5 * (start + end),
+                  np.nextafter(start, end), np.nextafter(end, start),
+                  0.5 * ((k - 1) * sched.h + start)]  # a plateau if geometric
+    times += list(np.random.default_rng(71).uniform(0.0, horizon, size=30))
+    times = np.array(times)
+    stack = evaluate_at_time(traj, times)
+    assert stack.shape == (len(times),) + traj.states.shape[1:]
+    assert not stack.flags.writeable
+    calls = [evaluate_at_time(traj, float(t)).values for t in times]
+    assert stack.tobytes() == np.stack(calls).tobytes()
+    # every piece of the one-time logic is reached
+    assert any(evaluate_at_time(traj, float(t)) in traj.snapshots
+               for t in times)
+    assert not all(evaluate_at_time(traj, float(t)) in traj.snapshots
+                   for t in times)
+    for idx in ([0], [5, 6, 7, 8], list(range(len(times)))[::-1], []):
+        assert evaluate_at_time(traj, times[idx]).tobytes() == \
+            stack[idx].tobytes()
+    for bad in ([0.0, horizon + 4 * slack], [-4 * slack], [np.nan]):
+        with pytest.raises(ValueError, match="outside"):
+            evaluate_at_time(traj, np.array(bad))
+    with pytest.raises(ValueError):
+        evaluate_at_time(traj, times[None])
+
+
+def test_interpolation_of_a_zero_step_run_is_its_start():
+    d = build_domain(1, 11)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    traj, (start,) = trajectory_of(uniform_schedule(0.1, 2), (f0,), ())
+    assert traj.horizon == 0.0
+    assert evaluate_at_time(traj, 0.0) is start
+    stack = evaluate_at_time(traj, np.array([0.0, 1e-13, -1e-13]))
+    assert stack.tobytes() == np.stack([start.values] * 3).tobytes()
+    with pytest.raises(ValueError, match="outside"):
+        evaluate_at_time(traj, np.array([0.0, 0.1]))
 
 
 @pytest.mark.parametrize("sched", [uniform_schedule(0.05, 16),
