@@ -44,6 +44,7 @@ import functools
 import math
 from array import array
 from itertools import groupby, islice
+from operator import countOf
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -430,10 +431,8 @@ class _BlockFactor:
         sweep z_i = S_i^-1 (rhs_i - A_i,i-1 z_i-1) and a back sweep
         x_i = z_i - G_i x_i+1, three matrix products per block, written
         into `out` (C-contiguous, rhs's shape, apart from rhs) or a new
-        array.  One block is one call of the bound product `one`, with no
-        new array when given `out`."""
-        if self.one:
-            return self.one(rhs, out)
+        array.  A chain calls the bound product `one` of a one-block
+        factor in its place, with no Python frame."""
         x = np.empty(rhs.shape) if out is None else out
         dot = np.dot
         z = None
@@ -460,9 +459,9 @@ class _ChainState:
     then stands for the last of them.
 
     It holds the block factor of the frozen-pairing system of one (tau,
-    edge pairing) key, the boundary term of its right-hand side and that
-    side's layout, which a new key replaces; the edge pairing of its last
-    state; and its per-step log.
+    edge pairing) key, the boundary term of its right-hand side, that
+    side's layout and the scale w_n / tau, which a new key replaces; the
+    edge pairing of its last state; and its per-step log.
     Every state has the boundary rows of f0, bit for bit, so the boundary
     term is computed once per factorization."""
 
@@ -546,7 +545,7 @@ class _ChainState:
         body, cap = ((self._block, self.cap) if self.states.shape[3] == 1
                      else (self._sweeps, 1))
         for tau, run in groupby(islice(log.taus, k, last)):
-            end, size = k + sum(1 for _ in run), 1
+            end, size = k + countOf(run, tau), 1
             while k < end and log.converged:
                 if energy[k] == 0.0:
                     # a fixed point of every step: energy 0 and no sweep
@@ -589,11 +588,13 @@ class _ChainState:
 
         The start's interior values are gathered once into a work array,
         node_nu applied; a step is three numpy calls, given their output
-        by position: it scales its start row, adds the boundary term and
-        solves into the next row.  The rows, a contiguous slice of the
-        window whose reshape is a view, are scattered back at the end in
-        one assignment over the flat interior lanes, and the work array is
-        freed before the rows are scored."""
+        by position: it scales its start row by the factorization's 0-d
+        scale, adds the boundary term and solves into the next row, with
+        no Python frame for a one-block factor (its bound product `one`).
+        The rows, a contiguous slice of the window whose reshape is a view,
+        are scattered back at the end in one assignment over the flat
+        interior lanes, and the work array is freed before the rows are
+        scored."""
         key = None if edge_sigma is None else edge_sigma.tobytes()
         if tau != self.tau or key != self.key:
             start = self.states[0]
@@ -605,7 +606,9 @@ class _ChainState:
             self.factor = _BlockFactor(self.domain, tau, sigma)
             self.tau, self.key = tau, key
             self.boundary = self.factor.boundary(start.reshape(self.shape))
-        solve, boundary, scale = self.factor.solve, self.boundary, self.w_n / tau
+            self.scale = np.array(self.w_n / tau)
+        solve = self.factor.one or self.factor.solve
+        boundary, scale = self.boundary, self.scale
         multiply, add, inner = np.multiply, np.add, self.inner
         work = np.empty((len(rows), len(inner)) + rows.shape[2:])
         np.take(rows[0], inner, axis=0, out=work[0])

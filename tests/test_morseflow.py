@@ -501,8 +501,9 @@ def test_block_factor_stores_every_block_c_contiguous(m, res, width):
 
 def test_a_one_block_solve_into_out_allocates_no_array():
     """A factor of one block (the interval up to resolution 65) solves
-    into `out` with one product and no new array; the same probe sees the
-    array a solve without `out` makes."""
+    into `out` by its bound product `one`, the call of a chain's step, and
+    `solve`, with no new array; the same probe sees the array a solve
+    without `out` makes."""
     d = build_domain(1, 41)
     factor = morseflow._BlockFactor(
         d, 0.01, np.zeros((d.num_edges, 1), dtype=np.int64))
@@ -521,6 +522,7 @@ def test_a_one_block_solve_into_out_allocates_no_array():
         finally:
             tracemalloc.stop()
 
+    assert grown(lambda: factor.one(rhs, out)) < rhs.nbytes
     assert grown(lambda: factor.solve(rhs, out=out)) < rhs.nbytes
     assert grown(lambda: factor.solve(rhs)) >= rhs.nbytes
 
@@ -929,17 +931,73 @@ def test_a_kept_state_of_zero_energy_ends_its_block():
     assert repr(list(chain.log)) == repr(reports)
 
 
+def hook_products(monkeypatch, wrap):
+    """Replace the product a chain's steps solve with, on every new
+    `_BlockFactor`, by wrap(product): the bound product `one` of a
+    one-block factor, which the chain calls with no Python frame, and
+    `solve` of any other."""
+    init = morseflow._BlockFactor.__init__
+
+    def hooked(self, *args):
+        init(self, *args)
+        if self.one:
+            self.one = wrap(self.one)
+        else:
+            self.solve = wrap(self.solve)
+
+    monkeypatch.setattr(morseflow._BlockFactor, "__init__", hooked)
+
+
 def count_solves(monkeypatch):
-    """The right-hand side shape of every `_BlockFactor.solve` call."""
+    """The right-hand side shape of every step product a chain calls,
+    `hook_products`."""
     solves = []
-    solve = morseflow._BlockFactor.solve
 
-    def counted(self, rhs, out=None):
-        solves.append(rhs.shape)
-        return solve(self, rhs, out)
+    def wrap(product):
+        def counted(rhs, out=None):
+            solves.append(rhs.shape)
+            return product(rhs, out)
+        return counted
 
-    monkeypatch.setattr(morseflow._BlockFactor, "solve", counted)
+    hook_products(monkeypatch, wrap)
     return solves
+
+
+def test_a_one_block_chain_steps_by_the_bound_product(monkeypatch):
+    """A one-block n = 1 chain calls the bound product `one` once per
+    solved step and never `_BlockFactor.solve`, and its scale operand is
+    one 0-d float64 per factorization, w_n / tau, not one per block: 20
+    uniform steps at resolution 41, minimize_step's one and then blocks of
+    1, 2, 4, 8 and 4 rows."""
+    def never(self, rhs, out=None):
+        raise AssertionError("_BlockFactor.solve called")
+
+    monkeypatch.setattr(morseflow._BlockFactor, "solve", never)
+    solves = count_solves(monkeypatch)
+    blocks, scales, multiply = [], [], np.multiply
+    solve_rows = morseflow._ChainState._solve_rows
+
+    def counted_rows(self, rows, *args):
+        blocks.append(len(rows) - 1)
+        return solve_rows(self, rows, *args)
+
+    def recorded(scale, a, out):
+        scales.append(scale)
+        return multiply(scale, a, out)
+
+    monkeypatch.setattr(morseflow._ChainState, "_solve_rows", counted_rows)
+    monkeypatch.setattr(np, "multiply", recorded)
+    d = build_domain(1, 41)
+    f0 = sample_initial(InitialSpec("symmetric-cos"), d, 2)
+    chain = morseflow._run_chain(f0, uniform_schedule(0.25, 20))
+    assert all(len(r.objective_trace) == 2 for r in chain.log)
+    assert chain.factor.one is not None
+    assert blocks == [1, 1, 2, 4, 8, 4]
+    assert len(solves) == len(scales) == 20
+    assert all(s is scales[0] for s in scales)
+    assert type(scales[0]) is np.ndarray and scales[0].shape == ()
+    assert scales[0].dtype == np.float64
+    assert scales[0].tobytes() == np.float64(chain.w_n / 0.0125).tobytes()
 
 
 def test_steps_after_a_rejection_of_equal_tau_are_not_solved(monkeypatch):
@@ -1055,14 +1113,14 @@ def test_final_state_checks_every_state_it_steps_through(rows, monkeypatch):
     canonical order, which the floor guard keeps (the branches are 1e-6
     apart): `final_state` raises the ValueError that run_flow's
     trajectory raises, whether the window rolls or not."""
-    solve = morseflow._BlockFactor.solve
+    def wrap(product):
+        def swapped(rhs, out=None):
+            x = product(rhs, out)
+            x[0, [0, 1]] = x[0, [1, 0]]
+            return x
+        return swapped
 
-    def swapped(self, rhs, out=None):
-        x = solve(self, rhs, out)
-        x[0, [0, 1]] = x[0, [1, 0]]
-        return x
-
-    monkeypatch.setattr(morseflow._BlockFactor, "solve", swapped)
+    hook_products(monkeypatch, wrap)
     d = build_domain(1, 11)
     if rows:
         block_rows(monkeypatch, d, 2, rows)
