@@ -1,35 +1,24 @@
 """Energy-reducing implicit flow for grid functions whose values are
 unordered multisets of points.
 
-Layers: qspace (value algebra, matching metric and the batched branch
-matching), grid (lattice domains and discrete energies), morseflow (the
-implicit stepping engine and interpolated trajectories), oracle
-(independent reference computations), checks (named verification suites),
-cli (operator surface).
+Layers: qspace (canonical value arrays, the batched branch matching and
+the ascending projection), grid (lattice domains and discrete energies),
+morseflow (the implicit stepping engine and interpolated trajectories),
+oracle (independent reference computations), checks (named verification
+suites), cli (operator surface).
 """
 
 __version__ = "0.1.0"
 
-from .qspace import (
-    Matching,
-    QPoint,
-    ascending_projection,
-    make_qpoint,
-    match_rows,
-    matching_distance,
-    optimal_matching,
-    sorted_embedding,
-)
+from .qspace import ascending_projection, match_rows, optimal_matching
 from .grid import (
     GridDomain,
     InitialSpec,
     QGridFunction,
-    branch_mean_field,
     build_domain,
     dirichlet_energy,
     domain_manifest,
     l2_distance_sq,
-    read_snapshot_csv,
     sample_initial,
     write_snapshot_csv,
 )
@@ -55,11 +44,10 @@ from .checks import CHECK_NAMES, CheckResult
 
 __all__ = [
     "__version__",
-    "Matching", "QPoint", "ascending_projection", "make_qpoint",
-    "match_rows", "matching_distance", "optimal_matching", "sorted_embedding",
-    "GridDomain", "InitialSpec", "QGridFunction", "branch_mean_field",
-    "build_domain", "dirichlet_energy", "domain_manifest", "l2_distance_sq",
-    "read_snapshot_csv", "sample_initial", "write_snapshot_csv",
+    "ascending_projection", "match_rows", "optimal_matching",
+    "GridDomain", "InitialSpec", "QGridFunction", "build_domain",
+    "dirichlet_energy", "domain_manifest", "l2_distance_sq",
+    "sample_initial", "write_snapshot_csv",
     "FlowTrajectory", "StepReport", "StepSchedule",
     "evaluate_at_time", "final_state", "geometric_schedule", "holder_margin",
     "minimize_step", "run_flow", "uniform_schedule",

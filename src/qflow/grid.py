@@ -34,9 +34,7 @@ __all__ = [
     "sample_initial",
     "dirichlet_energy",
     "l2_distance_sq",
-    "branch_mean_field",
     "write_snapshot_csv",
-    "read_snapshot_csv",
 ]
 
 _GEOM_TOL = 1e-12
@@ -311,11 +309,6 @@ def l2_distance_sq(f: QGridFunction, g: QGridFunction) -> float:
     return d.delta**d.m * _paired(f.values, g.values)[1]
 
 
-def branch_mean_field(f: QGridFunction) -> np.ndarray:
-    """Nodewise average of the branches, shape (num_nodes, n)."""
-    return f.values.mean(axis=1)
-
-
 # `'%.17e'` of a double takes at most 25 bytes, as in
 # '-1.00000000000000005e+300'; a cell holds them NUL-padded, then a separator
 _CELL = 26
@@ -405,10 +398,3 @@ def write_snapshot_csv(f: QGridFunction, path):
         fh.write((head + "".join(f",v{i}" for i in range(width)) + "\n").encode())
         fh.write(rows[rows != 0].tobytes())
 
-
-def read_snapshot_csv(path, domain: GridDomain, q: int, n: int = 1) -> QGridFunction:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[0] != domain.num_nodes or raw.shape[1] != 1 + domain.m + q * n:
-        raise ValueError("snapshot file does not match the domain shape")
-    vals = raw[:, 1 + domain.m:].reshape(domain.num_nodes, q, n)
-    return QGridFunction(domain, vals)

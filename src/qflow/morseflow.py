@@ -14,15 +14,17 @@ its state array, for every value shape: `minimize_step` is that loop run
 for one step, and `run_flow` runs it over a whole schedule, building no
 per-step objects.  The state array is a window of rows: `run_flow`'s
 holds every state, while `final_state`, for callers that read only the
-last one, holds one n = 1 block and rolls it, so its memory does not grow
-with the number of steps.  The loop steps each run of equal step size in
-blocks, one step long for n > 1 and for n = 1 each twice the last up to a
-cap, through one frozen-pairing solve, `_ChainState._solve_rows`: an
-n = 1 block solves its rows one after the other in a work array and scores
-them all in one array pass, an n > 1 step iterates its pairing sweeps on
-its one row.  A step that keeps no candidate leaves start and tau as they
-were, so every later step of that size would be rejected too: the rest of
-the run repeats its start without a solve.
+last one, holds one n = 1 block and rolls it, so its states take memory
+that does not grow with the number of steps; its per-step log still does,
+a few tens of bytes a step (ROADMAP.md, the observability item).  The loop
+steps each run of equal step size in blocks, one step long for n > 1 and
+for n = 1 each twice the last up to a cap, through one frozen-pairing
+solve, `_ChainState._solve_rows`: an n = 1 block solves its rows one after
+the other in a work array and scores them all in one array pass, an n > 1
+step iterates its pairing sweeps on its one row.  A step that keeps no
+candidate leaves start and tau as they were, so every later step of that
+size would be rejected too: the rest of the run repeats its start without
+a solve.
 The solver only solves: its log records each step's energies, penalty
 and sweeps, and the quantities the paper's bounds are stated in come from
 the states, through `FlowTrajectory`.  Two step size schedules are
@@ -741,7 +743,8 @@ def run_flow(f0: QGridFunction, schedule: StepSchedule) -> FlowTrajectory:
 def final_state(f0: QGridFunction, schedule: StepSchedule) -> QGridFunction:
     """The last state of run_flow(f0, schedule), bit for bit, from the
     same chain over a window of one n = 1 block of rows, so that its
-    memory does not grow with the number of steps; every state it steps
+    states take memory that does not grow with the number of steps (its
+    per-step log, a few tens of bytes a step, does); every state it steps
     through is checked as a trajectory's are.  Raises ValueError if a
     step does not converge, which ends the chain early."""
     chain = _run_chain(f0, schedule, keep_all=False)

@@ -1,34 +1,25 @@
-"""Unordered multisets of Q points in R^n.
+"""Unordered multisets of Q points in R^n, held as canonical arrays.
 
-A value is stored in canonical order (ascending for n = 1, lexicographic for
-n > 1), which makes equality testing and, for n = 1, optimal matching trivial.
-The matching metric is the l2 cost of the best branch pairing; for n = 1 the
-identity pairing of the sorted tuples is optimal, so the sorted tuple itself
-is an isometric embedding into R^Q.  The ascending cone is the image of that
+A value is a (q, n) array in canonical order (ascending for n = 1,
+lexicographic for n > 1), which makes equality testing array equality and,
+for n = 1, optimal matching trivial.  The matching metric is the square
+root of the l2 cost of the best branch pairing; for n = 1 the identity
+pairing of the sorted tuples is optimal, so the sorted tuple itself is an
+isometric embedding into R^Q.  The ascending cone is the image of that
 embedding and `ascending_projection` retracts onto it.
 
 `match_rows` makes every pairing decision of the package, for a batch of
 rows at once: the identity for n = 1, and for n > 1 one dynamic programme
 over column subsets (Bellman 1962; Held and Karp 1962), vectorized over the
-rows, in O(rows * 2^q * q) time for q <= 8.
+rows, in O(rows * 2^q * q) time for q <= 8.  `optimal_matching` is its
+call on one pair of values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "QPoint",
-    "Matching",
-    "make_qpoint",
-    "match_rows",
-    "optimal_matching",
-    "matching_distance",
-    "sorted_embedding",
-    "ascending_projection",
-]
+__all__ = ["match_rows", "optimal_matching", "ascending_projection"]
 
 
 def _canonical(points: np.ndarray) -> np.ndarray:
@@ -42,61 +33,6 @@ def _canonical(points: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(out, dtype=float)
     out.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class QPoint:
-    """A multiset of q points in R^n, kept in canonical order."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError("points must be a (q, n) array with q, n >= 1")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        object.__setattr__(self, "points", _canonical(pts))
-
-    @property
-    def q(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QPoint):
-            return NotImplemented
-        return self.points.shape == other.points.shape and bool(
-            np.array_equal(self.points, other.points)
-        )
-
-    def __repr__(self) -> str:
-        rows = ", ".join(str(tuple(row)) for row in self.points)
-        return f"QPoint[{rows}]"
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A branch pairing: branch i of the first operand goes to branch
-    sigma[i] of the second, at the stated squared-distance cost."""
-
-    sigma: tuple
-    cost: float
-
-
-def make_qpoint(values, n: int | None = None) -> QPoint:
-    """Build a QPoint from a (q, n) array, or a flat sequence when n = 1."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if n is not None and arr.shape[1] != n:
-        raise ValueError(f"expected point dimension {n}, got {arr.shape[1]}")
-    return QPoint(arr)
 
 
 # largest q matched for n > 1: the subset table holds 2^q floats per row
@@ -158,23 +94,11 @@ def match_rows(a: np.ndarray, b: np.ndarray):
     return sigma, cost[np.arange(q), sigma, r[:, None]].sum(axis=1)
 
 
-def optimal_matching(a: QPoint, b: QPoint) -> Matching:
-    """Best branch pairing between two compatible QPoints (`match_rows`
-    on one row)."""
-    sigma, cost = match_rows(a.points[None], b.points[None])
-    return Matching(tuple(sigma[0].tolist()), float(cost[0]))
-
-
-def matching_distance(a: QPoint, b: QPoint) -> float:
-    """Metric between multisets: sqrt of the optimal pairing cost."""
-    return float(np.sqrt(optimal_matching(a, b).cost))
-
-
-def sorted_embedding(a: QPoint) -> np.ndarray:
-    """The ascending tuple of values, an isometric image in R^q (n = 1)."""
-    if a.n != 1:
-        raise ValueError("sorted embedding requires point dimension 1")
-    return a.points[:, 0].copy()
+def optimal_matching(a: np.ndarray, b: np.ndarray):
+    """Best branch pairing between two canonical (q, n) arrays (`match_rows`
+    on one row): the sigma tuple and its squared-distance cost."""
+    sigma, cost = match_rows(a[None], b[None])
+    return tuple(sigma[0].tolist()), float(cost[0])
 
 
 def ascending_projection(values) -> np.ndarray:

@@ -14,7 +14,6 @@ import pytest
 from qflow.grid import (
     InitialSpec,
     QGridFunction,
-    branch_mean_field,
     build_domain,
     dirichlet_energy,
     l2_distance_sq,
@@ -34,13 +33,7 @@ from qflow.oracle import (
     exact_eigen_solution,
     implicit_euler_chain,
 )
-from qflow.qspace import (
-    ascending_projection,
-    make_qpoint,
-    matching_distance,
-    optimal_matching,
-    sorted_embedding,
-)
+from qflow.qspace import _canonical, ascending_projection, match_rows
 from reference import (
     branch_mean_residual,
     max_principle_check,
@@ -147,7 +140,7 @@ def test_criterion_03_step_equation_residual(battery):
                 continue
             prev, curr = traj.snapshots[k - 1], traj.snapshots[k]
             res = branch_mean_residual(prev, curr, report.tau)
-            scale = 1.0 + float(np.max(np.abs(branch_mean_field(curr))))
+            scale = 1.0 + float(np.max(np.abs(curr.values.mean(axis=1))))
             worst = max(worst, res / scale)
     ok = worst <= 1e-8
     summary(3, "step equation residual, Q in {1,2,3}, both schedules", ok,
@@ -161,7 +154,7 @@ def test_criterion_04_symmetry(battery):
     worst = 0.0
     for name in ("uniform_q2", "geometric_q2", "geo16_q2"):
         for f in battery["runs"][name]["traj"].snapshots:
-            worst = max(worst, float(np.max(np.abs(branch_mean_field(f)))))
+            worst = max(worst, float(np.max(np.abs(f.values.mean(axis=1)))))
     ok = worst <= 1e-10
     summary(4, "symmetry preservation, cosine datum", ok,
             f"largest |mean| {worst:.3e}")
@@ -303,7 +296,7 @@ def test_criterion_10_translation_identity(battery):
         f = QGridFunction(d, rng.normal(0.0, 1.0, size=(d.num_nodes, q, 1)))
         phi = rng.normal(0.0, 1.0, size=d.num_nodes)
         lhs = dirichlet_energy(translate_field(f, phi[:, None]))
-        eta = branch_mean_field(f)[:, 0]
+        eta = f.values.mean(axis=1)[:, 0]
         cross = 2.0 * q * w * float(((eta[ea] - eta[eb]) * (phi[ea] - phi[eb])).sum())
         rhs = dirichlet_energy(f) + cross + q * scalar_dirichlet_energy(d, phi)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
@@ -321,23 +314,24 @@ def test_criterion_11_metric_suite(battery):
     match_gap = 0.0
     for _ in range(200):
         q = int(rng.integers(1, 7))
-        a = make_qpoint(rng.normal(0.0, 2.0, size=q))
-        b = make_qpoint(rng.normal(0.0, 2.0, size=q))
+        a = _canonical(rng.normal(0.0, 2.0, size=(1, q, 1)))
+        b = _canonical(rng.normal(0.0, 2.0, size=(1, q, 1)))
         best = min(
-            float(((a.points[:, 0] - b.points[list(p), 0]) ** 2).sum())
+            float(((a[0, :, 0] - b[0, list(p), 0]) ** 2).sum())
             for p in itertools.permutations(range(q))
         )
-        match_gap = max(match_gap, abs(optimal_matching(a, b).cost - best))
+        match_gap = max(match_gap, abs(float(match_rows(a, b)[1][0]) - best))
 
     iso_gap = 0.0
     lip_excess = -np.inf
     idempotent = True
     for _ in range(200):
         q = int(rng.integers(1, 7))
-        a = make_qpoint(rng.normal(0.0, 2.0, size=q))
-        b = make_qpoint(rng.normal(0.0, 2.0, size=q))
-        emb = float(np.linalg.norm(sorted_embedding(a) - sorted_embedding(b)))
-        iso_gap = max(iso_gap, abs(emb - matching_distance(a, b)))
+        a = _canonical(rng.normal(0.0, 2.0, size=(1, q, 1)))
+        b = _canonical(rng.normal(0.0, 2.0, size=(1, q, 1)))
+        emb = float(np.linalg.norm(a[0, :, 0] - b[0, :, 0]))
+        dist = float(np.sqrt(match_rows(a, b)[1][0]))
+        iso_gap = max(iso_gap, abs(emb - dist))
         x = rng.normal(0.0, 2.0, size=q)
         y = rng.normal(0.0, 2.0, size=q)
         px, py = ascending_projection(x), ascending_projection(y)

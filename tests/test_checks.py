@@ -32,7 +32,6 @@ from qflow.checks import (
 from qflow.grid import (
     InitialSpec,
     QGridFunction,
-    branch_mean_field,
     build_domain,
     dirichlet_energy,
     sample_initial,
@@ -45,14 +44,7 @@ from qflow.morseflow import (
     run_flow,
     uniform_schedule,
 )
-from qflow.qspace import (
-    ascending_projection,
-    make_qpoint,
-    match_rows,
-    matching_distance,
-    optimal_matching,
-    sorted_embedding,
-)
+from qflow.qspace import _canonical, ascending_projection, match_rows
 from reference import scalar_dirichlet_energy, translate_field
 
 
@@ -113,8 +105,8 @@ def test_value_space_checks_pass():
 
 
 def metric_axioms_by_loop(rng, samples=200):
-    """Per-sample reference for `check_metric_axioms`: one
-    `matching_distance` call per distance; no samples cannot apply."""
+    """Per-sample reference for `check_metric_axioms`: one `match_rows`
+    call per sample, unpadded; no samples cannot apply."""
     margin = math.inf
     ok = True
     worst = ""
@@ -124,16 +116,18 @@ def metric_axioms_by_loop(rng, samples=200):
         a = rng.normal(size=(q, n))
         b = rng.normal(size=(q, n))
         c = rng.normal(size=(q, n))
-        pa, pb, pc = make_qpoint(a, n), make_qpoint(b, n), make_qpoint(c, n)
-        dab = matching_distance(pa, pb)
-        sym = 1e-12 - abs(dab - matching_distance(pb, pa))
-        same = matching_distance(pa, make_qpoint(a[rng.permutation(q)], n))
+        pa, pb, pc = _canonical(np.stack([a, b, c]))
+        twin = _canonical(a[rng.permutation(q)])
+        # through the module, so that a patched `match_rows` reaches it
+        dab, dba, same, dbc, dac = np.sqrt(qspace.match_rows(
+            np.stack([pa, pb, pa, pb, pa]),
+            np.stack([pb, pa, twin, pc, pc]))[1]).tolist()
+        sym = 1e-12 - abs(dab - dba)
         if same != 0.0:
             ok = False
             worst = f"nonzero distance {same:g} on a permuted copy"
         distinct = dab - 1e-12
-        tri = matching_distance(pa, pb) + matching_distance(pb, pc) \
-            + 1e-10 - matching_distance(pa, pc)
+        tri = dab + dbc + 1e-10 - dac
         margin = min(margin, sym, distinct, tri)
     if not ok or samples == 0:
         margin = -math.inf
@@ -177,13 +171,13 @@ def sorted_matching_by_loop(rng, samples=200):
         q = int(rng.integers(2, 7))
         a = np.sort(rng.normal(size=q))
         b = np.sort(rng.normal(size=q))
-        match = optimal_matching(make_qpoint(a), make_qpoint(b))
-        identity_ok &= match.sigma == tuple(range(q))
+        sigma, cost = match_rows(a[None, :, None], b[None, :, None])
+        identity_ok &= bool((sigma[0] == np.arange(q)).all())
         best = min(
             float(((a - b[list(p)]) ** 2).sum())
             for p in itertools.permutations(range(q))
         )
-        worst = max(worst, abs(match.cost - best))
+        worst = max(worst, abs(float(cost[0]) - best))
     detail = f"{samples} samples, largest identity-vs-exhaustive gap {worst:.3e}"
     if not identity_ok:
         detail = "non-identity pairing returned for canonical operands"
@@ -278,15 +272,16 @@ def test_ascending_projection_names_the_fault_of_the_last_failing_sample(
 
 
 def embedding_isometry_by_loop(rng, samples=200):
-    """Per-sample reference for `check_embedding_isometry`: two `QPoint`s,
-    the embedding's norm and one `matching_distance` per sample."""
+    """Per-sample reference for `check_embedding_isometry`: two canonical
+    values, the sorted columns' norm and one `match_rows` call per
+    sample."""
     gaps = []
     for _ in range(samples):
         q = int(rng.integers(1, 7))
-        pa = make_qpoint(rng.normal(size=q))
-        pb = make_qpoint(rng.normal(size=q))
-        emb = float(np.linalg.norm(sorted_embedding(pa) - sorted_embedding(pb)))
-        gaps.append(abs(emb - matching_distance(pa, pb)))
+        pa = _canonical(rng.normal(size=(1, q, 1)))
+        pb = _canonical(rng.normal(size=(1, q, 1)))
+        emb = float(np.linalg.norm(pa[0, :, 0] - pb[0, :, 0]))
+        gaps.append(abs(emb - float(np.sqrt(match_rows(pa, pb)[1][0]))))
     margin = min((1e-12 - g for g in gaps), default=-math.inf)
     return CheckResult(
         "embedding_isometry", margin,
@@ -327,7 +322,7 @@ def translation_identity_by_loop(rng, domain, q, pairs=50):
     def rel_gap(dom, f, phi):
         ea, eb = dom.edges[:, 0], dom.edges[:, 1]
         lhs = dirichlet_energy(translate_field(f, phi))
-        eta = branch_mean_field(f)
+        eta = f.values.mean(axis=1)
         deta = eta[ea] - eta[eb]
         dphi = phi[ea] - phi[eb]
         cross = dom.delta ** (dom.m - 2) * float((deta * dphi).sum())
@@ -726,7 +721,7 @@ def eta_residual_by_loop(traj):
         if not report.converged:
             skipped += 1
             continue
-        eta_max = float(np.max(np.abs(branch_mean_field(traj.snapshots[k]))))
+        eta_max = float(np.max(np.abs(traj.snapshots[k].values.mean(axis=1))))
         rounding = 256 * np.finfo(float).eps / report.tau
         clearance = max(1e-8, rounding) * (1.0 + eta_max) - res
         if clearance < margin:
@@ -742,7 +737,7 @@ def eta_residual_by_loop(traj):
 def symmetry_by_loop(traj):
     worst = 0.0
     for f in traj.snapshots:
-        for row in branch_mean_field(f):
+        for row in f.values.mean(axis=1):
             for value in row:
                 worst = max(worst, abs(float(value)))
     return CheckResult("symmetry", 1e-10 - worst,

@@ -24,7 +24,6 @@ from qflow.cli import (
 )
 from qflow.grid import (
     QGridFunction,
-    branch_mean_field,
     build_domain,
     dirichlet_energy,
 )
@@ -521,20 +520,13 @@ def test_artifacts_and_checks_share_one_branch_mean_per_snapshot(tmp_path,
     """energy.csv and the trajectory checks together take the branch mean
     of each snapshot exactly once, over blocks of states (two states a
     block here): the blocks whose means are taken are the states, each
-    once and in order, and no per-state `branch_mean_field` call is
-    made."""
+    once and in order."""
     run = small_trajectory(tmp_path)
     traj = FlowTrajectory(run.schedule, run.domain,
                           run.states.view(_MeanRecorder), run.reports)
 
-    def per_state(f):
-        raise AssertionError("per-state branch_mean_field call")
-
     monkeypatch.setattr(morseflow, "_BLOCK_VALUES", 2 * run.domain.num_nodes * 2)
     monkeypatch.setattr(_MeanRecorder, "taken", [])
-    for module in (grid, morseflow, checks, cli):
-        if hasattr(module, "branch_mean_field"):
-            monkeypatch.setattr(module, "branch_mean_field", per_state)
     _write_energy_csv(tmp_path / "energy.csv", traj)
     names = cli._run_check_names(load_config(write_config(tmp_path, SMALL)))
     assert {"eta_residual", "symmetry", "positivity"} <= set(names)

@@ -13,7 +13,6 @@ from qflow.grid import (
     InitialSpec,
     QGridFunction,
     build_domain,
-    branch_mean_field,
     dirichlet_energy,
     l2_distance_sq,
     sample_initial,
@@ -172,13 +171,14 @@ def test_symmetric_step_keeps_the_mean_at_zero():
     f = sample_initial(InitialSpec("symmetric-cos"), d, 2)
     g, report = minimize_step(f, 0.01)
     assert report.converged
-    assert np.max(np.abs(branch_mean_field(g))) == 0.0
+    assert np.max(np.abs(g.values.mean(axis=1))) == 0.0
     # and exactly zero along a long chain on the disk, with a shared factor
     disk = build_domain(2, 21)
     f0 = sample_initial(InitialSpec("symmetric-cos"), disk, 2)
     traj = run_flow(f0, uniform_schedule(0.5, 200))
     assert traj.converged
-    assert max(np.max(np.abs(branch_mean_field(f))) for f in traj.snapshots) == 0.0
+    assert max(np.max(np.abs(f.values.mean(axis=1)))
+               for f in traj.snapshots) == 0.0
 
 
 def count_matchings(monkeypatch):
@@ -669,27 +669,6 @@ def test_flow_truncates_when_a_step_cannot_confirm(monkeypatch):
     assert not traj.converged
     assert traj.completed_steps == 1
     assert not traj.reports[0].converged
-
-
-def test_vector_flow_builds_no_qpoints(monkeypatch):
-    """Pairings and energies of an n = 2 run are matched as whole arrays,
-    never through one QPoint per edge or node."""
-    built = []
-    post_init = qspace.QPoint.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(qspace.QPoint, "__post_init__", counted)
-    rng = np.random.default_rng(6)
-    d = build_domain(1, 11)
-    f0 = QGridFunction(d, rng.normal(0.0, 1.0, size=(11, 2, 2)))
-    traj = run_flow(f0, uniform_schedule(0.25, 4))
-    assert traj.converged
-    assert traj.reports[0].outer_iterations > 1
-    assert len(traj.energies) == 5
-    assert built == []
 
 
 def test_flow_computes_each_start_energy_once(monkeypatch):
@@ -1265,7 +1244,7 @@ def test_trajectory_quantities_are_those_of_the_states(m, res, q, n, schedule,
     assert traj.max_norms == tuple(
         float(np.sqrt((f.values**2).sum(axis=(1, 2)).max())) for f in fresh)
     assert traj.mean_norms == tuple(
-        float(np.max(np.abs(branch_mean_field(f)))) for f in fresh)
+        float(np.max(np.abs(f.values.mean(axis=1)))) for f in fresh)
     assert not traj.states.flags.writeable
     assert check_energy_monotonicity(traj).passed
     injected = cli._apply_injection(
@@ -1610,4 +1589,4 @@ def test_flow_on_the_disk_behaves():
     for prev, curr in zip(energies, energies[1:]):
         assert curr <= prev + 1e-10 * max(1.0, prev)
     assert min(traj.estimate_margins) >= -1e-10
-    assert np.max(np.abs(branch_mean_field(traj.snapshots[-1]))) <= 1e-10
+    assert np.max(np.abs(traj.snapshots[-1].values.mean(axis=1))) <= 1e-10

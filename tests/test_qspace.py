@@ -1,4 +1,4 @@
-"""Multiset value type: metric, matching, embedding, projection."""
+"""Canonical multiset values: metric, matching, embedding, projection."""
 
 import itertools
 
@@ -9,26 +9,24 @@ from hypothesis import strategies as st
 
 from qflow.grid import _paired
 from qflow.qspace import (
-    QPoint,
     _canonical,
     ascending_projection,
-    make_qpoint,
     match_rows,
-    matching_distance,
     optimal_matching,
-    sorted_embedding,
 )
 
 
-def random_qpoint(rng, q, n, scale=2.0):
-    return make_qpoint(rng.normal(0.0, scale, size=(q, n)))
+def random_value(rng, q, n, scale=2.0):
+    """A canonical (q, n) value of normal points."""
+    return _canonical(rng.normal(0.0, scale, size=(q, n)))
 
 
 def exhaustive_cost(a, b):
-    """Minimum pairing cost by explicit enumeration of all permutations."""
+    """Minimum pairing cost of two (q, n) values by explicit enumeration
+    of all permutations."""
     best = None
-    for perm in itertools.permutations(range(a.q)):
-        c = float(((a.points - b.points[list(perm)]) ** 2).sum())
+    for perm in itertools.permutations(range(len(a))):
+        c = float(((a - b[list(perm)]) ** 2).sum())
         if best is None or c < best:
             best = c
     return best
@@ -60,28 +58,41 @@ def assert_matches_reference(a, b):
 # --- frozen values ---------------------------------------------------------
 
 def test_sorted_pair_distance():
-    a = make_qpoint([1.0, 3.0])
-    b = make_qpoint([2.0, 4.0])
-    assert matching_distance(a, b) == pytest.approx(np.sqrt(2.0), abs=1e-15)
-    match = optimal_matching(a, b)
-    assert match.sigma == (0, 1)
-    assert match.cost == pytest.approx(2.0, abs=1e-15)
+    a = np.array([[1.0], [3.0]])
+    b = np.array([[2.0], [4.0]])
+    sigma, cost = optimal_matching(a, b)
+    assert sigma == (0, 1)
+    assert cost == pytest.approx(2.0, abs=1e-15)
+    assert np.sqrt(cost) == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def test_identical_multisets_have_zero_distance():
-    a = make_qpoint(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    b = make_qpoint(np.array([[1.0, 1.0], [0.0, 0.0]]))  # same multiset
-    assert a == b
-    assert matching_distance(a, b) == 0.0
-    assert optimal_matching(a, b).cost == 0.0
+    a = _canonical(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    b = _canonical(np.array([[1.0, 1.0], [0.0, 0.0]]))  # same multiset
+    assert np.array_equal(a, b)
+    assert match_rows(a[None], b[None])[1][0] == 0.0
+    assert optimal_matching(a, b)[1] == 0.0
 
 
 def test_planar_pair_prefers_crossing_when_cheaper():
-    a = make_qpoint(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    b = make_qpoint(np.array([[0.9, 1.1], [1.1, 0.0]]))
-    match = optimal_matching(a, b)
-    assert match.sigma == (1, 0)
-    assert match.cost == pytest.approx(1.23, abs=1e-12)
+    a = _canonical(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    b = _canonical(np.array([[0.9, 1.1], [1.1, 0.0]]))
+    sigma, cost = optimal_matching(a, b)
+    assert sigma == (1, 0)
+    assert cost == pytest.approx(1.23, abs=1e-12)
+
+
+def test_optimal_matching_is_match_rows_on_one_pair():
+    """The one-pair call returns the sigma tuple and the cost of
+    `match_rows` on that one row, bit for bit."""
+    rng = np.random.default_rng(111)
+    for q in range(1, 9):
+        for n in range(1, 4):
+            a, b = random_value(rng, q, n), random_value(rng, q, n)
+            sigma, cost = match_rows(a[None], b[None])
+            got = optimal_matching(a, b)
+            assert got == (tuple(sigma[0].tolist()), float(cost[0]))
+            assert type(got[0][0]) is int and type(got[1]) is float
 
 
 def test_ascending_projection_examples():
@@ -92,25 +103,25 @@ def test_ascending_projection_examples():
 
 
 def test_norm_is_distance_to_origin_copies():
-    a = make_qpoint([3.0, 4.0])
-    norm = float(np.sqrt((a.points**2).sum()))
+    a = _canonical(np.array([[3.0], [4.0]]))
+    norm = float(np.sqrt((a**2).sum()))
     assert norm == pytest.approx(5.0, abs=1e-15)
-    zero = make_qpoint([0.0, 0.0])
-    assert matching_distance(a, zero) == pytest.approx(norm, abs=1e-15)
+    assert np.sqrt(match_rows(a[None], np.zeros((1, 2, 1)))[1][0]) \
+        == pytest.approx(norm, abs=1e-15)
     # vector points: the norm sums |p_i|^2 over the branches
-    b = QPoint(np.array([[1.0, 2.0], [-2.0, 4.0]]))
-    assert matching_distance(b, QPoint(np.zeros((2, 2)))) == pytest.approx(
-        5.0, abs=1e-15)
+    b = _canonical(np.array([[1.0, 2.0], [-2.0, 4.0]]))
+    assert np.sqrt(match_rows(b[None], np.zeros((1, 2, 2)))[1][0]) \
+        == pytest.approx(5.0, abs=1e-15)
 
 
 def test_canonical_storage_sorts_values():
-    a = make_qpoint([2.0, -1.0, 0.5])
-    assert np.array_equal(a.points[:, 0], [-1.0, 0.5, 2.0])
-    b = QPoint(np.array([[3.0, 0.0], [1.0, 2.0], [1.0, -1.0]]))
+    a = _canonical(np.array([[2.0], [-1.0], [0.5]]))
+    assert np.array_equal(a[:, 0], [-1.0, 0.5, 2.0])
+    b = _canonical(np.array([[3.0, 0.0], [1.0, 2.0], [1.0, -1.0]]))
     # lexicographic: first coordinate, then second
-    assert np.array_equal(b.points, [[1.0, -1.0], [1.0, 2.0], [3.0, 0.0]])
+    assert np.array_equal(b, [[1.0, -1.0], [1.0, 2.0], [3.0, 0.0]])
     with pytest.raises(ValueError):
-        a.points[0, 0] = 7.0  # canonical storage is read only
+        a[0, 0] = 7.0  # canonical storage is read only
 
 
 # --- randomized properties -------------------------------------------------
@@ -120,18 +131,19 @@ def test_metric_axioms():
     for _ in range(200):
         q = int(rng.integers(1, 7))
         n = int(rng.integers(1, 4))
-        a = random_qpoint(rng, q, n)
-        b = random_qpoint(rng, q, n)
-        c = random_qpoint(rng, q, n)
-        assert matching_distance(a, a) == 0.0
-        dab = matching_distance(a, b)
-        assert abs(dab - matching_distance(b, a)) <= 1e-12
+        a = random_value(rng, q, n)
+        b = random_value(rng, q, n)
+        c = random_value(rng, q, n)
         # reordering the same points is the same multiset
-        perm = rng.permutation(q)
-        assert matching_distance(a, QPoint(a.points[perm])) == 0.0
-        if np.max(np.abs(a.points - b.points)) > 1e-12:
+        twin = _canonical(a[rng.permutation(q)])
+        daa, dab, dba, same, dac, dbc = np.sqrt(match_rows(
+            np.stack([a, a, b, a, a, b]), np.stack([a, b, a, twin, c, c]))[1])
+        assert daa == 0.0
+        assert abs(dab - dba) <= 1e-12
+        assert same == 0.0
+        if np.max(np.abs(a - b)) > 1e-12:
             assert dab > 1e-12
-        assert matching_distance(a, c) <= dab + matching_distance(b, c) + 1e-10
+        assert dac <= dab + dbc + 1e-10
 
 
 def test_sorted_matching_agrees_with_exhaustive_search():
@@ -140,20 +152,20 @@ def test_sorted_matching_agrees_with_exhaustive_search():
     rng = np.random.default_rng(202)
     for _ in range(200):
         q = int(rng.integers(1, 7))
-        a = random_qpoint(rng, q, 1)
-        b = random_qpoint(rng, q, 1)
-        match = optimal_matching(a, b)
-        assert match.sigma == tuple(range(q))
-        assert match.cost == exhaustive_cost(a, b)
+        a = random_value(rng, q, 1)
+        b = random_value(rng, q, 1)
+        sigma, cost = match_rows(a[None], b[None])
+        assert sigma[0].tolist() == list(range(q))
+        assert cost[0] == exhaustive_cost(a, b)
 
 
 def test_assignment_matches_exhaustive_search_in_the_plane():
     rng = np.random.default_rng(303)
     for _ in range(100):
         q = int(rng.integers(2, 6))
-        a = random_qpoint(rng, q, 2)
-        b = random_qpoint(rng, q, 2)
-        assert optimal_matching(a, b).cost == pytest.approx(
+        a = random_value(rng, q, 2)
+        b = random_value(rng, q, 2)
+        assert match_rows(a[None], b[None])[1][0] == pytest.approx(
             exhaustive_cost(a, b), abs=1e-12
         )
 
@@ -269,7 +281,7 @@ def test_batched_canonical_order_is_the_per_row_order(pair):
     vals = pair[0]
     batched = _canonical(vals)
     for r, row in enumerate(vals):
-        assert np.array_equal(batched[r], QPoint(row).points)
+        assert np.array_equal(batched[r], _canonical(row))
         assert [tuple(p) for p in batched[r]] == sorted(map(tuple, row))
     assert not batched.flags.writeable
 
@@ -279,10 +291,11 @@ def test_sorted_embedding_is_isometric():
     worst = 0.0
     for _ in range(200):
         q = int(rng.integers(1, 7))
-        a = random_qpoint(rng, q, 1)
-        b = random_qpoint(rng, q, 1)
-        d_embed = float(np.linalg.norm(sorted_embedding(a) - sorted_embedding(b)))
-        worst = max(worst, abs(d_embed - matching_distance(a, b)))
+        a = random_value(rng, q, 1)
+        b = random_value(rng, q, 1)
+        d_embed = float(np.linalg.norm(a[:, 0] - b[:, 0]))
+        d_match = float(np.sqrt(match_rows(a[None], b[None])[1][0]))
+        worst = max(worst, abs(d_embed - d_match))
     assert worst <= 1e-12
 
 
@@ -355,27 +368,26 @@ def test_translate_shifts_mean_and_preserves_distance():
     for _ in range(50):
         q = int(rng.integers(1, 5))
         n = int(rng.integers(1, 4))
-        a = random_qpoint(rng, q, n)
-        b = random_qpoint(rng, q, n)
+        a = random_value(rng, q, n)
+        b = random_value(rng, q, n)
         v = rng.normal(0.0, 1.0, size=n)
-        ta, tb = QPoint(a.points + v), QPoint(b.points + v)
-        assert np.allclose(ta.points.mean(axis=0), a.points.mean(axis=0) + v,
-                           atol=1e-12)
-        assert abs(
-            matching_distance(ta, tb) - matching_distance(a, b)
-        ) <= 1e-12
+        ta, tb = _canonical(a + v), _canonical(b + v)
+        assert np.allclose(ta.mean(axis=0), a.mean(axis=0) + v, atol=1e-12)
+        shifted, plain = np.sqrt(match_rows(np.stack([ta, a]),
+                                            np.stack([tb, b]))[1])
+        assert abs(shifted - plain) <= 1e-12
 
 
 # --- argument validation ---------------------------------------------------
 
 def test_incompatible_operands_raise():
-    a = make_qpoint([1.0, 2.0])
-    b = make_qpoint([1.0, 2.0, 3.0])
-    c = QPoint(np.zeros((2, 2)))
+    a = np.array([[1.0], [2.0]])
+    b = np.array([[1.0], [2.0], [3.0]])
+    c = np.zeros((2, 2))
     for other in (b, c):
-        with pytest.raises(ValueError):
-            matching_distance(a, other)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="incompatible operands"):
+            match_rows(a[None], other[None])
+        with pytest.raises(ValueError, match="incompatible operands"):
             optimal_matching(a, other)
 
 
@@ -394,13 +406,7 @@ def test_match_rows_refuses_non_finite_values(q, n, bad):
 
 
 def test_bad_inputs_raise():
-    with pytest.raises(ValueError):
-        make_qpoint([1.0, np.nan])
-    with pytest.raises(ValueError):
-        make_qpoint(np.zeros((0, 1)))
-    with pytest.raises(ValueError):
-        make_qpoint([[1.0, 2.0]], n=3)
-    with pytest.raises(ValueError):
-        sorted_embedding(QPoint(np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="values must be finite"):
+        optimal_matching(np.array([[1.0], [np.nan]]), np.zeros((2, 1)))
     with pytest.raises(ValueError):
         ascending_projection([1.0, np.inf])
