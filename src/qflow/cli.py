@@ -334,12 +334,10 @@ def cmd_verify(config: RunConfig) -> int:
     # traj, and max_principle counts it once
     sym = None
     if not config.preset.startswith("symmetric"):
-        sym_cfg = replace(config, preset="symmetric-cos", coeffs=(),
-                          branch_coeffs=(), q=2)
-        sym = run_flow(make_initial(sym_cfg, domain), schedule)
-    q1_cfg = replace(config, q=1, preset="branches", coeffs=(),
-                     branch_coeffs=((1.0, 0.0, -1.0),))
-    q1 = run_flow(make_initial(q1_cfg, domain), schedule)
+        sym = run_flow(sample_initial(InitialSpec("symmetric-cos"), domain, 2),
+                       schedule)
+    one = InitialSpec("branches", branch_coeffs=((1.0, 0.0, -1.0),))
+    q1 = run_flow(sample_initial(one, domain, 1), schedule)
     results = checks.evaluate(_selected(config, checks.CHECK_NAMES),
                               np.random.default_rng(config.seed), traj, sym, q1)
     passed = all(r.passed for r in results)
@@ -359,57 +357,50 @@ def cmd_verify(config: RunConfig) -> int:
     return 0
 
 
-def _rel_errors(u, exact):
-    """Relative l2 and max errors of u against exact."""
-    diff = u - exact
-    return (float(np.linalg.norm(diff) / np.linalg.norm(exact)),
-            float(np.max(np.abs(diff)) / np.max(np.abs(exact))))
+def _flow_last(config: RunConfig, domain, steps: int):
+    """Top branch at T of the uniform flow from the symmetric cosine
+    datum; final_state keeps only the chain's last state."""
+    f0 = sample_initial(InitialSpec("symmetric-cos"), domain, 2)
+    last = final_state(f0, uniform_schedule(config.total_time, steps))
+    return last.values[:, -1, 0]
 
 
-def _heat_errors(config: RunConfig, resolution: int, steps: int):
-    """Relative errors of the uniform flow's top branch at T against the
-    separated exact solution; only the chain's last state is kept."""
-    domain = build_domain(1, resolution)
-    cfg = replace(config, m=1, resolution=resolution, steps=steps,
-                  mode="uniform", preset="symmetric-cos", q=2,
-                  coeffs=(), branch_coeffs=())
-    last = final_state(make_initial(cfg, domain),
-                       uniform_schedule(config.total_time, steps))
-    exact = exact_eigen_solution(EigenMode(config.eigen_index),
-                                 config.total_time, domain)
-    return _rel_errors(last.values[:, -1, 0], exact)
+def _chain_last(config: RunConfig, domain, steps: int):
+    """Last state of the reference chain from the exact mode at t = 0."""
+    u0 = exact_eigen_solution(EigenMode(config.eigen_index), 0.0, domain)
+    return implicit_euler_chain(domain, u0,
+                                [config.total_time / steps] * steps)[-1]
 
 
-def _flow_errors(config: RunConfig, cell):
-    """Sweep cell worker; a failed cell is marked NaN and the table kept."""
+def _cell_errors(config: RunConfig, name: str, last_fn, cell):
+    """Relative l2 and max errors of one ladder cell's state at T against
+    the exact mode; a failed cell is named on stderr and marked NaN, and
+    the table is kept."""
     resolution, steps = cell
     try:
-        return _heat_errors(config, resolution, steps)
+        domain = build_domain(1, resolution)
+        exact = exact_eigen_solution(EigenMode(config.eigen_index),
+                                     config.total_time, domain)
+        diff = last_fn(config, domain, steps) - exact
+        return (float(np.linalg.norm(diff) / np.linalg.norm(exact)),
+                float(np.max(np.abs(diff)) / np.max(np.abs(exact))))
     except Exception as err:
-        print(f"sweep cell resolution={resolution} N={steps} failed: {err}",
+        print(f"{name} cell resolution={resolution} N={steps} failed: {err}",
               file=sys.stderr)
         return float("nan"), float("nan")
 
 
-def _chain_errors(config: RunConfig, cell):
-    """Oracle cell worker: the reference chain against the exact mode."""
-    resolution, steps = cell
-    domain = build_domain(1, resolution)
-    mode = EigenMode(config.eigen_index)
-    u0 = exact_eigen_solution(mode, 0.0, domain)
-    u = implicit_euler_chain(domain, u0, [config.total_time / steps] * steps)[-1]
-    return _rel_errors(u, exact_eigen_solution(mode, config.total_time, domain))
-
-
-def _ladder(config: RunConfig, name: str, label: str, errors_fn) -> list:
-    """Error ladder of one cell worker: temporal rows (fixed grid, steps
-    from sweep_steps) then spatial rows (fixed steps, resolutions from
+def _ladder(config: RunConfig, name: str, label: str, last_fn) -> int:
+    """Error ladder of one cell function, last_fn(config, domain, steps)
+    giving its state at T: temporal rows (fixed grid, steps from
+    sweep_steps) then spatial rows (fixed steps, resolutions from
     sweep_resolutions), with observed orders between consecutive rows of
-    each group.  Writes <name>.csv, prints the table and returns the rows
-    (resolution, tau, steps, l2, linf, order)."""
+    each group.  Writes <name>.csv, prints the table and returns the exit
+    code: 1 when a failed cell left a NaN l2 error, else 0."""
     cells = [(config.resolution, n) for n in config.sweep_steps]
     cells += [(r, config.spatial_steps) for r in config.sweep_resolutions]
 
+    errors_fn = functools.partial(_cell_errors, config, name, last_fn)
     workers = min(config.jobs, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -449,7 +440,7 @@ def _ladder(config: RunConfig, name: str, label: str, errors_fn) -> list:
         order = "      -" if order is None else f"{order:7.3f}"
         print(f"  {resolution:10d}  {steps:6d}  {l2:.4e}  {linf:.4e}  {order}")
     print(f"{name}: table in {path}")
-    return rows
+    return 0 if all(math.isfinite(row[3]) for row in rows) else 1
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -460,18 +451,13 @@ def cmd_sweep(config: RunConfig) -> int:
         raise ConfigError("eigen_index", "the flow sweep tracks the ground "
                                          "mode; use the oracle command for "
                                          "higher modes")
-    rows = _ladder(config, "sweep", "flow vs exact",
-                   functools.partial(_flow_errors, config))
-    # a failed cell has a NaN l2 error
-    return 0 if all(math.isfinite(row[3]) for row in rows) else 1
+    return _ladder(config, "sweep", "flow vs exact", _flow_last)
 
 
 def cmd_oracle(config: RunConfig) -> int:
     if config.m != 1:
         raise ConfigError("m", "the reference chain is built for m=1")
-    _ladder(config, "oracle", "reference chain vs exact",
-            functools.partial(_chain_errors, config))
-    return 0
+    return _ladder(config, "oracle", "reference chain vs exact", _chain_last)
 
 
 def main(argv=None) -> int:

@@ -806,13 +806,15 @@ def test_sweep_writes_the_error_ladder(tmp_path):
     assert float(rows[3][3]) < float(rows[2][3])
 
 
-def test_sweep_with_worker_pool_matches_serial(tmp_path):
+@pytest.mark.parametrize("command", ["sweep", "oracle"])
+def test_sweep_with_worker_pool_matches_serial(tmp_path, command):
     cfg = write_config(tmp_path, SWEEP)
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    assert main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
-    assert main(["sweep", "--config", str(cfg), "--out", str(pooled),
+    assert main([command, "--config", str(cfg), "--out", str(serial)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(pooled),
                  "--jobs", "2"]) == 0
-    assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
+    table = f"{command}.csv"
+    assert (serial / table).read_bytes() == (pooled / table).read_bytes()
 
 
 def test_worker_pool_is_capped_at_the_ladder_cells(tmp_path, monkeypatch):
@@ -842,21 +844,25 @@ def test_worker_pool_is_capped_at_the_ladder_cells(tmp_path, monkeypatch):
     assert pools == [4, 4]
 
 
-def test_sweep_names_a_failed_cell_and_exits_1(tmp_path, monkeypatch, capsys):
-    heat_errors = cli._heat_errors
+@pytest.mark.parametrize("command, cell", [("sweep", "_flow_last"),
+                                           ("oracle", "_chain_last")],
+                         ids=["sweep", "oracle"])
+def test_sweep_names_a_failed_cell_and_exits_1(tmp_path, monkeypatch, capsys,
+                                               command, cell):
+    last = getattr(cli, cell)
 
-    def failing(config, resolution, steps):
-        if resolution == 11:
+    def failing(config, domain, steps):
+        if domain.resolution == 11:
             raise RuntimeError("solver blew up")
-        return heat_errors(config, resolution, steps)
+        return last(config, domain, steps)
 
-    monkeypatch.setattr(cli, "_heat_errors", failing)
+    monkeypatch.setattr(cli, cell, failing)
     cfg = write_config(tmp_path, SWEEP)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "sweep cell resolution=11 N=200 failed: solver blew up" in err
-    rows = read_ladder(out / "sweep.csv")
+    assert f"{command} cell resolution=11 N=200 failed: solver blew up" in err
+    rows = read_ladder(out / f"{command}.csv")
     # the failed row is kept as NaN, and no order is taken across it
     assert rows[2][3] == rows[2][4] == "nan"
     assert rows[3][5] == ""
