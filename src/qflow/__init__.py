@@ -10,48 +10,14 @@ suites), cli (operator surface).
 
 __version__ = "0.1.0"
 
-from .qspace import ascending_projection, match_rows, optimal_matching
-from .grid import (
-    GridDomain,
-    InitialSpec,
-    QGridFunction,
-    build_domain,
-    dirichlet_energy,
-    domain_manifest,
-    l2_distance_sq,
-    sample_initial,
-    write_snapshot_csv,
-)
-from .morseflow import (
-    FlowTrajectory,
-    StepReport,
-    StepSchedule,
-    evaluate_at_time,
-    final_state,
-    geometric_schedule,
-    holder_margin,
-    minimize_step,
-    run_flow,
-    uniform_schedule,
-)
-from .oracle import (
-    EigenMode,
-    brute_force_step,
-    exact_eigen_solution,
-    implicit_euler_chain,
-)
+from .qspace import *
+from .grid import *
+from .morseflow import *
+from .oracle import *
 from .checks import CHECK_NAMES, CheckResult
 
-__all__ = [
-    "__version__",
-    "ascending_projection", "match_rows", "optimal_matching",
-    "GridDomain", "InitialSpec", "QGridFunction", "build_domain",
-    "dirichlet_energy", "domain_manifest", "l2_distance_sq",
-    "sample_initial", "write_snapshot_csv",
-    "FlowTrajectory", "StepReport", "StepSchedule",
-    "evaluate_at_time", "final_state", "geometric_schedule", "holder_margin",
-    "minimize_step", "run_flow", "uniform_schedule",
-    "EigenMode", "brute_force_step", "exact_eigen_solution",
-    "implicit_euler_chain",
-    "CHECK_NAMES", "CheckResult",
-]
+__all__ = ["__version__", "CHECK_NAMES", "CheckResult"]
+__all__ += qspace.__all__
+__all__ += grid.__all__
+__all__ += morseflow.__all__
+__all__ += oracle.__all__

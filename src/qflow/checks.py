@@ -38,28 +38,6 @@ from .morseflow import (
 )
 from .oracle import brute_force_step, implicit_euler_chain
 
-__all__ = [
-    "CheckResult",
-    "CHECK_NAMES",
-    "check_metric_axioms",
-    "check_sorted_matching",
-    "check_embedding_isometry",
-    "check_ascending_projection",
-    "check_translation_identity",
-    "check_energy_monotonicity",
-    "check_step_estimate",
-    "check_eta_residual",
-    "check_symmetry",
-    "check_positivity",
-    "check_max_principle",
-    "check_boundary_trace",
-    "check_holder",
-    "check_brute_force",
-    "check_oracle_equivalence",
-    "evaluate",
-]
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """A check's margin and the verdict derived from it: passed exactly
@@ -93,6 +71,9 @@ CHECK_NAMES = (
     "brute_force",
     "oracle_equivalence",
 )
+
+__all__ = ["CheckResult", "CHECK_NAMES", "evaluate"]
+__all__ += ["check_" + name for name in CHECK_NAMES]
 
 
 def check_metric_axioms(rng, samples: int = 200) -> CheckResult:
@@ -176,19 +157,19 @@ def check_sorted_matching(rng, samples: int = 200) -> CheckResult:
 def check_embedding_isometry(rng, samples: int = 200) -> CheckResult:
     """For n = 1 the Euclidean distance of the sorted tuples equals the
     matching distance (1e-12).  All samples are drawn first; each q group
-    is then scored over its stacked canonical rows by one `match_rows`
-    call."""
+    is then sorted by `np.sort` for the Euclidean side and put in
+    canonical order for one `match_rows` call, so a fault in either
+    ordering shows."""
     draws = []
     for _ in range(samples):
         q = int(rng.integers(1, 7))
         draws.append((q, rng.normal(size=q), rng.normal(size=q)))
     gaps = np.empty(samples)
     for idx in _groups(d[0] for d in draws).values():
-        a, b = (_canonical(np.stack([draws[i][k] for i in idx])[..., None])
-                for k in (1, 2))
-        d = a[..., 0] - b[..., 0]
-        gaps[idx] = np.abs(np.sqrt(np.vecdot(d, d))
-                           - np.sqrt(match_rows(a, b)[1]))
+        a, b = (np.stack([draws[i][k] for i in idx]) for k in (1, 2))
+        d = np.sort(a) - np.sort(b)
+        cost = match_rows(_canonical(a[..., None]), _canonical(b[..., None]))[1]
+        gaps[idx] = np.abs(np.sqrt(np.vecdot(d, d)) - np.sqrt(cost))
     return CheckResult(
         "embedding_isometry",
         _tightest(1e-12 - gaps)[0],
@@ -249,16 +230,11 @@ def _projection_scores(qs, x, y) -> tuple:
     return lips, faults
 
 
-# values per stacked array in check_translation_identity, about 32 KB:
-# blocks of pairs that size keep a verify's peak memory where drawing and
-# scoring one pair at a time had it
-_BLOCK_VALUES = 4096
-
-
 def _translation_gaps(rng, domain, pairs: int, q: int, n: int) -> np.ndarray:
     """Relative gap of the translation identity for each of `pairs` random
     pairs of q-valued f and single-valued phi in R^n on domain, drawn a
-    block at a time in the per-pair order: f's values, then phi's."""
+    block of at most _STACK_VALUES values of f at a time in the per-pair
+    order: f's values, then phi's."""
     nodes = domain.num_nodes
     ea, eb = domain.edges[:, 0], domain.edges[:, 1]
     w = domain.delta ** (domain.m - 2)
@@ -267,7 +243,7 @@ def _translation_gaps(rng, domain, pairs: int, q: int, n: int) -> np.ndarray:
         return w * _paired_sums(np.take(values, ea, axis=1),
                                 np.take(values, eb, axis=1))[1]
 
-    step = max(1, _BLOCK_VALUES // (nodes * q * n))
+    step = max(1, _STACK_VALUES // (nodes * q * n))
     gaps = [np.empty(0)]
     for start in range(0, pairs, step):
         size = min(step, pairs - start)

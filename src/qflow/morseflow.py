@@ -751,7 +751,7 @@ def final_state(f0: QGridFunction, schedule: StepSchedule) -> QGridFunction:
     if chain.log.steps < schedule.steps:
         raise ValueError(f"the chain stopped after {chain.log.steps} of "
                          f"{schedule.steps} steps")
-    return QGridFunction(f0.domain, chain.final().copy())
+    return QGridFunction(f0.domain, chain.final())
 
 
 def _locate(traj: FlowTrajectory, t: np.ndarray) -> tuple:

@@ -237,6 +237,24 @@ def test_embedding_isometry_rejects_a_cost_scaled_by_one_plus_1e_9(monkeypatch):
     assert not res.passed and res.margin < 0.0
 
 
+def order_keeping(points):
+    """A `_canonical` that keeps the order it is given."""
+    out = np.array(points, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def test_embedding_isometry_rejects_a_canonical_order_that_does_not_sort(
+        monkeypatch):
+    """The Euclidean side sorts the drawn tuples itself, so a canonical
+    order that sorts nothing no longer reads the same pairing on both
+    sides."""
+    assert check_embedding_isometry(np.random.default_rng(9)).passed
+    monkeypatch.setattr(checks, "_canonical", order_keeping)
+    res = check_embedding_isometry(np.random.default_rng(9))
+    assert not res.passed and res.margin < -1.0
+
+
 def test_ascending_projection_rejects_a_projection_that_does_not_move(
         monkeypatch):
     monkeypatch.setattr(checks, "ascending_projection", unprojected)
@@ -272,15 +290,15 @@ def test_ascending_projection_names_the_fault_of_the_last_failing_sample(
 
 
 def embedding_isometry_by_loop(rng, samples=200):
-    """Per-sample reference for `check_embedding_isometry`: two canonical
-    values, the sorted columns' norm and one `match_rows` call per
+    """Per-sample reference for `check_embedding_isometry`: the sorted
+    tuples' norm and one `match_rows` call on their canonical values per
     sample."""
     gaps = []
     for _ in range(samples):
         q = int(rng.integers(1, 7))
-        pa = _canonical(rng.normal(size=(1, q, 1)))
-        pb = _canonical(rng.normal(size=(1, q, 1)))
-        emb = float(np.linalg.norm(pa[0, :, 0] - pb[0, :, 0]))
+        a, b = rng.normal(size=q), rng.normal(size=q)
+        emb = float(np.linalg.norm(np.sort(a) - np.sort(b)))
+        pa, pb = _canonical(a[None, :, None]), _canonical(b[None, :, None])
         gaps.append(abs(emb - float(np.sqrt(match_rows(pa, pb)[1][0]))))
     margin = min((1e-12 - g for g in gaps), default=-math.inf)
     return CheckResult(
@@ -451,8 +469,12 @@ def test_padded_projection_scores_keep_the_bits_of_their_q_groups(seed):
     assert np.array_equal(faults, want_faults) and not faults.any()
 
 
-@pytest.mark.parametrize("seed", [1, 5, 11, 123, 999])
-@pytest.mark.parametrize("m, res, q", [(1, 201, 2), (1, 21, 9), (2, 9, 3)])
+TRANSLATION_SEEDS = [1, 5, 11, 123, 999]
+TRANSLATION_SHAPES = [(1, 201, 2), (1, 21, 9), (2, 9, 3)]
+
+
+@pytest.mark.parametrize("seed", TRANSLATION_SEEDS)
+@pytest.mark.parametrize("m, res, q", TRANSLATION_SHAPES)
 def test_translation_identity_agrees_with_a_per_pair_loop(seed, m, res, q):
     domain = build_domain(m, res)
     for pairs in (50, 3, 0):
@@ -461,6 +483,18 @@ def test_translation_identity_agrees_with_a_per_pair_loop(seed, m, res, q):
                                        q, pairs),
             translation_identity_by_loop(np.random.default_rng(seed), domain,
                                          q, pairs))
+
+
+@pytest.mark.parametrize("cap", [1, 300])
+@pytest.mark.parametrize("seed", TRANSLATION_SEEDS)
+@pytest.mark.parametrize("m, res, q", TRANSLATION_SHAPES)
+def test_translation_identity_agrees_with_a_per_pair_loop_in_any_block(
+        monkeypatch, seed, m, res, q, cap):
+    """Drawn and scored in blocks of pairs of at most `cap` values of f,
+    from one pair per block up to the default cap of the test above, the
+    check equals its per-pair loop."""
+    monkeypatch.setattr(checks, "_STACK_VALUES", cap)
+    test_translation_identity_agrees_with_a_per_pair_loop(seed, m, res, q)
 
 
 @pytest.mark.parametrize("check", [

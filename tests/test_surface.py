@@ -47,6 +47,26 @@ def test_retired_names_are_gone(module):
         assert name not in getattr(mod, "__all__", ())
 
 
+def test_package_exports_exactly_its_layers_names():
+    """`qflow.__all__` is each layer's `__all__` and the two check names,
+    each written once, every name the object of its module."""
+    layers = (qflow.qspace, qflow.grid, qflow.morseflow, qflow.oracle)
+    names = qflow.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {"__version__", "CHECK_NAMES", "CheckResult"}.union(
+        *(layer.__all__ for layer in layers))
+    for layer in (*layers, qflow.checks):
+        for name in set(layer.__all__) & set(names):
+            assert getattr(qflow, name) is getattr(layer, name), name
+
+
+def test_check_module_exports_one_function_per_check_name():
+    names = qflow.checks.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {"CheckResult", "CHECK_NAMES", "evaluate",
+                          *("check_" + name for name in CHECK_NAMES)}
+
+
 def test_optimal_matching_stays_importable():
     from qflow.qspace import optimal_matching
 
